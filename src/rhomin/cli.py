@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -71,7 +70,7 @@ def _emit(payload: dict, fmt: str, text_lines):
 
 def cmd_rho(args) -> int:
     g = _load_graph(args.graph)
-    root = rho_certified_graph(g, Fraction(args.tolerance))
+    root = rho_certified_graph(g, args.tolerance)
     payload = {"graph6": graph6_encode(g), "rho": root.to_json()}
     _emit(payload, args.format, [
         f"graph: {graph6_encode(g)}",
@@ -130,7 +129,7 @@ def cmd_minimize(args) -> int:
     elif args.space == "sparse":
         report = brute_force_sparse(args.n, args.d)
     else:
-        report = minimize_over_quipus(args.n, args.d, workers=args.workers)
+        report = minimize_over_quipus(args.n, args.d)
     payload = report.to_json()
     lines = [
         f"search space: {report.search_space}  candidates: {report.candidates_examined}",
@@ -151,7 +150,7 @@ def cmd_verify_theorem(args) -> int:
     rows = []
     ok = True
     for k in ks:
-        verdict = verify_theorem(k, workers=args.workers)
+        verdict = verify_theorem(k)
         report = verdict.data["report"]
         root = rho_k(k)
         rows.append({
@@ -215,6 +214,16 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _tolerance(text: str) -> Fraction:
+    try:
+        tol = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
+    if tol <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rhomin",
@@ -223,14 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "json", "csv"),
                         default="text", help="output rendering")
-    parser.add_argument("--tolerance", default="1/1000000000000",
-                        help="interval width target for certified roots")
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=int(os.environ.get("RHOMIN_WORKERS", "1")),
-        help="worker processes for search screening",
-    )
+    parser.add_argument("--tolerance", type=_tolerance, default="1/1000000000000",
+                        help="interval width target for certified roots (> 0)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rho", help="certified spectral radius")

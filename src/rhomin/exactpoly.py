@@ -307,7 +307,12 @@ class CertifiedRoot:
         return self.lo < x <= self.hi
 
     def refine(self, tol: Rational) -> "CertifiedRoot":
-        """Shrink the interval to width <= tol (no-op once exact)."""
+        """Shrink the interval to width <= tol (no-op once exact).
+
+        Raises ValueError unless tol > 0: an irrational root never reaches
+        width 0, so bisection would not end.
+        """
+        _check_tol(tol)
         if self.exact:
             return self
         sf = self.square_free
@@ -334,8 +339,14 @@ class CertifiedRoot:
         }
 
 
+def _check_tol(tol: Rational) -> None:
+    if not tol > 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+
+
 def rho_certified(p: IntPoly, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
     """Certified isolating interval for the largest real root of p."""
+    _check_tol(tol)
     if p.is_zero:
         raise ValueError("zero polynomial has no roots")
     if p.degree == 0:
@@ -590,8 +601,9 @@ def compare_roots(r1: CertifiedRoot, r2: CertifiedRoot):
                 chain = sturm_chain(square_free_part(gcd))
                 if lo < hi and count_roots_halfopen(chain, lo, hi) >= 1:
                     return Ordering.EQUAL, EqualityWitness(gcd, lo, hi)
-        r1.refine(r1.width / 256 if not r1.exact else r1.width)
-        r2.refine(r2.width / 256 if not r2.exact else r2.width)
+        for r in (r1, r2):
+            if not r.exact:
+                r.refine(r.width / 256)
     raise RuntimeError("compare_roots failed to separate the intervals")
 
 

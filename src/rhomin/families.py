@@ -175,43 +175,6 @@ def spec_diameter(spec: QuipuSpec) -> int:
     return d
 
 
-def _open_param_diameter(ks, ms) -> int:
-    """Exact diameter of an open quipu from its parameters (r >= 1): the
-    farthest pair is backbone end to end, end to pendant tip, or tip to tip."""
-    pos = []
-    p = ks[0]
-    for k in ks[1:-1]:
-        pos.append(p)
-        p += k + 1
-    pos.append(p)
-    length = p + ks[-1]
-    best = length
-    for i, m in enumerate(ms):
-        best = max(best, pos[i] + m, length - pos[i] + m)
-        for j in range(i):
-            best = max(best, ms[j] + m + pos[i] - pos[j])
-    return best
-
-
-def _closed_param_diameter(ks, ms) -> int:
-    """Exact diameter of a closed quipu from its parameters: cycle antipode,
-    tip to antipode, or tip to tip through the shorter arc."""
-    r = len(ks)
-    c = sum(ks) + r
-    pos = []
-    p = 0
-    for k in ks:
-        pos.append(p)
-        p += k + 1
-    half = c // 2
-    best = half + max(ms)
-    for i in range(r):
-        for j in range(i):
-            gap = pos[i] - pos[j]
-            best = max(best, ms[i] + ms[j] + min(gap, c - gap))
-    return max(best, half)
-
-
 # ---------------------------------------------------------------------------
 # classification back to canonical parameters
 
@@ -232,19 +195,22 @@ def _walk_arm(g: Graph, start: int, first: int):
     # unreachable
 
 
+def _open_variants(ks, ms):
+    """(ks + ms, ks, ms) of every end-arm swap and reversal (r >= 1)."""
+    for kr, mr in ((ks, ms), (ks[::-1], ms[::-1])):
+        for left in ((kr[0], mr[0]), (mr[0], kr[0])):
+            for right in ((kr[-1], mr[-1]), (mr[-1], kr[-1])):
+                ck = (left[0],) + tuple(kr[1:-1]) + (right[0],)
+                cm = (left[1],) + tuple(mr[1:-1]) + (right[1],)
+                yield (ck + cm, ck, cm)
+
+
 def _open_canonical(ks: tuple[int, ...], ms: tuple[int, ...]) -> OpenQuipu:
     """Least representative under end-arm swaps and reversal."""
     if len(ms) == 1:
         arms = sorted((ks[0], ks[1], ms[0]))
         return OpenQuipu((arms[0], arms[1]), (arms[2],))
-    cands = []
-    for kr, mr in ((ks, ms), (ks[::-1], ms[::-1])):
-        for left in ((kr[0], mr[0]), (mr[0], kr[0])):
-            for right in ((kr[-1], mr[-1]), (mr[-1], kr[-1])):
-                cand_ks = (left[0],) + tuple(kr[1:-1]) + (right[0],)
-                cand_ms = (left[1],) + tuple(mr[1:-1]) + (right[1],)
-                cands.append((cand_ks + cand_ms, cand_ks, cand_ms))
-    _, bk, bm = min(cands)
+    _, bk, bm = min(_open_variants(ks, ms))
     return OpenQuipu(bk, bm)
 
 
@@ -438,14 +404,12 @@ class ScreenReport:
     specs in normalized form (ks[0] == ms[0], ks[-1] == ms[-1]) with r >= 2;
     otherwise they are None (not applicable). sufficient_violation=True
     certifies spectral radius > 3/sqrt(2); necessary_ok=False likewise.
-    spd_ok records whether order n and diameter d satisfy 3d >= 2n-4, the
-    bound every open quipu with radius below 3/sqrt(2) obeys for n >= 13.
+    All three are read off the parameters; the graph is never built.
     """
 
     l_values: tuple[int, ...] | None
     necessary_ok: bool | None
     sufficient_violation: bool | None
-    spd_ok: bool
 
 
 def _d1(x: int) -> int:
@@ -489,15 +453,11 @@ def _sufficient_conditions(ks, ms, r) -> bool:
 
 def screen(spec: OpenQuipu) -> ScreenReport:
     """Exact structural screening of an open quipu."""
-    g = realize(spec)
-    n = g.n
-    d = diameter(g)
-    spd_ok = 3 * d >= 2 * n - 4
     r = spec.r
     ks, ms = spec.ks, spec.ms
     normalized = r >= 2 and ks[0] == ms[0] and ks[-1] == ms[-1]
     if not normalized:
-        return ScreenReport(None, None, None, spd_ok)
+        return ScreenReport(None, None, None)
     l1 = ks[1] + 2 - ms[0] - ms[1]
     lr = ks[r] + 2 - ms[r - 1] - ms[r]
     lmid = tuple(ks[i] - ms[i - 1] - ms[i] for i in range(2, r))
@@ -506,7 +466,6 @@ def screen(spec: OpenQuipu) -> ScreenReport:
         l_values,
         _necessary_conditions(ks, ms, r),
         _sufficient_conditions(ks, ms, r),
-        spd_ok,
     )
 
 
@@ -517,10 +476,12 @@ ALL_KINDS = frozenset({"open", "closed", "dagger"})
 
 
 def enumerate_quipus(n: int, d: int, kinds=ALL_KINDS):
-    """Yield every canonical family spec of order n and BFS diameter exactly d.
+    """Yield every canonical family spec of order n and diameter exactly d.
 
-    Branch-and-prune over parameter tuples; diameter is always confirmed by
-    BFS on the realization. Each isomorphism class appears exactly once.
+    Branch-and-prune over parameter tuples. The diameter is computed from the
+    parameters while the tuple is built, and prefixes that cannot be
+    canonical or cannot reach diameter d are cut, so no graph is built or
+    searched. Each isomorphism class appears exactly once.
     """
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
@@ -536,28 +497,24 @@ def enumerate_quipus(n: int, d: int, kinds=ALL_KINDS):
 
 
 def _enumerate_dagger(n: int, d: int):
-    if n < 4:
-        return
-    t = n - 4
-    dd = 2 if t == 0 else max(2, t + 1)
-    if dd == d:
-        yield Dagger(t)
+    # Dagger(0) is the spider OpenQuipu((1, 1), (1,)); a tail t >= 1 gives
+    # diameter t + 1
+    if n >= 5 and d == n - 3:
+        yield Dagger(n - 4)
 
 
 def _enumerate_open(n: int, d: int):
     # degenerate path
     if d == n - 1 and (n >= 2 or d == 0):
         yield OpenQuipu((0, 0), (n - 1,))
-    # single branch vertex: spider with arms a <= b <= c, all >= 1
+    # single branch vertex: spider with arms a <= b <= c, all >= 1, whose
+    # diameter is b + c
     if n >= 4:
         for a in range(1, (n - 1) // 3 + 1):
             for b in range(a, (n - 1 - a) // 2 + 1):
                 c = n - 1 - a - b
-                if c < b or b + c != d:
-                    continue
-                spec = OpenQuipu((a, b), (c,))
-                if spec_diameter(spec) == d:
-                    yield spec
+                if c >= b and b + c == d:
+                    yield OpenQuipu((a, b), (c,))
     # r+1 >= 2 branch vertices
     for r in range(1, (n - 4) // 2 + 1):
         yield from _enumerate_open_r(n, d, r)
@@ -580,113 +537,120 @@ def _enumerate_open_r(n: int, d: int, r: int):
     for s in range(2, min(d - r, budget - (r + 1)) + 1):
         minima = (1,) + (0,) * r + (1,)
         for ks in _compositions(s, r + 2, minima):
+            # a canonical tuple has the least first entry among its variants
+            if ks[0] > ks[-1]:
+                continue
             pos = []
             p = ks[0]
             for k in ks[1:-1]:
                 pos.append(p)
                 p += k + 1
             pos.append(p)
-            backbone = p + ks[-1]
-            if backbone != s + r:
-                raise AssertionError
-            rest = budget - s
-            for ms in _pendants_with_diameter_cap(pos, backbone, rest, d):
-                if _open_param_diameter(ks, ms) != d:
-                    continue
-                if (ks + ms) != min(
-                    v[0] for v in _open_variants(ks, ms)
-                ):
-                    continue
-                spec = OpenQuipu(ks, ms)
-                if spec_diameter(spec) == d:
-                    yield spec
+            for ms in _open_pendants(ks, pos, s + r, budget - s, d):
+                if ks + ms == min(v[0] for v in _open_variants(ks, ms)):
+                    yield OpenQuipu(ks, ms)
 
 
-def _open_variants(ks, ms):
-    for kr, mr in ((ks, ms), (ks[::-1], ms[::-1])):
-        for left in ((kr[0], mr[0]), (mr[0], kr[0])):
-            for right in ((kr[-1], mr[-1]), (mr[-1], kr[-1])):
-                ck = (left[0],) + tuple(kr[1:-1]) + (right[0],)
-                cm = (left[1],) + tuple(mr[1:-1]) + (right[1],)
-                yield (ck + cm, ck, cm)
+def _open_pendants(ks, pos, backbone, total, d):
+    """Pendant length tuples ms (each >= 1, summing to `total`) that give the
+    open quipu (ks, ms) diameter exactly d, with ms[0] >= ks[0] and
+    ms[-1] >= ks[-1] as canonical form requires.
 
+    The farthest pair is backbone end to end, end to pendant tip, or tip to
+    tip; every such distance is capped at d on the way down and the largest
+    one is carried along, so a leaf is kept exactly when it reaches d.
+    """
+    last = len(pos) - 1
+    last_min = max(1, ks[-1])
 
-def _pendants_with_diameter_cap(pos, backbone, total, d):
-    """Pendant length tuples (each >= 1, summing to `total`) whose pairwise
-    tip distances and tip-to-end distances stay within d."""
-    r1 = len(pos)
-
-    def rec(i, remaining, runmax, acc):
-        if i == r1:
-            if remaining == 0:
-                yield tuple(acc)
+    def rec(i, remaining, runmax, best, acc):
+        # runmax >= 0 is the largest ms[j] - pos[j] so far, so the tip-to-tip
+        # term m + p + runmax also covers the left end to this tip
+        p = pos[i]
+        cap = min(d - p - runmax, d - backbone + p)
+        if i == last:
+            if last_min <= remaining <= cap and max(
+                best, remaining + p + runmax, remaining + backbone - p
+            ) == d:
+                yield (*acc, remaining)
             return
-        slack = remaining - (r1 - 1 - i)
-        cap = min(
-            slack,
-            d - pos[i],                 # left end to this tip
-            d - (backbone - pos[i]),    # this tip to right end
-            d - runmax - pos[i],        # farthest earlier tip to this tip
-        )
-        for m in range(1, cap + 1):
+        cap = min(cap, remaining - (last - 1 - i) - last_min)
+        for m in range(ks[0] if i == 0 else 1, cap + 1):
             acc.append(m)
-            yield from rec(i + 1, remaining - m, max(runmax, m - pos[i]), acc)
+            yield from rec(i + 1, remaining - m, max(runmax, m - p),
+                           max(best, m + p + runmax, m + backbone - p), acc)
             acc.pop()
 
-    yield from rec(0, total, 0, [])
+    yield from rec(0, total, 0, backbone, [])
 
 
 def _enumerate_closed(n: int, d: int):
     if n >= 3 and d == n // 2:
         yield ClosedQuipu((n - 1,), (0,))
     for c in range(3, n):  # cycle length; at least one pendant vertex remains
-        if c // 2 > d:
-            continue
         mcap = d - c // 2
         if mcap < 1:
             continue
         for r in range(1, min(c, n - c) + 1):
             for ks in _compositions(c - r, r, (0,) * r):
+                # the reflection through the first branch vertex starts
+                # with (ms[0], ks[-1])
+                if ks[0] > ks[-1]:
+                    continue
                 pos = []
                 p = 0
                 for k in ks:
                     pos.append(p)
                     p += k + 1
                 for ms in _cycle_pendants(pos, c, n - c, d, mcap):
-                    if _closed_param_diameter(ks, ms) != d:
-                        continue
-                    if tuple(zip(ms, ks)) != min(_closed_pair_candidates(ks, ms)):
-                        continue
-                    spec = ClosedQuipu(ks, ms)
-                    if spec_diameter(spec) == d:
-                        yield spec
+                    if tuple(zip(ms, ks)) == min(_closed_pair_candidates(ks, ms)):
+                        yield ClosedQuipu(ks, ms)
 
 
 def _cycle_pendants(pos, c, total, d, mcap):
-    r = len(pos)
+    """Pendant length tuples ms (each >= 1, summing to `total`) that give the
+    closed quipu with branch positions `pos` on a c-cycle diameter exactly d,
+    with ms[0] <= every later entry as canonical form requires.
 
-    def rec(i, remaining, acc):
-        if i == r:
-            if remaining == 0:
-                yield tuple(acc)
+    The farthest pair is the cycle antipode, a tip to its antipode, or two
+    tips through the shorter arc. Every distance is capped at d on the way
+    down and the largest one is carried along; a prefix is cut as soon as no
+    completion can reach d.
+    """
+    r = len(pos)
+    half = c // 2
+    arc = [[min(abs(a - b), c - abs(a - b)) for b in pos] for a in pos]
+
+    def rec(i, remaining, best, top, acc):
+        # later pendants are each >= ms[0], so none of the remaining ones
+        # exceeds cap; two tips are at most their lengths plus half apart
+        low = acc[0] if i else 1
+        left = r - 1 - i
+        cap = min(mcap, remaining - left * low)
+        partner = max(top, cap if left else 0)
+        if max(best, half + cap + partner) < d:
             return
-        slack = remaining - (r - 1 - i)
-        cap = min(slack, mcap)
-        for m in range(1, cap + 1):
-            ok = True
-            for j in range(i):
-                gap = abs(pos[i] - pos[j])
-                cyc = min(gap, c - gap)
-                if acc[j] + m + cyc > d:
-                    ok = False
-                    break
-            if not ok:
-                continue
+        row = arc[i]
+        for j in range(i):
+            cap = min(cap, d - acc[j] - row[j])
+        if not left:
+            if low <= remaining <= cap and max(
+                best, half + remaining,
+                max((acc[j] + remaining + row[j] for j in range(i)), default=0),
+            ) == d:
+                yield (*acc, remaining)
+            return
+        if i == 0:  # ms[0] is the least of r pendants
+            cap = min(cap, remaining // r)
+        for m in range(low, cap + 1):
             acc.append(m)
-            yield from rec(i + 1, remaining - m, acc)
+            yield from rec(i + 1, remaining - m, max(
+                best, half + m,
+                max((acc[j] + m + row[j] for j in range(i)), default=0),
+            ), max(top, m), acc)
             acc.pop()
 
-    yield from rec(0, total, [])
+    yield from rec(0, total, half, 0, [])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ of open quipus with parameters (i, i+j-1, j) over i+j=k.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -38,6 +37,7 @@ from .families import (
     enumerate_quipus,
     realize,
     screen,
+    spec_diameter,
     spec_literal,
     spider,
     theorem_family,
@@ -385,17 +385,10 @@ def brute_force_sparse(n: int, d: int, tol: Rational = DEFAULT_TOL) -> Minimizer
 # ---------------------------------------------------------------------------
 # production path: quipu/dagger family search
 
-def _float_bounds_for(g6: str) -> tuple[float, float]:
-    from .graphs import graph6_decode
-
-    return rho_float(graph6_decode(g6))
-
-
 def minimize_over_quipus(
     n: int,
     d: int,
     tol: Rational = DEFAULT_TOL,
-    workers: int = 1,
 ) -> MinimizerReport:
     """Exact minimum over all open quipus, closed quipus and daggers of order
     n and diameter d.
@@ -404,19 +397,15 @@ def minimize_over_quipus(
     some member below 3/sqrt(2); when sound, discard open quipus whose
     structural screening certifies radius above the threshold; float-screen
     the rest; certify the minimum and all ties exactly. A deterministic 1%
-    sample of everything discarded is re-checked exactly.
+    sample of everything discarded is re-checked exactly. Enumeration
+    computes diameters from parameters; each winner's diameter is confirmed
+    by BFS on its graph, and a mismatch marks the report unsound.
     """
     specs = list(enumerate_quipus(n, d))
     if not specs:
         return MinimizerReport(n, d, None, [], "quipu-family", 0, sound=False)
     graphs = [realize(s) for s in specs]
-
-    if workers > 1:
-        g6s = [graph6_encode(g) for g in graphs]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            bounds = list(pool.map(_float_bounds_for, g6s, chunksize=64))
-    else:
-        bounds = [rho_float(g) for g in graphs]
+    bounds = [rho_float(g) for g in graphs]
 
     # soundness: certify the float-smallest members until one is < 3/sqrt(2)
     threshold_float = 3.0 / 2.0**0.5
@@ -447,6 +436,9 @@ def minimize_over_quipus(
     )
     if not below_3_over_sqrt2(min_rho):
         sound = False
+    diameter_mismatches = sum(spec_diameter(w.spec) != d for w in winners)
+    if diameter_mismatches:
+        sound = False
     loser_graphs = [graphs[i] for i in screened_out + dropped]
     audited = _audit_discards(loser_graphs, winners[0].graph)
     return MinimizerReport(
@@ -456,6 +448,7 @@ def minimize_over_quipus(
             "float_dropped": len(dropped),
             "exactly_compared": len(kept),
             "audited": audited,
+            "diameter_mismatches": diameter_mismatches,
         },
     )
 
@@ -470,26 +463,19 @@ class Verdict:
     data: dict = field(default_factory=dict)
 
 
-_rho_k_cache: dict[int, CertifiedRoot] = {}
-
-
 def rho_k(k: int, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
     """Certified spectral radius of the three-arm spider with arm length k."""
-    if k not in _rho_k_cache:
-        _rho_k_cache[k] = rho_certified_graph(realize(spider(k)), tol)
-    root = _rho_k_cache[k]
-    root.refine(Fraction(tol))
-    return root
+    return rho_certified_graph(realize(spider(k)), tol)
 
 
-def verify_theorem(k: int, workers: int = 1) -> Verdict:
+def verify_theorem(k: int) -> Verdict:
     """Check that the minimizers at order 3k+1 and diameter 2k are exactly
     the tied quipu family, that the ties are certified equalities, and that
     the minimum is strictly below the next family's."""
     if k < 2:
         raise ValueError("need k >= 2")
     failures = []
-    report = minimize_over_quipus(3 * k + 1, 2 * k, workers=workers)
+    report = minimize_over_quipus(3 * k + 1, 2 * k)
     if not report.sound:
         failures.append("search is not sound at this (n, d)")
     family = theorem_family(k)

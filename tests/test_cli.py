@@ -1,7 +1,11 @@
 """Command-line entry point: exit codes and output formats."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -118,3 +122,17 @@ def test_failing_verification_exits_1(capsys):
     # diameter 1, so minimize reports no winners and the command signals it.
     code, _ = run(capsys, "minimize", "--n", "4", "--d", "1", "--space", "quipu")
     assert code == 1
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "1/0", "x"])
+def test_bad_tolerance_exits_2_promptly(tol):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rhomin.cli", "--tolerance", tol, "rho", "open:ks=1,1;ms=1"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 2
+    assert "tolerance" in proc.stderr
+    assert proc.stdout == ""

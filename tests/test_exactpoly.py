@@ -167,3 +167,17 @@ def test_rho_certified_rejects_degenerate():
         rho_certified(IntPoly((5,)))
     with pytest.raises(ValueError):
         rho_certified(IntPoly((1, 0, 1)))  # no real roots
+
+
+def test_nonpositive_tolerance_is_rejected():
+    p = IntPoly((-3, 0, 1))
+    for tol in (0, -1, Fraction(-1, 3)):
+        with pytest.raises(ValueError):
+            rho_certified(p, tol)
+        with pytest.raises(ValueError):
+            rho_certified(p).refine(tol)
+        with pytest.raises(ValueError):
+            rho_certified_graph(path_graph(5), tol)
+    # an exact root rejects it too
+    with pytest.raises(ValueError):
+        rho_certified_graph(star_graph(5)).refine(0)

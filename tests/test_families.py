@@ -209,3 +209,33 @@ def test_enumerate_canonical_and_unique():
             assert canonicalize(s) == s
             assert s not in seen
             seen.add(s)
+
+
+def test_enumerate_matches_tree_and_unicyclic_reference():
+    # an independent reference for every n <= 12 and every d: all trees and
+    # unicyclic graphs that classify into a family, by BFS diameter
+    from rhomin.search import free_trees, unicyclic_graphs
+
+    for n in range(1, 13):
+        by_d = {}
+        for g in free_trees(n) + unicyclic_graphs(n):
+            if classify(g) is not None:
+                by_d.setdefault(diameter(g), []).append(canonical_code(g))
+        for d in range(n + 1):
+            got = sorted(canonical_code(realize(s)) for s in enumerate_quipus(n, d))
+            assert got == sorted(by_d.get(d, [])), (n, d)
+
+
+@pytest.mark.parametrize("k,counts", [
+    (3, (14, 23)), (4, (86, 80)), (5, (521, 276)), (6, (3292, 913)),
+    (7, (20772, 2935)),
+])
+def test_enumerate_theorem_family_counts(k, counts):
+    n, d = 3 * k + 1, 2 * k
+    specs = list(enumerate_quipus(n, d, kinds={"open", "closed"}))
+    got = (sum(isinstance(s, OpenQuipu) for s in specs),
+           sum(isinstance(s, ClosedQuipu) for s in specs))
+    assert got == counts
+    if k <= 5:
+        for s in specs:
+            assert s.order == n and spec_diameter(s) == d, spec_literal(s)

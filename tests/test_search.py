@@ -171,3 +171,14 @@ def test_rho_k_values():
     assert r2.contains(2)
     order, _ = compare_roots(rho_k(5), rho_k(6))
     assert order is Ordering.LESS
+
+
+def test_winner_diameter_mismatch_marks_report_unsound(monkeypatch):
+    import rhomin.search
+
+    rep = minimize_over_quipus(10, 6)
+    assert rep.sound and rep.stats["diameter_mismatches"] == 0
+    monkeypatch.setattr(rhomin.search, "spec_diameter", lambda spec: -1)
+    rep = minimize_over_quipus(10, 6)
+    assert rep.sound is False
+    assert rep.stats["diameter_mismatches"] == len(rep.winners) == 2
