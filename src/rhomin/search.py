@@ -44,7 +44,6 @@ from .families import (
 )
 from .graphs import (
     Graph,
-    add_edge,
     build_graph,
     canonical_code,
     cycle_graph,
@@ -148,18 +147,19 @@ def _float_screen(graphs: list[Graph]) -> tuple[list[int], list[int]]:
     return kept, dropped
 
 
-def _audit_discards(discarded: list[Graph], winner: Graph, seed: int = AUDIT_SEED) -> int:
-    """Exactly re-check a deterministic 1% sample of discarded candidates:
-    each must compare strictly greater than a winner. Returns sample size."""
+def _audit_discards(discarded: list[Graph], winner: Graph,
+                    seed: int = AUDIT_SEED) -> tuple[int, int]:
+    """Exactly re-check a deterministic 1% sample (at most AUDIT_CAP) of
+    discarded candidates: each must compare strictly greater than a winner.
+    Returns the sample size and the number of sampled discards that failed;
+    a caller with any failure marks its report unsound."""
     if not discarded:
-        return 0
+        return 0, 0
     size = min(max(1, (len(discarded) * AUDIT_FRACTION).__ceil__()), AUDIT_CAP)
     rng = random.Random(seed)
     sample = rng.sample(discarded, size)
-    for g in sample:
-        if compare_rho(g, winner) is not Ordering.GREATER:
-            raise AssertionError("audit found a discarded candidate not above the minimum")
-    return size
+    failures = sum(compare_rho(g, winner) is not Ordering.GREATER for g in sample)
+    return size, failures
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +167,14 @@ def _audit_discards(discarded: list[Graph], winner: Graph, seed: int = AUDIT_SEE
 
 def brute_force_all_graphs(n: int, d: int, tol: Rational = DEFAULT_TOL) -> MinimizerReport:
     """Exhaustive minimum over all connected graphs of order n and diameter d,
-    iterating all 2^C(n,2) labeled graphs in vectorized batches."""
+    iterating all 2^C(n,2) labeled graphs in vectorized batches.
+
+    Each batch holds every vertex's neighbourhood as an n-bit mask (one uint8
+    per vertex, since n <= 7). Reachability grows as bitsets: one step ORs
+    into reach[v] the neighbourhood of every u already in reach[v], so after
+    t steps reach[v] is the ball of radius t around v. A graph has diameter d
+    when every ball is full after d steps and not after d - 1. Only matched
+    graphs get a float adjacency matrix, for the eigenvalue screen."""
     if not 1 <= n <= 7:
         raise BudgetError("brute_force_all_graphs supports 1 <= n <= 7")
     pairs = list(combinations(range(n), 2))
@@ -176,40 +183,43 @@ def brute_force_all_graphs(n: int, d: int, tol: Rational = DEFAULT_TOL) -> Minim
     if n == 1:
         g = build_graph(1, [])
         if d != 0:
-            return MinimizerReport(n, d, None, [], "all-graphs", total)
+            return MinimizerReport(n, d, None, [], "all-graphs", total,
+                                   stats={"matched": 0})
         root = rho_certified_graph(g, tol)
         return MinimizerReport(n, d, root, [Winner(canonical_code(g), g, None)],
-                               "all-graphs", total)
+                               "all-graphs", total, stats={"matched": 1})
     chunk = 1 << 17
     best_hi = float("inf")
     pool_masks: list[tuple[int, float]] = []
     matched = 0
-    rows = np.array([u for u, _ in pairs])
-    cols = np.array([v for _, v in pairs])
+    full = np.uint8((1 << n) - 1)
+    shifts = np.arange(n, dtype=np.uint8)
+    own = (np.uint8(1) << shifts)[:, None]
     for start in range(0, total, chunk):
         masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        bits = (masks[:, None] >> np.arange(m)) & 1
-        A = np.zeros((len(masks), n, n), dtype=np.uint8)
-        A[:, rows, cols] = bits.astype(np.uint8)
-        A[:, cols, rows] = bits.astype(np.uint8)
-        if d == 0:
-            ok = np.zeros(len(masks), dtype=bool)
-        else:
-            step = A | np.eye(n, dtype=np.uint8)
-            reach = np.broadcast_to(np.eye(n, dtype=np.uint8),
-                                    (len(masks), n, n)).copy()
-            # reach covers pairs at distance <= t after t multiplications
-            at_dm1 = np.full(len(masks), n == 1)
-            for t in range(1, d + 1):
-                reach = ((reach.astype(np.int32) @ step) > 0).astype(np.uint8)
-                if t == d - 1:
-                    at_dm1 = reach.all(axis=(1, 2))
-            ok = reach.all(axis=(1, 2)) & ~at_dm1
+        # one row per vertex, one column per graph: numpy's inner loops
+        # then run along the batch instead of along n
+        nb = np.zeros((n, len(masks)), dtype=np.uint8)
+        for i, (u, v) in enumerate(pairs):
+            bit = ((masks >> i) & 1).astype(np.uint8)
+            nb[u] |= bit << v
+            nb[v] |= bit << u
+        reach = np.repeat(own, len(masks), axis=1)
+        filled_before = np.zeros(len(masks), dtype=bool)
+        for t in range(1, d + 1):
+            if t == d:
+                filled_before = (reach == full).all(axis=0)
+            grown = reach.copy()
+            for u in range(n):
+                grown |= ((reach >> u) & 1) * nb[u]
+            reach = grown
+        ok = (reach == full).all(axis=0) & ~filled_before
         idx = np.nonzero(ok)[0]
         matched += len(idx)
         if len(idx) == 0:
             continue
-        vals = np.linalg.eigvalsh(A[idx].astype(np.float64))[:, -1]
+        A = ((nb[:, idx].T[:, :, None] >> shifts) & 1).astype(np.float64, order="C")
+        vals = np.linalg.eigvalsh(A)[:, -1]
         slack = 1e-6 * (1.0 + vals)
         best_hi = min(best_hi, float(vals.min()) + float(slack.max()))
         keep = vals - slack <= best_hi + FLOAT_SCREEN_MARGIN
@@ -230,10 +240,11 @@ def brute_force_all_graphs(n: int, d: int, tol: Rational = DEFAULT_TOL) -> Minim
                                stats={"matched": matched})
     min_rho, winners = _exact_tournament(graphs, [classify(g) for g in graphs], tol)
     non_winning = [g for g in graphs if canonical_code(g) not in {w.code for w in winners}]
-    audited = _audit_discards(non_winning, winners[0].graph)
+    audited, audit_failures = _audit_discards(non_winning, winners[0].graph)
     return MinimizerReport(
-        n, d, min_rho, winners, "all-graphs", total,
-        stats={"matched": matched, "pool": len(graphs), "audited": audited},
+        n, d, min_rho, winners, "all-graphs", total, sound=not audit_failures,
+        stats={"matched": matched, "pool": len(graphs), "audited": audited,
+               "audit_failures": audit_failures},
     )
 
 
@@ -253,24 +264,37 @@ def free_trees(n: int) -> list[Graph]:
     if n == 1:
         out = [build_graph(1, [])]
     else:
-        out = []
-        seen = set()
-        for t in free_trees(n - 1):
-            for v in range(t.n):
-                g = _append_leaf(t, v)
-                code = canonical_code(g)
-                if code not in seen:
-                    seen.add(code)
-                    out.append(g)
-        out.sort(key=canonical_code)
+        out = _leaf_extensions(free_trees(n - 1), {})
     _tree_cache[n] = out
     return out
 
 
+def _leaf_extensions(parents: list[Graph], seen: dict[bytes, Graph]) -> list[Graph]:
+    """One graph per isomorphism class among `seen` and every way to hang a
+    new leaf on a vertex of a parent, in canonical-code order. The first graph
+    found for a code is kept. Twins (vertices with the same neighbours, such
+    as leaves on one stem) are swapped by an automorphism, so only the first
+    of them gets a leaf."""
+    for g in parents:
+        rows = set()
+        for v in range(g.n):
+            if g.adj[v] in rows:
+                continue
+            rows.add(g.adj[v])
+            h = _append_leaf(g, v)
+            code = canonical_code(h)
+            if code not in seen:
+                seen[code] = h
+    return [seen[c] for c in sorted(seen)]
+
+
 def _append_leaf(g: Graph, v: int) -> Graph:
-    return add_edge(
-        build_graph(g.n + 1, list(g.edges())), v, g.n
-    )
+    """g plus a new vertex g.n adjacent to v. The new label is the largest,
+    so every adjacency row stays sorted, as build_graph would leave it."""
+    adj = list(g.adj)
+    adj[v] += (g.n,)
+    adj.append((v,))
+    return Graph(g.n + 1, tuple(adj))
 
 
 def naive_free_tree_count(n: int) -> int:
@@ -342,16 +366,8 @@ def unicyclic_graphs(n: int) -> list[Graph]:
     if n in _unicyclic_cache:
         return _unicyclic_cache[n]
     prev = unicyclic_graphs(n - 1) if n > 3 else []
-    out = [cycle_graph(n)]
-    seen = {canonical_code(out[0])}
-    for g in prev:
-        for v in range(g.n):
-            h = _append_leaf(g, v)
-            code = canonical_code(h)
-            if code not in seen:
-                seen.add(code)
-                out.append(h)
-    out.sort(key=canonical_code)
+    cycle = cycle_graph(n)
+    out = _leaf_extensions(prev, {canonical_code(cycle): cycle})
     _unicyclic_cache[n] = out
     return out
 
@@ -374,11 +390,13 @@ def brute_force_sparse(n: int, d: int, tol: Rational = DEFAULT_TOL) -> Minimizer
     losers = [matched[i] for i in dropped] + [
         g for g in graphs if canonical_code(g) not in {w.code for w in winners}
     ]
-    audited = _audit_discards(losers, winners[0].graph)
+    audited, audit_failures = _audit_discards(losers, winners[0].graph)
+    if audit_failures:
+        sound = False
     return MinimizerReport(
         n, d, min_rho, winners, "sparse", len(cands), sound=sound,
         stats={"matched": len(matched), "screened_out": len(dropped),
-               "audited": audited},
+               "audited": audited, "audit_failures": audit_failures},
     )
 
 
@@ -397,9 +415,10 @@ def minimize_over_quipus(
     some member below 3/sqrt(2); when sound, discard open quipus whose
     structural screening certifies radius above the threshold; float-screen
     the rest; certify the minimum and all ties exactly. A deterministic 1%
-    sample of everything discarded is re-checked exactly. Enumeration
-    computes diameters from parameters; each winner's diameter is confirmed
-    by BFS on its graph, and a mismatch marks the report unsound.
+    sample of everything discarded is re-checked exactly, and a failed check
+    marks the report unsound. Enumeration computes diameters from parameters;
+    each winner's diameter is confirmed by BFS on its graph, and a mismatch
+    marks the report unsound.
     """
     specs = list(enumerate_quipus(n, d))
     if not specs:
@@ -440,7 +459,9 @@ def minimize_over_quipus(
     if diameter_mismatches:
         sound = False
     loser_graphs = [graphs[i] for i in screened_out + dropped]
-    audited = _audit_discards(loser_graphs, winners[0].graph)
+    audited, audit_failures = _audit_discards(loser_graphs, winners[0].graph)
+    if audit_failures:
+        sound = False
     return MinimizerReport(
         n, d, min_rho, winners, "quipu-family", len(specs), sound=sound,
         stats={
@@ -448,6 +469,7 @@ def minimize_over_quipus(
             "float_dropped": len(dropped),
             "exactly_compared": len(kept),
             "audited": audited,
+            "audit_failures": audit_failures,
             "diameter_mismatches": diameter_mismatches,
         },
     )

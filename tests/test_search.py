@@ -1,6 +1,8 @@
 """Search oracles, generators, reports, and theorem-level verdicts."""
 
 import json
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -13,7 +15,13 @@ from rhomin.families import (
     spider,
     theorem_family,
 )
-from rhomin.graphs import canonical_code, graph6_decode, path_graph
+from rhomin.graphs import (
+    build_graph,
+    canonical_code,
+    diameter,
+    graph6_decode,
+    path_graph,
+)
 from rhomin.search import (
     BudgetError,
     brute_force_all_graphs,
@@ -31,9 +39,10 @@ from rhomin.search import (
 
 
 def test_free_tree_counts_match_independent_formula():
-    for n in range(1, 11):
+    for n in range(1, 14):
         assert len(free_trees(n)) == counted_free_trees(n)
     assert counted_free_trees(10) == 106
+    assert len(free_trees(13)) == 1301
 
 
 def test_free_tree_counts_match_naive_generator():
@@ -42,10 +51,22 @@ def test_free_tree_counts_match_naive_generator():
 
 
 def test_unicyclic_counts():
-    # connected unicyclic graphs per isomorphism class, n = 3..10
-    assert [len(unicyclic_graphs(n)) for n in range(3, 11)] == [
-        1, 2, 5, 13, 33, 89, 240, 657,
+    # connected unicyclic graphs per isomorphism class, n = 3..13 (OEIS A001429)
+    assert [len(unicyclic_graphs(n)) for n in range(3, 14)] == [
+        1, 2, 5, 13, 33, 89, 240, 657, 1806, 5026, 13999,
     ]
+
+
+def test_generated_graphs_are_in_normal_form():
+    # Graph values key the root cache, so a generated graph must equal (and
+    # hash like) the one build_graph makes from the same edges.
+    for n in range(1, 11):
+        for graphs in (free_trees(n), unicyclic_graphs(n)):
+            codes = [canonical_code(g) for g in graphs]
+            assert all(a < b for a, b in zip(codes, codes[1:])), n
+            for g in graphs:
+                ref = build_graph(g.n, g.edges())
+                assert g == ref and hash(g) == hash(ref)
 
 
 def test_budget_guards():
@@ -67,6 +88,34 @@ def test_brute_force_all_small_paths():
 def test_brute_force_all_no_match():
     report = brute_force_all_graphs(3, 9)
     assert report.min_rho is None and not report.winners
+
+
+def test_brute_force_all_matches_per_graph_bfs():
+    # the batched reachability against one BFS diameter per labelled graph
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        by_diameter = Counter(
+            diameter(build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1]))
+            for mask in range(1 << len(pairs))
+        )
+        for d in range(n + 1):
+            assert brute_force_all_graphs(n, d).stats["matched"] == by_diameter[d], (n, d)
+
+
+def test_brute_force_all_order7_diameter4_stats():
+    stats = brute_force_all_graphs(7, 4).stats
+    assert stats == {"matched": 194040, "pool": 2, "audited": 0, "audit_failures": 0}
+
+
+def test_failed_audit_marks_report_unsound(monkeypatch):
+    import rhomin.search
+
+    assert brute_force_sparse(8, 5).stats["audit_failures"] == 0
+    monkeypatch.setattr(rhomin.search, "compare_rho",
+                        lambda g, h: Ordering.EQUAL)
+    rep = brute_force_sparse(8, 5)
+    assert rep.sound is False
+    assert rep.stats["audit_failures"] == rep.stats["audited"] >= 1
 
 
 def test_sparse_known_minimizers():
