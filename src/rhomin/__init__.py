@@ -23,12 +23,13 @@ from .exactpoly import (
     IntPoly,
     Ordering,
     below_3_over_sqrt2,
+    certified_screen,
     charpoly,
     compare_rho,
     equal_rho_certificate,
+    perron_vector,
     rho_certified,
     rho_certified_graph,
-    rho_float,
 )
 from .families import (
     ClosedQuipu,

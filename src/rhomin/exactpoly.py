@@ -22,7 +22,6 @@ from .graphs import (
     connected_components,
     delete_edge,
     delete_vertices,
-    is_connected,
     two_core_cycle,
 )
 
@@ -508,28 +507,68 @@ def eval_at(p: IntPoly, x: Rational) -> Rational:
 
 
 # ---------------------------------------------------------------------------
-# floating screen
+# exact Collatz-Wielandt screen
 
-def rho_float(g: Graph) -> tuple[float, float]:
-    """Two-sided bracket for the spectral radius of a connected graph.
+# perron_vector's entries lie in [1, 2^26], so A v has entries at most
+# deg * 2^26 and every cross-product certified_screen forms is at most
+# deg * 2^52: below 2^63 for any maximum degree under 2^11, and so for every
+# quipu (degree <= 3) whatever its order.
+PERRON_SCALE = 1 << 26
 
-    Collatz-Wielandt bounds at the numerically computed principal vector,
-    widened by a rounding margin: min_i (Av)_i/v_i <= rho <= max_i (Av)_i/v_i
-    for any positive v.
-    """
-    if g.n == 0 or not is_connected(g):
-        raise GraphError("rho_float requires a nonempty connected graph")
-    if g.edge_count == 0:
-        return (0.0, 0.0)
-    A = np.zeros((g.n, g.n))
+
+def adjacency_matrix(g: Graph) -> np.ndarray:
+    """The int64 adjacency matrix of g."""
+    a = np.zeros((g.n, g.n), dtype=np.int64)
     for u, v in g.edges():
-        A[u, v] = A[v, u] = 1.0
-    w, vecs = np.linalg.eigh(A)
-    v = np.abs(vecs[:, -1])
-    v = np.maximum(v, 1e-13)
-    ratios = (A @ v) / v
-    eps = 1e-9 * (1.0 + float(w[-1]))
-    return (float(ratios.min()) - eps, float(ratios.max()) + eps)
+        a[u, v] = a[v, u] = 1
+    return a
+
+
+def perron_vector(a: np.ndarray) -> np.ndarray:
+    """A positive int64 vector near the Perron vector of the adjacency matrix
+    a: the float eigenvector of the largest eigenvalue, scaled by
+    PERRON_SCALE, rounded and clamped to at least 1. The float only steers
+    the vector; certified_screen's bounds hold for any positive vector."""
+    _, vecs = np.linalg.eigh(a)
+    return np.maximum(np.rint(np.abs(vecs[:, -1]) * PERRON_SCALE), 1).astype(np.int64)
+
+
+def _least_ratio(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least p[i]/q[i] over the first axis, as its (numerator,
+    denominator) pair, for positive q. Exact: pairs of ratios are compared
+    by integer cross-multiplication, halving the rows each round."""
+    while len(p) > 1:
+        half = len(p) // 2
+        a, b = slice(0, half), slice(half, 2 * half)
+        take = p[b] * q[a] < p[a] * q[b]
+        p_min, q_min = np.where(take, p[b], p[a]), np.where(take, q[b], q[a])
+        p, q = np.concatenate([p_min, p[2 * half:]]), np.concatenate([q_min, q[2 * half:]])
+    return p[0], q[0]
+
+
+def certified_screen(av: np.ndarray, v: np.ndarray):
+    """Exact Collatz-Wielandt screen over candidate graphs of one order.
+
+    Column j of the int64 (n, candidates) array `v` is a positive vector for
+    candidate j, and column j of `av` is A_j v_j. For any positive vector,
+    L_j = min_i (A_j v_j)_i / (v_j)_i <= rho_j <= max_i (...)_i / (v_j)_i = U_j
+    (Horn & Johnson, Matrix Analysis, 8.1). With U* the least U_j, candidate
+    j is kept exactly when L_j <= U*: a dropped one has rho_j >= L_j > U* >=
+    the least rho among the candidates. A poor vector only widens its own
+    bracket. Every comparison is an integer cross-multiplication; a vector
+    that is not positive raises ValueError, a cross-product beyond int64
+    OverflowError. Returns the keep mask, L and U, the last two as
+    (numerators, denominators) pairs of arrays.
+    """
+    if (v < 1).any():
+        raise ValueError("Collatz-Wielandt vectors must be positive")
+    if int(av.max(initial=0)) * int(v.max()) >= 1 << 63:
+        raise OverflowError("Collatz-Wielandt cross-products exceed int64")
+    lo_p, lo_q = _least_ratio(av, v)
+    neg_hi_p, hi_q = _least_ratio(-av, v)
+    hi_p = -neg_hi_p
+    best_p, best_q = _least_ratio(hi_p, hi_q)
+    return lo_p * best_q <= best_p * lo_q, (lo_p, lo_q), (hi_p, hi_q)
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,7 @@ of open quipus with parameters (i, i+j-1, j) over i+j=k.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -23,12 +21,14 @@ from .exactpoly import (
     Ordering,
     Rational,
     DEFAULT_TOL,
+    adjacency_matrix,
     below_3_over_sqrt2,
+    certified_screen,
     compare_rho,
     compare_roots,
     equal_rho_certificate,
+    perron_vector,
     rho_certified_graph,
-    rho_float,
 )
 from .families import (
     OpenQuipu,
@@ -51,10 +51,12 @@ from .graphs import (
     graph6_encode,
 )
 
-FLOAT_SCREEN_MARGIN = 1e-3
-AUDIT_FRACTION = Fraction(1, 100)
-AUDIT_CAP = 200
-AUDIT_SEED = 0x5EED
+# brute_force_all_graphs screens with v = (A + I)^POWER_STEPS 1. Its entries
+# are largest for K_7, where v = 7^10 * 1 and A v = 6 * 7^10, so every
+# cross-product certified_screen forms is at most 6 * 7^20 < 2^63. For every
+# n <= 7 and d, ten steps keep the same labelled graphs as twelve; eight keep
+# three times as many at (7, 5).
+POWER_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -108,90 +110,65 @@ class BudgetError(ValueError):
 # exact confirmation shared by all search paths
 
 def _exact_tournament(graphs: list[Graph], specs, tol) -> tuple[CertifiedRoot, list[Winner]]:
-    """Certify the exact minimum and every tie among candidate graphs."""
-    roots = [rho_certified_graph(g, tol) for g in graphs]
-    best = 0
-    for i in range(1, len(roots)):
-        order, _ = compare_roots(roots[i], roots[best])
+    """Certify the exact minimum and every tie among candidate graphs, each
+    compared once against the running best: LESS starts a new best, EQUAL
+    (backed by compare_roots' common-factor witness) adds a tie."""
+    best = None
+    winners: list[Winner] = []
+    for g, spec in zip(graphs, specs):
+        root = rho_certified_graph(g, tol)
+        order = Ordering.LESS if best is None else compare_roots(root, best)[0]
         if order is Ordering.LESS:
-            best = i
-    winners = []
-    for i, g in enumerate(graphs):
-        if i == best:
-            winners.append(Winner(canonical_code(g), g, specs[i]))
-            continue
-        order, _ = compare_roots(roots[i], roots[best])
-        if order is Ordering.EQUAL:
-            ok, _ = equal_rho_certificate(g, graphs[best])
-            if not ok:
-                raise AssertionError("tie without an equality certificate")
-            winners.append(Winner(canonical_code(g), g, specs[i]))
-        elif order is Ordering.LESS:
-            raise AssertionError("tournament produced a non-minimal best")
+            best, winners = root, []
+        if order is not Ordering.GREATER:
+            winners.append(Winner(canonical_code(g), g, spec))
     winners.sort(key=lambda w: w.code)
-    return roots[best], winners
+    return best, winners
 
 
-def _float_screen(graphs: list[Graph]) -> tuple[list[int], list[int]]:
-    """Indices of near-minimal graphs by certified float brackets, plus the
-    discarded indices. A graph survives when its lower bound is within
-    FLOAT_SCREEN_MARGIN of the best upper bound seen."""
-    best_hi = float("inf")
-    bounds = []
-    for g in graphs:
-        lo, hi = rho_float(g)
-        bounds.append((lo, hi))
-        best_hi = min(best_hi, hi)
-    kept = [i for i, (lo, _) in enumerate(bounds) if lo <= best_hi + FLOAT_SCREEN_MARGIN]
-    dropped = [i for i, (lo, _) in enumerate(bounds) if lo > best_hi + FLOAT_SCREEN_MARGIN]
-    return kept, dropped
+def _screen_batches(batches) -> tuple[np.ndarray, int]:
+    """The ids certified_screen keeps from batches of (ids, A v, v), and how
+    many there were. Each batch is screened alone, then what the batches keep
+    together; that equals one screen of all, as no batch drops the least U."""
+    kept, total = [], 0
+    for ids, av, v in batches:
+        total += len(ids)
+        keep = certified_screen(av, v)[0]
+        kept.append((ids[keep], av[:, keep], v[:, keep]))
+    if not kept:
+        return np.zeros(0, dtype=np.int64), 0
+    ids, av, v = (np.concatenate(part, axis=-1) for part in zip(*kept))
+    return ids[certified_screen(av, v)[0]], total
 
 
-def _audit_discards(discarded: list[Graph], winner: Graph,
-                    seed: int = AUDIT_SEED) -> tuple[int, int]:
-    """Exactly re-check a deterministic 1% sample (at most AUDIT_CAP) of
-    discarded candidates: each must compare strictly greater than a winner.
-    Returns the sample size and the number of sampled discards that failed;
-    a caller with any failure marks its report unsound."""
-    if not discarded:
-        return 0, 0
-    size = min(max(1, (len(discarded) * AUDIT_FRACTION).__ceil__()), AUDIT_CAP)
-    rng = random.Random(seed)
-    sample = rng.sample(discarded, size)
-    failures = sum(compare_rho(g, winner) is not Ordering.GREATER for g in sample)
-    return size, failures
+def _perron_batches(graphs: list[Graph]):
+    """(positions, A v, v) for graphs of one order, v being each graph's
+    rounded Perron vector, a batch of graphs at a time to bound memory."""
+    size = 1024
+    for start in range(0, len(graphs), size):
+        part = graphs[start:start + size]
+        v, av = np.empty((2, part[0].n, len(part)), dtype=np.int64)
+        for j, g in enumerate(part):
+            a = adjacency_matrix(g)
+            v[:, j] = perron_vector(a)
+            av[:, j] = a @ v[:, j]
+        yield np.arange(start, start + len(part)), av, v
 
 
 # ---------------------------------------------------------------------------
 # oracle 1: every labeled graph on n <= 7 vertices
 
-def brute_force_all_graphs(n: int, d: int, tol: Rational = DEFAULT_TOL) -> MinimizerReport:
-    """Exhaustive minimum over all connected graphs of order n and diameter d,
-    iterating all 2^C(n,2) labeled graphs in vectorized batches.
+def _matched_batches(n: int, d: int, pairs: list[tuple[int, int]]):
+    """(masks, A v, v) for the labelled graphs of order n and diameter d, one
+    chunk of edge masks at a time, with v = (A + I)^POWER_STEPS 1.
 
-    Each batch holds every vertex's neighbourhood as an n-bit mask (one uint8
+    Each chunk holds every vertex's neighbourhood as an n-bit mask (one uint8
     per vertex, since n <= 7). Reachability grows as bitsets: one step ORs
     into reach[v] the neighbourhood of every u already in reach[v], so after
     t steps reach[v] is the ball of radius t around v. A graph has diameter d
-    when every ball is full after d steps and not after d - 1. Only matched
-    graphs get a float adjacency matrix, for the eigenvalue screen."""
-    if not 1 <= n <= 7:
-        raise BudgetError("brute_force_all_graphs supports 1 <= n <= 7")
-    pairs = list(combinations(range(n), 2))
-    m = len(pairs)
-    total = 1 << m
-    if n == 1:
-        g = build_graph(1, [])
-        if d != 0:
-            return MinimizerReport(n, d, None, [], "all-graphs", total,
-                                   stats={"matched": 0})
-        root = rho_certified_graph(g, tol)
-        return MinimizerReport(n, d, root, [Winner(canonical_code(g), g, None)],
-                               "all-graphs", total, stats={"matched": 1})
+    when every ball is full after d steps and not after d - 1."""
+    total = 1 << len(pairs)
     chunk = 1 << 17
-    best_hi = float("inf")
-    pool_masks: list[tuple[int, float]] = []
-    matched = 0
     full = np.uint8((1 << n) - 1)
     shifts = np.arange(n, dtype=np.uint8)
     own = (np.uint8(1) << shifts)[:, None]
@@ -213,39 +190,46 @@ def brute_force_all_graphs(n: int, d: int, tol: Rational = DEFAULT_TOL) -> Minim
             for u in range(n):
                 grown |= ((reach >> u) & 1) * nb[u]
             reach = grown
-        ok = (reach == full).all(axis=0) & ~filled_before
-        idx = np.nonzero(ok)[0]
-        matched += len(idx)
+        idx = np.nonzero((reach == full).all(axis=0) & ~filled_before)[0]
         if len(idx) == 0:
             continue
-        A = ((nb[:, idx].T[:, :, None] >> shifts) & 1).astype(np.float64, order="C")
-        vals = np.linalg.eigvalsh(A)[:, -1]
-        slack = 1e-6 * (1.0 + vals)
-        best_hi = min(best_hi, float(vals.min()) + float(slack.max()))
-        keep = vals - slack <= best_hi + FLOAT_SCREEN_MARGIN
-        for i, v in zip(idx[keep], vals[keep]):
-            pool_masks.append((int(masks[i]), float(v)))
-    # second pass over the retained pool against the final best estimate
-    pool_masks = [(mk, v) for mk, v in pool_masks if v <= best_hi + 2 * FLOAT_SCREEN_MARGIN]
-    seen: dict[bytes, Graph] = {}
-    for mk, _ in pool_masks:
-        edges = [pairs[i] for i in range(m) if mk >> i & 1]
-        g = build_graph(n, edges)
-        code = canonical_code(g)
-        if code not in seen:
-            seen[code] = g
-    graphs = [seen[c] for c in sorted(seen)]
-    if not graphs:
+        # adj[u, w] is 1 when w is a neighbour of u, one column per graph
+        adj = (nb[:, None, idx] >> shifts[:, None]) & 1
+        vec = np.ones((n, len(idx)), dtype=np.int64)
+        for _ in range(POWER_STEPS):
+            vec += np.einsum("uwk,wk->uk", adj, vec)
+        yield masks[idx], np.einsum("uwk,wk->uk", adj, vec), vec
+
+
+def brute_force_all_graphs(n: int, d: int, tol: Rational = DEFAULT_TOL) -> MinimizerReport:
+    """Exhaustive minimum over all connected graphs of order n and diameter d,
+    iterating all 2^C(n,2) labeled graphs in vectorized batches, screened
+    exactly with the integer vectors (A + I)^POWER_STEPS 1."""
+    if not 1 <= n <= 7:
+        raise BudgetError("brute_force_all_graphs supports 1 <= n <= 7")
+    pairs = list(combinations(range(n), 2))
+    m = len(pairs)
+    total = 1 << m
+    if n == 1:
+        g = build_graph(1, [])
+        if d != 0:
+            return MinimizerReport(n, d, None, [], "all-graphs", total,
+                                   stats={"matched": 0})
+        root = rho_certified_graph(g, tol)
+        return MinimizerReport(n, d, root, [Winner(canonical_code(g), g, None)],
+                               "all-graphs", total, stats={"matched": 1})
+    pool_masks, matched = _screen_batches(_matched_batches(n, d, pairs))
+    if not matched:
         return MinimizerReport(n, d, None, [], "all-graphs", total,
                                stats={"matched": matched})
+    seen: dict[bytes, Graph] = {}
+    for mk in pool_masks.tolist():
+        g = build_graph(n, [pairs[i] for i in range(m) if mk >> i & 1])
+        seen.setdefault(canonical_code(g), g)
+    graphs = [seen[c] for c in sorted(seen)]
     min_rho, winners = _exact_tournament(graphs, [classify(g) for g in graphs], tol)
-    non_winning = [g for g in graphs if canonical_code(g) not in {w.code for w in winners}]
-    audited, audit_failures = _audit_discards(non_winning, winners[0].graph)
-    return MinimizerReport(
-        n, d, min_rho, winners, "all-graphs", total, sound=not audit_failures,
-        stats={"matched": matched, "pool": len(graphs), "audited": audited,
-               "audit_failures": audit_failures},
-    )
+    return MinimizerReport(n, d, min_rho, winners, "all-graphs", total,
+                           stats={"matched": matched, "pool": len(graphs)})
 
 
 # ---------------------------------------------------------------------------
@@ -372,31 +356,29 @@ def unicyclic_graphs(n: int) -> list[Graph]:
     return out
 
 
+# every tree and unicyclic graph of order n with its diameter, computed once
+_sparse_cache: dict[int, list[tuple[int, Graph]]] = {}
+
+
 def brute_force_sparse(n: int, d: int, tol: Rational = DEFAULT_TOL) -> MinimizerReport:
     """Exact minimum over all trees and unicyclic graphs of order n and
     diameter d. Sound as a minimum over all graphs exactly when the result
     has certified spectral radius below 3/sqrt(2) (the structural reduction
-    to sparse graphs needs that bound); the report carries the flag."""
+    to sparse graphs needs that bound); the report carries the flag.
+    `screened_out` counts the graphs dropped by the exact screen."""
     if not 1 <= n <= 14:
         raise BudgetError("brute_force_sparse supports 1 <= n <= 14")
-    cands = list(free_trees(n)) + unicyclic_graphs(n)
-    matched = [g for g in cands if diameter(g) == d]
+    if n not in _sparse_cache:
+        _sparse_cache[n] = [(diameter(g), g) for g in free_trees(n) + unicyclic_graphs(n)]
+    cands = _sparse_cache[n]
+    matched = [g for diam, g in cands if diam == d]
     if not matched:
         return MinimizerReport(n, d, None, [], "sparse", len(cands), sound=False)
-    kept, dropped = _float_screen(matched)
-    graphs = [matched[i] for i in kept]
+    graphs = [matched[i] for i in _screen_batches(_perron_batches(matched))[0]]
     min_rho, winners = _exact_tournament(graphs, [classify(g) for g in graphs], tol)
-    sound = below_3_over_sqrt2(min_rho)
-    losers = [matched[i] for i in dropped] + [
-        g for g in graphs if canonical_code(g) not in {w.code for w in winners}
-    ]
-    audited, audit_failures = _audit_discards(losers, winners[0].graph)
-    if audit_failures:
-        sound = False
     return MinimizerReport(
-        n, d, min_rho, winners, "sparse", len(cands), sound=sound,
-        stats={"matched": len(matched), "screened_out": len(dropped),
-               "audited": audited, "audit_failures": audit_failures},
+        n, d, min_rho, winners, "sparse", len(cands), sound=below_3_over_sqrt2(min_rho),
+        stats={"matched": len(matched), "screened_out": len(matched) - len(graphs)},
     )
 
 
@@ -411,67 +393,42 @@ def minimize_over_quipus(
     """Exact minimum over all open quipus, closed quipus and daggers of order
     n and diameter d.
 
-    Pipeline: enumerate family members; establish soundness by certifying
-    some member below 3/sqrt(2); when sound, discard open quipus whose
-    structural screening certifies radius above the threshold; float-screen
-    the rest; certify the minimum and all ties exactly. A deterministic 1%
-    sample of everything discarded is re-checked exactly, and a failed check
-    marks the report unsound. Enumeration computes diameters from parameters;
-    each winner's diameter is confirmed by BFS on its graph, and a mismatch
-    marks the report unsound.
+    Pipeline: enumerate family members; screen them all with the exact
+    Collatz-Wielandt certificate; establish soundness by certifying some
+    kept member below 3/sqrt(2); when sound, discard open quipus whose
+    structural screening certifies radius above the threshold; certify the
+    minimum and all ties exactly among the rest of the kept members.
+    Enumeration computes diameters from parameters; each winner's diameter
+    is confirmed by BFS on its graph, and a mismatch marks the report
+    unsound. `float_dropped` counts the members dropped by the exact screen.
     """
     specs = list(enumerate_quipus(n, d))
     if not specs:
         return MinimizerReport(n, d, None, [], "quipu-family", 0, sound=False)
     graphs = [realize(s) for s in specs]
-    bounds = [rho_float(g) for g in graphs]
+    keep = _screen_batches(_perron_batches(graphs))[0].tolist()
+    # The minimum is always kept, and the kept members go to the tournament
+    # anyway, so certifying them first costs nothing extra.
+    sound = any(below_3_over_sqrt2(rho_certified_graph(graphs[i], tol)) for i in keep)
+    keep = set(keep)
 
-    # soundness: certify the float-smallest members until one is < 3/sqrt(2)
-    threshold_float = 3.0 / 2.0**0.5
-    by_float = sorted(range(len(specs)), key=lambda i: bounds[i][1])
-    sound = False
-    for i in by_float[:10]:
-        if bounds[i][0] > threshold_float:
-            break
-        if below_3_over_sqrt2(rho_certified_graph(graphs[i])):
-            sound = True
-            break
-
-    screened_out = []
-    survivors = []
+    screened_out = dropped = 0
+    kept = []
     for i, s in enumerate(specs):
-        if sound and isinstance(s, OpenQuipu):
-            rep = screen(s)
-            if rep.sufficient_violation:
-                screened_out.append(i)
-                continue
-        survivors.append(i)
+        if sound and isinstance(s, OpenQuipu) and screen(s).sufficient_violation:
+            screened_out += 1
+        elif i in keep:
+            kept.append(i)
+        else:
+            dropped += 1
 
-    best_hi = min(bounds[i][1] for i in survivors)
-    kept = [i for i in survivors if bounds[i][0] <= best_hi + FLOAT_SCREEN_MARGIN]
-    dropped = [i for i in survivors if bounds[i][0] > best_hi + FLOAT_SCREEN_MARGIN]
-    min_rho, winners = _exact_tournament(
-        [graphs[i] for i in kept], [specs[i] for i in kept], tol
-    )
-    if not below_3_over_sqrt2(min_rho):
-        sound = False
+    min_rho, winners = _exact_tournament([graphs[i] for i in kept], [specs[i] for i in kept], tol)
     diameter_mismatches = sum(spec_diameter(w.spec) != d for w in winners)
-    if diameter_mismatches:
-        sound = False
-    loser_graphs = [graphs[i] for i in screened_out + dropped]
-    audited, audit_failures = _audit_discards(loser_graphs, winners[0].graph)
-    if audit_failures:
-        sound = False
+    sound = below_3_over_sqrt2(min_rho) and sound and not diameter_mismatches
     return MinimizerReport(
         n, d, min_rho, winners, "quipu-family", len(specs), sound=sound,
-        stats={
-            "screened_out": len(screened_out),
-            "float_dropped": len(dropped),
-            "exactly_compared": len(kept),
-            "audited": audited,
-            "audit_failures": audit_failures,
-            "diameter_mismatches": diameter_mismatches,
-        },
+        stats={"screened_out": screened_out, "float_dropped": dropped,
+               "exactly_compared": len(kept), "diameter_mismatches": diameter_mismatches},
     )
 
 

@@ -1,15 +1,22 @@
 """Integer polynomials, Sturm root certification, and exact comparisons."""
 
 from fractions import Fraction
+from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhomin.exactpoly import (
+    PERRON_SCALE,
     IntPoly,
     Ordering,
+    adjacency_matrix,
     below_3_over_sqrt2,
     below_squared_threshold,
     cauchy_root_bound,
+    certified_screen,
     charpoly,
     charpoly_dense,
     compare_rho,
@@ -17,13 +24,14 @@ from rhomin.exactpoly import (
     equal_rho_certificate,
     poly_from_json,
     poly_gcd,
+    perron_vector,
     poly_to_json,
     rho_certified,
     rho_certified_graph,
-    rho_float,
     square_free_part,
     sturm_chain,
 )
+from rhomin.families import realize, theorem_family
 from rhomin.graphs import (
     build_graph,
     cycle_graph,
@@ -117,10 +125,102 @@ def test_charpoly_disconnected_multiplies():
     assert charpoly(g).coeffs == (charpoly(path_graph(2)) * charpoly(path_graph(3))).coeffs
 
 
-def test_rho_float_brackets_truth():
-    g = cycle_graph(8)
-    lo, hi = rho_float(g)
-    assert lo <= 2.0 <= hi and hi - lo < 1e-6
+def _bracket(screen, j):
+    _, (lo_p, lo_q), (hi_p, hi_q) = screen
+    return Fraction(int(lo_p[j]), int(lo_q[j])), Fraction(int(hi_p[j]), int(hi_q[j]))
+
+
+def _screen_graphs(graphs, vectors):
+    mats = [adjacency_matrix(g) for g in graphs]
+    v = np.stack(vectors, axis=1).astype(np.int64)
+    av = np.stack([a @ v[:, j] for j, a in enumerate(mats)], axis=1)
+    return certified_screen(av, v)
+
+
+def test_perron_vector_brackets_truth():
+    for g, rho in ((cycle_graph(8), 2), (star_graph(5), 2)):
+        v = perron_vector(adjacency_matrix(g))
+        lo, hi = _bracket(_screen_graphs([g], [v]), 0)
+        assert lo <= rho <= hi and hi - lo < Fraction(1, 10**6)
+
+
+def test_certified_screen_keeps_exactly_the_brackets_reaching_the_least_upper_bound():
+    c4 = cycle_graph(4)
+    diamond = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    k4 = build_graph(4, list(combinations(range(4), 2)))
+    ones = [1, 1, 1, 1]
+    a, b = 10**6, 10**6 - 1
+    screen = _screen_graphs([c4, diamond, diamond, k4], [ones, ones, [a, a, b, b], ones])
+    # C_4 pins U* = 2; the diamond's first bracket [2, 3] reaches it exactly,
+    # its second starts at 2a/b = 2 + 2e-6, K_4's at 3
+    assert _bracket(screen, 0) == (2, 2)
+    assert _bracket(screen, 1) == (2, 3)
+    assert _bracket(screen, 2)[0] == Fraction(2 * a, b)
+    assert screen[0].tolist() == [True, True, False, False]
+    with pytest.raises(ValueError):
+        _screen_graphs([c4], [[1, 0, 1, 1]])
+
+
+def _connected_graphs(draw):
+    n = draw(st.integers(1, 12))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = list(combinations(range(n), 2))
+    chosen = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    if draw(st.booleans()):  # dense: every pair not chosen
+        chosen = set(pairs) - chosen
+    return build_graph(n, tree | chosen)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_certified_screen_brackets_contain_rho(data):
+    g = _connected_graphs(data.draw)
+    if data.draw(st.booleans()):
+        # any positive vector
+        v = data.draw(st.lists(st.integers(1, PERRON_SCALE), min_size=g.n, max_size=g.n))
+    else:
+        # a nudged Perron vector, for a tight bracket
+        nudge = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
+        v = perron_vector(adjacency_matrix(g)) + np.array(nudge)
+    lo, hi = _bracket(_screen_graphs([g], [v]), 0)
+    root = rho_certified_graph(g)
+    assert lo <= root.hi and root.lo <= hi
+
+
+def test_certified_screen_products_fit_int64_at_the_largest_entries():
+    from rhomin.search import POWER_STEPS
+
+    # the all-graphs oracle's largest vector: K_7 after every power step
+    k7 = adjacency_matrix(build_graph(7, list(combinations(range(7), 2))))
+    v = np.ones(7, dtype=np.int64)
+    for _ in range(POWER_STEPS):
+        v = v + k7 @ v
+    assert (v == 7**POWER_STEPS).all()
+    assert _bracket(certified_screen((k7 @ v)[:, None], v[:, None]), 0) == (6, 6)
+    # one step more would leave int64: refused, not wrapped
+    v = v + k7 @ v
+    with pytest.raises(OverflowError):
+        certified_screen((k7 @ v)[:, None], v[:, None])
+
+    # the quipu search's largest entries: PERRON_SCALE on a degree-3 quipu,
+    # beside a 1 for the most lopsided ratios
+    g = realize(theorem_family(8)[1])
+    a = adjacency_matrix(g)
+    v = np.full(g.n, PERRON_SCALE, dtype=np.int64)
+    v[0] = 1
+    ratios = [Fraction(int(x), int(y)) for x, y in zip(a @ v, v)]
+    assert _bracket(_screen_graphs([g], [v]), 0) == (min(ratios), max(ratios))
+    assert int((a @ v).max()) * int(v.max()) == 3 * PERRON_SCALE**2 < 2**63
+
+    # the bound beside PERRON_SCALE: maximum degree below 2^11
+    for degree, fits in ((2**11 - 1, True), (2**11, False)):
+        av = np.array([[degree * PERRON_SCALE], [PERRON_SCALE]], dtype=np.int64)
+        v = np.full((2, 1), PERRON_SCALE, dtype=np.int64)
+        if fits:
+            assert _bracket(certified_screen(av, v), 0) == (1, degree)
+        else:
+            with pytest.raises(OverflowError):
+                certified_screen(av, v)
 
 
 def test_compare_rho_orderings():

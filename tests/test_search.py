@@ -4,6 +4,7 @@ import json
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from rhomin.exactpoly import Ordering, compare_roots
@@ -104,18 +105,53 @@ def test_brute_force_all_matches_per_graph_bfs():
 
 def test_brute_force_all_order7_diameter4_stats():
     stats = brute_force_all_graphs(7, 4).stats
-    assert stats == {"matched": 194040, "pool": 2, "audited": 0, "audit_failures": 0}
+    assert stats == {"matched": 194040, "pool": 2}
 
 
-def test_failed_audit_marks_report_unsound(monkeypatch):
+def test_brute_force_all_complete_graph_at_the_largest_power_entries():
+    # K_7 is the only graph of diameter 1 on 7 vertices; its power vector
+    # reaches 7^POWER_STEPS, the largest entry the all-graphs screen forms.
+    rep = brute_force_all_graphs(7, 1)
+    assert rep.stats == {"matched": 1, "pool": 1}
+    assert rep.min_rho.exact and rep.min_rho.lo == 6
+
+
+def test_wrong_vector_moves_loser_into_tournament(monkeypatch):
     import rhomin.search
+    from rhomin.exactpoly import adjacency_matrix, certified_screen, perron_vector
 
-    assert brute_force_sparse(8, 5).stats["audit_failures"] == 0
-    monkeypatch.setattr(rhomin.search, "compare_rho",
-                        lambda g, h: Ordering.EQUAL)
+    pools = []
+    tournament = rhomin.search._exact_tournament
+
+    def spy(graphs, specs, tol):
+        pools.append({canonical_code(g) for g in graphs})
+        return tournament(graphs, specs, tol)
+
+    monkeypatch.setattr(rhomin.search, "_exact_tournament", spy)
+    base = brute_force_sparse(8, 5)
+    matched = [g for g in free_trees(8) + unicyclic_graphs(8) if diameter(g) == 5]
+    losers = [g for g in matched if canonical_code(g) not in pools[0]]
+    assert losers and base.stats["screened_out"] == len(losers)
+    loser = losers[0]
+    target = adjacency_matrix(loser)
+    wrong = perron_vector(target)[::-1].copy()
+
+    # the reversed vector widens the loser's bracket to reach U*
+    winner = base.winners[0].graph
+    a = adjacency_matrix(winner)
+    v = np.stack([wrong, perron_vector(a)], axis=1)
+    av = np.stack([target @ wrong, a @ v[:, 1]], axis=1)
+    assert certified_screen(av, v)[0].all()
+
+    def patched(a):
+        return wrong if np.array_equal(a, target) else perron_vector(a)
+
+    monkeypatch.setattr(rhomin.search, "perron_vector", patched)
     rep = brute_force_sparse(8, 5)
-    assert rep.sound is False
-    assert rep.stats["audit_failures"] == rep.stats["audited"] >= 1
+    assert pools[1] == pools[0] | {canonical_code(loser)}
+    assert rep.stats["screened_out"] == base.stats["screened_out"] - 1
+    assert [(w.code, w.spec) for w in rep.winners] == [(w.code, w.spec) for w in base.winners]
+    assert rep.sound and compare_roots(rep.min_rho, base.min_rho)[0] is Ordering.EQUAL
 
 
 def test_sparse_known_minimizers():
