@@ -616,7 +616,13 @@ def compare_roots(r1: CertifiedRoot, r2: CertifiedRoot):
     r1.refine(_EQUAL_GATE)
     r2.refine(_EQUAL_GATE)
     gcd = None
-    for _ in range(300):
+    # Terminates. Equal radii are a root of the gcd lying in both intervals,
+    # hence in their overlap, and the loop returns EQUAL on the first pass.
+    # Conversely a gcd root in the overlap is a root of each square-free part
+    # inside that part's isolating interval, so it is both radii: EQUAL is
+    # never returned for distinct radii. Distinct radii are separated once
+    # refinement makes both widths less than half their distance.
+    while True:
         if r1.hi < r2.lo or (r1.exact and not r2.exact and r1.hi <= r2.lo):
             return Ordering.LESS, None
         if r2.hi < r1.lo or (r2.exact and not r1.exact and r2.hi <= r1.lo):
@@ -643,7 +649,6 @@ def compare_roots(r1: CertifiedRoot, r2: CertifiedRoot):
         for r in (r1, r2):
             if not r.exact:
                 r.refine(r.width / 256)
-    raise RuntimeError("compare_roots failed to separate the intervals")
 
 
 def compare_rho(g1: Graph, g2: Graph) -> Ordering:
@@ -663,20 +668,14 @@ def equal_rho_certificate(g1: Graph, g2: Graph):
 
 
 def below_squared_threshold(root: CertifiedRoot, num: int, den: int) -> bool:
-    """Decide root < sqrt(num/den) exactly for a positive root.
+    """Decide root < sqrt(num/den) exactly, for num, den > 0.
 
-    Terminates whenever root^2 != num/den.
+    sqrt(num/den) is the largest root of den*x^2 - num; compare_roots refines
+    it only as far as the decision needs, and decides equality by its gcd
+    witness.
     """
-    target = Fraction(num, den)
-    for _ in range(300):
-        if root.hi >= 0 and root.hi * root.hi < target:
-            return True
-        if root.lo > 0 and root.lo * root.lo > target:
-            return False
-        if root.exact:
-            return root.lo * root.lo < target
-        root.refine(root.width / 16)
-    raise RuntimeError("threshold comparison did not converge")
+    target = rho_certified(IntPoly((-num, 0, den)), Fraction(1, 2))
+    return compare_roots(root, target)[0] is Ordering.LESS
 
 
 def below_3_over_sqrt2(root: CertifiedRoot) -> bool:

@@ -36,7 +36,6 @@ from .families import (
     classify,
     enumerate_quipus,
     realize,
-    screen,
     spec_diameter,
     spec_literal,
     spider,
@@ -168,7 +167,10 @@ def _matched_batches(n: int, d: int, pairs: list[tuple[int, int]]):
     t steps reach[v] is the ball of radius t around v. A graph has diameter d
     when every ball is full after d steps and not after d - 1."""
     total = 1 << len(pairs)
-    chunk = 1 << 17
+    # 2^14 masks make each int64 temporary 128 KB. At 2^17 the 1 MB
+    # temporaries were no faster, and depending on heap layout up to 5 MB of
+    # them stayed resident after the search.
+    chunk = 1 << 14
     full = np.uint8((1 << n) - 1)
     shifts = np.arange(n, dtype=np.uint8)
     own = (np.uint8(1) << shifts)[:, None]
@@ -394,41 +396,25 @@ def minimize_over_quipus(
     n and diameter d.
 
     Pipeline: enumerate family members; screen them all with the exact
-    Collatz-Wielandt certificate; establish soundness by certifying some
-    kept member below 3/sqrt(2); when sound, discard open quipus whose
-    structural screening certifies radius above the threshold; certify the
-    minimum and all ties exactly among the rest of the kept members.
-    Enumeration computes diameters from parameters; each winner's diameter
-    is confirmed by BFS on its graph, and a mismatch marks the report
-    unsound. `float_dropped` counts the members dropped by the exact screen.
+    Collatz-Wielandt certificate; certify the minimum and all ties exactly
+    among the kept members. The report is sound when that minimum is
+    certified below 3/sqrt(2). Enumeration computes diameters from
+    parameters; each winner's diameter is confirmed by BFS on its graph, and
+    a mismatch marks the report unsound. `screened_out` counts the members
+    dropped by the exact screen, `exactly_compared` the kept ones.
     """
     specs = list(enumerate_quipus(n, d))
     if not specs:
         return MinimizerReport(n, d, None, [], "quipu-family", 0, sound=False)
     graphs = [realize(s) for s in specs]
-    keep = _screen_batches(_perron_batches(graphs))[0].tolist()
-    # The minimum is always kept, and the kept members go to the tournament
-    # anyway, so certifying them first costs nothing extra.
-    sound = any(below_3_over_sqrt2(rho_certified_graph(graphs[i], tol)) for i in keep)
-    keep = set(keep)
-
-    screened_out = dropped = 0
-    kept = []
-    for i, s in enumerate(specs):
-        if sound and isinstance(s, OpenQuipu) and screen(s).sufficient_violation:
-            screened_out += 1
-        elif i in keep:
-            kept.append(i)
-        else:
-            dropped += 1
-
+    kept = _screen_batches(_perron_batches(graphs))[0].tolist()
     min_rho, winners = _exact_tournament([graphs[i] for i in kept], [specs[i] for i in kept], tol)
     diameter_mismatches = sum(spec_diameter(w.spec) != d for w in winners)
-    sound = below_3_over_sqrt2(min_rho) and sound and not diameter_mismatches
+    sound = below_3_over_sqrt2(min_rho) and not diameter_mismatches
     return MinimizerReport(
         n, d, min_rho, winners, "quipu-family", len(specs), sound=sound,
-        stats={"screened_out": screened_out, "float_dropped": dropped,
-               "exactly_compared": len(kept), "diameter_mismatches": diameter_mismatches},
+        stats={"screened_out": len(specs) - len(kept), "exactly_compared": len(kept),
+               "diameter_mismatches": diameter_mismatches},
     )
 
 

@@ -4,8 +4,9 @@ Characteristic polynomials of a rooted graph (G, v) evaluated at a rational
 lambda > 2 decompose as phi = p + q where p, q live in Q(sqrt(lambda^2 - 4))
 and appending a pendant path of length i at the root multiplies them by
 x1^i and x2^i, the roots of x^2 - lambda*x + 1. This module implements that
-arithmetic exactly, the three-branch composition graph whose spectral radius
-solves a rational alpha-equation, and the pendant-path edge-transfer
+arithmetic exactly; the three-branch composition graph, whose spectral radius
+is the largest root of the alpha-equation cleared of its denominators and is
+certified by one rho_certified call; and the pendant-path edge-transfer
 comparator.
 """
 
@@ -23,10 +24,7 @@ from .exactpoly import (
     DEFAULT_TOL,
     charpoly,
     compare_rho,
-    count_roots_halfopen,
-    rho_certified_graph,
-    square_free_part,
-    sturm_chain,
+    rho_certified,
 )
 from .graphs import Graph, add_pendant_path, build_graph, delete_vertex, distances
 
@@ -207,10 +205,7 @@ def pq_decompose(rg: RootedGraph, lam: Rational) -> PQPair:
     den = x2 - x1
     p = (-x1 * phi_g + phi_gv) / den
     q = (x2 * phi_g - phi_gv) / den
-    pair = PQPair(p, q, lam)
-    if pair.phi != phi_g or pair.phi_minus_root != phi_gv:
-        raise AssertionError("transfer pair fails its defining system")
-    return pair
+    return PQPair(p, q, lam)
 
 
 def t_value(rg: RootedGraph, lam: Rational) -> QuadNum:
@@ -246,22 +241,14 @@ def extended_phi(rg: RootedGraph, i: int, lam: Rational) -> Fraction:
 
 
 def alpha(rg: RootedGraph, i: int, lam: Rational) -> Fraction:
-    """The rational ratio phi_{(G,v,i+1)} / phi_{(G,v,i)} at lambda > 2.
-
-    Computed as a direct ratio of polynomial evaluations and cross-checked
-    in the quadratic field via (x1^{i+1} p + x2^{i+1} q)/(x1^i p + x2^i q).
-    """
+    """The rational ratio phi_{(G,v,i+1)} / phi_{(G,v,i)} at lambda > 2, as a
+    direct ratio of polynomial evaluations. In the quadratic field it is
+    (x1^{i+1} p + x2^{i+1} q)/(x1^i p + x2^i q)."""
     lam = Fraction(lam)
     den = extended_phi(rg, i, lam)
     if den == 0:
         raise PoleError("phi_(G,v,i) vanishes at this lambda")
-    val = extended_phi(rg, i + 1, lam) / den
-    pq = pendant_extend(pq_decompose(rg, lam), i)
-    field = ((pendant_extend(pq, 1).p + pendant_extend(pq, 1).q)
-             / (pq.p + pq.q))
-    if not field.is_rational or field.to_rational() != val:
-        raise AssertionError("transfer ratio disagrees with field form")
-    return val
+    return extended_phi(rg, i + 1, lam) / den
 
 
 def odd_path_center_pq(k: int, lam: Rational) -> PQPair:
@@ -337,75 +324,11 @@ def t_compose_rho(
     g3: RootedGraph,
     tol: Rational = DEFAULT_TOL,
 ) -> CertifiedRoot:
-    """Certified spectral radius of the composed graph, found as the largest
-    root of the rational equation alpha2(lam) = 1/alpha1(lam) + 1/alpha3(lam).
-
-    The equation is bisected by exact sign evaluation above the branch
-    spectral radii (where it has no poles), and the resulting bracket is
-    checked against the realized graph's certified root at each refinement;
-    the returned interval is the intersection of both routes.
-    """
-    tol = Fraction(tol)
-    lam_polys = [
-        (charpoly(rg.graph), _extended_charpoly(rg)) for rg in (g1, g2, g3)
-    ]
-
-    def fval(lam: Fraction) -> Fraction:
-        (a0, a), (b, b1), (c0, c) = lam_polys
-        return (
-            b1.eval_at(lam) / b.eval_at(lam)
-            - a0.eval_at(lam) / a.eval_at(lam)
-            - c0.eval_at(lam) / c.eval_at(lam)
-        )
-
-    realized = t_compose(g1, g2, g3)
-    ref = rho_certified_graph(realized, tol)
-    # every pole of the equation is at most the largest branch spectral
-    # radius, which is strictly below the composed radius; probe just above
-    branch_roots = []
-    for rg in (g1, g2, g3):
-        ext, _ = add_pendant_path(rg.graph, rg.root, 1)
-        branch_roots.append(rho_certified_graph(ext))
-    hi = Fraction(max(3, realized.n))
-    lo = None
-    delta = Fraction(1, 2)
-    for attempt in range(300):
-        cand = max(r.hi for r in branch_roots) + delta
-        try:
-            if cand < hi and fval(cand) < 0:
-                lo = cand
-                break
-        except ZeroDivisionError:
-            pass
-        delta /= 2
-        if attempt % 8 == 7:
-            for r in branch_roots:
-                if not r.exact:
-                    r.refine(r.width / 1024)
-    if lo is None:
-        raise AssertionError("could not bracket the composition root")
-    if fval(hi) <= 0:
-        raise AssertionError("upper bound does not bracket the root")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        if fval(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-        ref.refine(hi - lo)
-        if hi < ref.lo or ref.hi < lo:
-            raise AssertionError("equation root diverged from realized root")
-    ref.refine(tol)
-    ilo, ihi = max(lo, ref.lo), min(hi, ref.hi)
-    if ilo > ihi:
-        raise AssertionError("route intervals are disjoint")
-    sf = ref.square_free
-    chain = sturm_chain(sf)
-    if sf.sign_at(ihi) == 0:
-        return CertifiedRoot(ref.poly, sf, ihi, ihi, True, chain)
-    if count_roots_halfopen(chain, ilo, ihi) != 1:
-        return ref
-    return CertifiedRoot(ref.poly, sf, ilo, ihi, False, chain)
+    """Certified spectral radius of t_compose(g1, g2, g3), isolated to width
+    at most tol as the largest root of compose_charpoly: the alpha-equation
+    B1/B = A0/A + C0/C multiplied through by A*B*C. Raises ValueError
+    unless tol > 0."""
+    return rho_certified(compose_charpoly(g1, g2, g3), tol)
 
 
 # ---------------------------------------------------------------------------

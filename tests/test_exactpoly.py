@@ -250,6 +250,13 @@ def test_threshold_decisions():
     root = rho_certified(IntPoly((-3, 0, 1)))
     assert below_squared_threshold(root, 2, 1) is False
     assert below_squared_threshold(root, 4, 1) is True
+    # a root equal to the threshold is not below it; the gcd witness decides
+    assert below_squared_threshold(rho_certified(IntPoly((-2, 0, 1))), 2, 1) is False
+    assert below_squared_threshold(rho_certified(IntPoly((-3, 0, 1))), 3, 1) is False
+    two = rho_certified(IntPoly((-2, 1)))
+    assert two.exact and two.lo == 2
+    assert below_squared_threshold(two, 4, 1) is False
+    assert below_squared_threshold(rho_certified(IntPoly((-9, 0, 2))), 9, 2) is False
 
 
 def test_certified_root_refine_tightens_only():

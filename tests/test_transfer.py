@@ -15,7 +15,7 @@ from rhomin.exactpoly import (
     rho_certified_graph,
 )
 from rhomin.families import OpenQuipu, classify, realize
-from rhomin.graphs import build_graph, canonical_code, cycle_graph, path_graph
+from rhomin.graphs import build_graph, canonical_code, cycle_graph, delete_vertex, path_graph
 from rhomin.transfer import (
     PoleError,
     QuadNum,
@@ -81,8 +81,9 @@ def test_pq_defining_system_random_trees():
         g = _random_tree(rng, n)
         rg = RootedGraph(g, rng.randrange(n))
         for lam in LAMBDAS:
-            pq = pq_decompose(rg, lam)  # re-checks its own identities
+            pq = pq_decompose(rg, lam)
             assert pq.phi == charpoly(g).eval_at(lam)
+            assert pq.phi_minus_root == charpoly(delete_vertex(g, rg.root)).eval_at(lam)
 
 
 def test_single_vertex_pq():
@@ -132,7 +133,11 @@ def test_alpha_values_and_closed_form():
         i = rng.randint(0, 5)
         if extended_phi(rg, i, lam) == 0:
             continue
-        alpha(rg, i, lam)  # internally asserts closed form == direct ratio
+        # (x1^{i+1} p + x2^{i+1} q) / (x1^i p + x2^i q) in the quadratic field
+        pq = pendant_extend(pq_decompose(rg, lam), i)
+        nxt = pendant_extend(pq, 1)
+        field = (nxt.p + nxt.q) / (pq.p + pq.q)
+        assert field.is_rational and field.to_rational() == alpha(rg, i, lam)
 
 
 def test_t_value_inequality_between_reference_graphs():
@@ -204,14 +209,23 @@ def test_compose_omitted_branches():
 
 def test_t_compose_rho_matches_realization():
     rng = random.Random(23)
-    for _ in range(10):
-        parts = [
-            RootedGraph(t, rng.randrange(t.n))
-            for t in (_random_tree(rng, rng.randint(1, 5)) for _ in range(3))
-        ]
-        root = t_compose_rho(*parts)
-        ref = rho_certified_graph(t_compose(*parts))
-        assert not (root.hi < ref.lo or ref.hi < root.lo)
+    for tol in (Fraction(1, 10), Fraction(1, 10**6), Fraction(1, 10**20)):
+        for _ in range(5):
+            parts = [
+                RootedGraph(t, rng.randrange(t.n))
+                for t in (_random_tree(rng, rng.randint(1, 6)) for _ in range(3))
+            ]
+            root = t_compose_rho(*parts, tol=tol)
+            assert root.width <= tol
+            ref = rho_certified_graph(t_compose(*parts))
+            assert not (root.hi < ref.lo or ref.hi < root.lo)
+
+
+def test_t_compose_rho_rejects_nonpositive_tolerance():
+    k1 = RootedGraph(path_graph(1), 0)
+    for tol in (0, -1, Fraction(-1, 3)):
+        with pytest.raises(ValueError):
+            t_compose_rho(k1, k1, k1, tol)
 
 
 def test_t_compose_rho_singletons():
