@@ -39,7 +39,6 @@ from .families import (
     enumerate_quipus,
     parse_spec_literal,
     realize,
-    screen,
     spec_literal,
     spider,
     theorem_family,

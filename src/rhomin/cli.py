@@ -18,7 +18,6 @@ from fractions import Fraction
 from .exactpoly import (
     compare_rho,
     poly_to_json,
-    rho_certified,
     charpoly,
     rho_certified_graph,
 )
@@ -29,9 +28,8 @@ from .families import (
     realize,
     spec_literal,
     spec_to_json,
-    theorem_family,
 )
-from .graphs import Graph6Error, canonical_code, diameter, graph6_decode, graph6_encode
+from .graphs import Graph6Error, graph6_decode, graph6_encode
 from .search import (
     BudgetError,
     brute_force_all_graphs,

@@ -1,15 +1,18 @@
 """Exact characteristic polynomials and certified spectral radii.
 
 All arithmetic is exact: integer polynomials, rational evaluation points,
-Sturm-chain root counting. The spectral radius of a graph is delivered as a
-shrinking isolating interval with exact sign evidence; comparisons between
-two radii are decided by interval refinement plus an integer polynomial gcd
-certificate for equality, never by floating point.
+Sturm-chain root counting. The spectral radius of a graph is delivered as an
+immutable isolating interval with exact sign evidence; refining it yields a
+narrower copy. Comparisons between two radii are decided by interval
+refinement plus an integer polynomial gcd certificate for equality, never by
+floating point. The only caches are two bounded lru_caches: the root of each
+graph at DEFAULT_TOL and the root of each threshold den*x^2 - num.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -217,24 +220,15 @@ def square_free_part(p: IntPoly) -> IntPoly:
 # ---------------------------------------------------------------------------
 # Sturm chains
 
-_sturm_cache: dict[tuple[int, ...], tuple[IntPoly, ...]] = {}
-
-
 def sturm_chain(p: IntPoly) -> tuple[IntPoly, ...]:
     """Sturm chain of a square-free polynomial (positive rescaling allowed)."""
-    key = p.coeffs
-    hit = _sturm_cache.get(key)
-    if hit is not None:
-        return hit
     chain = [p, p.derivative()]
     while not chain[-1].is_zero and chain[-1].degree > 0:
         nxt = -_prem_positive(chain[-2], chain[-1])
         if nxt.is_zero:
             break
         chain.append(nxt)
-    result = tuple(chain)
-    _sturm_cache[key] = result
-    return result
+    return tuple(chain)
 
 
 def _variations(signs) -> int:
@@ -271,24 +265,21 @@ def cauchy_root_bound(p: IntPoly) -> Rational:
 # ---------------------------------------------------------------------------
 # certified roots
 
+@dataclass(frozen=True)
 class CertifiedRoot:
     """Isolating rational interval for the largest real root of a polynomial.
 
     Invariants: exactly one root of the square-free part lies in (lo, hi]
     and none lies above hi. `exact` marks a degenerate point interval.
-    The interval only ever tightens; refine() mutates in place.
+    A root is an immutable value: refine() returns a narrower copy, so no
+    caller can narrow the interval another caller holds.
     """
 
-    __slots__ = ("poly", "square_free", "lo", "hi", "exact", "_chain")
-
-    def __init__(self, poly: IntPoly, square_free: IntPoly, lo: Rational,
-                 hi: Rational, exact: bool, chain):
-        self.poly = poly
-        self.square_free = square_free
-        self.lo = lo
-        self.hi = hi
-        self.exact = exact
-        self._chain = chain
+    poly: IntPoly
+    square_free: IntPoly
+    lo: Rational
+    hi: Rational
+    exact: bool
 
     @property
     def width(self) -> Rational:
@@ -306,28 +297,28 @@ class CertifiedRoot:
         return self.lo < x <= self.hi
 
     def refine(self, tol: Rational) -> "CertifiedRoot":
-        """Shrink the interval to width <= tol (no-op once exact).
+        """This root with its interval shrunk to width <= tol: self when it
+        is exact or already that narrow, a narrower copy otherwise.
 
         Raises ValueError unless tol > 0: an irrational root never reaches
         width 0, so bisection would not end.
         """
         _check_tol(tol)
-        if self.exact:
+        lo, hi = self.lo, self.hi
+        if self.exact or hi - lo <= tol:
             return self
         sf = self.square_free
-        s_lo = sf.sign_at(self.lo)
-        while self.hi - self.lo > tol:
-            mid = (self.lo + self.hi) / 2
+        s_lo = sf.sign_at(lo)
+        while hi - lo > tol:
+            mid = (lo + hi) / 2
             s = sf.sign_at(mid)
             if s == 0:
-                self.lo = self.hi = mid
-                self.exact = True
-                return self
+                return CertifiedRoot(self.poly, sf, mid, mid, True)
             if s == s_lo:
-                self.lo = mid
+                lo = mid
             else:
-                self.hi = mid
-        return self
+                hi = mid
+        return CertifiedRoot(self.poly, sf, lo, hi, False)
 
     def to_json(self) -> dict:
         return {
@@ -362,44 +353,40 @@ def rho_certified(p: IntPoly, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
         raise ValueError("polynomial has no real roots in range")
     lo, hi = lower, upper
     if sf.sign_at(hi) == 0:
-        return CertifiedRoot(p, sf, hi, hi, True, chain)
+        return CertifiedRoot(p, sf, hi, hi, True)
     # bisect until (lo, hi] isolates exactly the largest root
     while count_roots_halfopen(chain, lo, hi) > 1:
         mid = (lo + hi) / 2
         if sf.sign_at(mid) == 0:
-            return _largest_given_rational_root(p, sf, chain, mid, tol)
+            return _largest_given_rational_root(p, sf, mid, tol)
         if _var_at(chain, mid) - _var_at(chain, hi) >= 1:
             lo = mid
         else:
             hi = mid
-    root = CertifiedRoot(p, sf, lo, hi, False, chain)
     # Rational roots of a monic integer polynomial are integers; once the
     # interval is narrower than 1 it can hold at most one integer, so a
     # single sign test decides whether the root is exactly rational.
-    root.refine(Fraction(1, 2))
+    root = CertifiedRoot(p, sf, lo, hi, False).refine(Fraction(1, 2))
     if not root.exact:
         m = Fraction(math.floor(root.hi))
         if root.lo < m <= root.hi and sf.sign_at(m) == 0:
-            root.lo = root.hi = m
-            root.exact = True
+            return CertifiedRoot(p, sf, m, m, True)
     return root.refine(tol)
 
 
-def _largest_given_rational_root(p, sf, chain, r: Rational, tol) -> "CertifiedRoot":
+def _largest_given_rational_root(p, sf, r: Rational, tol) -> "CertifiedRoot":
     """Finish isolation once a rational root r of sf has been found exactly."""
     q = poly_div_exact(sf, IntPoly((-r.numerator, r.denominator)))
     try:
         sub = rho_certified(q, tol)
     except ValueError:
-        return CertifiedRoot(p, sf, r, r, True, chain)
+        return CertifiedRoot(p, sf, r, r, True)
     # the largest root of q is never r (sf is square-free); separate them
     while not sub.exact and sub.lo < r <= sub.hi:
-        sub.refine(sub.width / 16)
-    if sub.exact and sub.lo == r:  # pragma: no cover - excluded by square-freeness
-        raise AssertionError("square-free part has a repeated root")
+        sub = sub.refine(sub.width / 16)
     if sub.hi < r or (sub.exact and sub.lo < r):
-        return CertifiedRoot(p, sf, r, r, True, chain)
-    return CertifiedRoot(p, sf, sub.lo, sub.hi, sub.exact, chain)
+        return CertifiedRoot(p, sf, r, r, True)
+    return CertifiedRoot(p, sf, sub.lo, sub.hi, sub.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +409,6 @@ def charpoly_dense(g: Graph) -> IntPoly:
               for i in range(n)]
         tr = sum(AM[i][i] for i in range(n))
         ck = -tr // k
-        assert ck * k == -tr
         coeffs[n - k] = ck
         M = AM
         for i in range(n):
@@ -483,23 +469,13 @@ def _unicyclic_phi(g: Graph) -> IntPoly:
     return phi_tree - phi_uv - phi_rest.scale(2)
 
 
-_charpoly_cache: dict[Graph, IntPoly] = {}
-
-
 def charpoly(g: Graph) -> IntPoly:
     """Exact characteristic polynomial, using the recursion when applicable."""
-    hit = _charpoly_cache.get(g)
-    if hit is not None:
-        return hit
     sparse = all(
         sum(1 for x, y in g.edges() if x in set(c)) <= len(c)
         for c in connected_components(g)
     )
-    p = charpoly_recursive(g) if sparse else charpoly_dense(g)
-    if len(_charpoly_cache) > 20000:
-        _charpoly_cache.clear()
-    _charpoly_cache[g] = p
-    return p
+    return charpoly_recursive(g) if sparse else charpoly_dense(g)
 
 
 def eval_at(p: IntPoly, x: Rational) -> Rational:
@@ -589,19 +565,16 @@ class EqualityWitness:
     hi: Rational
 
 
-_root_cache: dict[Graph, CertifiedRoot] = {}
+@functools.lru_cache(maxsize=20000)
+def _graph_root(g: Graph) -> CertifiedRoot:
+    return rho_certified(charpoly(g))
 
 
 def rho_certified_graph(g: Graph, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
-    root = _root_cache.get(g)
-    if root is None:
-        root = rho_certified(charpoly(g), tol)
-        if len(_root_cache) > 20000:
-            _root_cache.clear()
-        _root_cache[g] = root
-    else:
-        root.refine(tol)
-    return root
+    """Certified spectral radius of g, of width <= tol. The root at
+    DEFAULT_TOL is cached per graph; a coarser tol gets that interval."""
+    _check_tol(tol)
+    return _graph_root(g).refine(tol)
 
 
 _EQUAL_GATE = Fraction(1, 10**4)
@@ -613,8 +586,7 @@ def compare_roots(r1: CertifiedRoot, r2: CertifiedRoot):
     Returns (Ordering, EqualityWitness | None). Intervals are refined until
     disjoint; overlap triggers a gcd certificate for provable equality.
     """
-    r1.refine(_EQUAL_GATE)
-    r2.refine(_EQUAL_GATE)
+    r1, r2 = r1.refine(_EQUAL_GATE), r2.refine(_EQUAL_GATE)
     gcd = None
     # Terminates. Equal radii are a root of the gcd lying in both intervals,
     # hence in their overlap, and the loop returns EQUAL on the first pass.
@@ -646,9 +618,8 @@ def compare_roots(r1: CertifiedRoot, r2: CertifiedRoot):
                 chain = sturm_chain(square_free_part(gcd))
                 if lo < hi and count_roots_halfopen(chain, lo, hi) >= 1:
                     return Ordering.EQUAL, EqualityWitness(gcd, lo, hi)
-        for r in (r1, r2):
-            if not r.exact:
-                r.refine(r.width / 256)
+        r1 = r1 if r1.exact else r1.refine(r1.width / 256)
+        r2 = r2 if r2.exact else r2.refine(r2.width / 256)
 
 
 def compare_rho(g1: Graph, g2: Graph) -> Ordering:
@@ -667,15 +638,18 @@ def equal_rho_certificate(g1: Graph, g2: Graph):
     return order is Ordering.EQUAL, witness
 
 
+@functools.lru_cache(maxsize=20000)
+def _threshold_root(num: int, den: int) -> CertifiedRoot:
+    return rho_certified(IntPoly((-num, 0, den)))
+
+
 def below_squared_threshold(root: CertifiedRoot, num: int, den: int) -> bool:
     """Decide root < sqrt(num/den) exactly, for num, den > 0.
 
-    sqrt(num/den) is the largest root of den*x^2 - num; compare_roots refines
-    it only as far as the decision needs, and decides equality by its gcd
-    witness.
+    sqrt(num/den) is the largest root of den*x^2 - num, isolated once per
+    (num, den); compare_roots decides equality by its gcd witness.
     """
-    target = rho_certified(IntPoly((-num, 0, den)), Fraction(1, 2))
-    return compare_roots(root, target)[0] is Ordering.LESS
+    return compare_roots(root, _threshold_root(num, den))[0] is Ordering.LESS
 
 
 def below_3_over_sqrt2(root: CertifiedRoot) -> bool:

@@ -7,19 +7,16 @@ analogue (branch vertices on the cycle). A dagger is a star of order 4 with a
 pendant path attached at its center.
 
 The module realizes parameter tuples as graphs, classifies graphs back to
-canonical parameters, enumerates all family members with a given order and
-diameter, and evaluates the structural screening predicates used to rule out
-large spectral radii.
+canonical parameters, and enumerates all family members with a given order
+and diameter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, floor
 
 from .graphs import (
     Graph,
-    GraphError,
     build_graph,
     diameter,
     distances,
@@ -170,9 +167,7 @@ def _realize_dagger(d: Dagger) -> Graph:
 
 
 def spec_diameter(spec: QuipuSpec) -> int:
-    d = diameter(realize(spec))
-    assert d is not None
-    return d
+    return diameter(realize(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -391,82 +386,6 @@ def theorem_family(k: int) -> list[OpenQuipu]:
 def spider(k: int) -> OpenQuipu:
     """The three-arm spider with arm length k (ks=(k,k), ms=(k,))."""
     return OpenQuipu((k, k), (k,))
-
-
-# ---------------------------------------------------------------------------
-# screening predicates
-
-@dataclass(frozen=True)
-class ScreenReport:
-    """Structural screening verdicts for an open quipu.
-
-    l_values / necessary_ok / sufficient_violation are only defined for
-    specs in normalized form (ks[0] == ms[0], ks[-1] == ms[-1]) with r >= 2;
-    otherwise they are None (not applicable). sufficient_violation=True
-    certifies spectral radius > 3/sqrt(2); necessary_ok=False likewise.
-    All three are read off the parameters; the graph is never built.
-    """
-
-    l_values: tuple[int, ...] | None
-    necessary_ok: bool | None
-    sufficient_violation: bool | None
-
-
-def _d1(x: int) -> int:
-    return 1 if x == 1 else 0
-
-
-def _necessary_conditions(ks, ms, r) -> bool:
-    # interior segments
-    for i in range(2, r):
-        lhs = ks[i]
-        rhs = ms[i - 1] + ms[i] + 1 - ceil((_d1(ms[i - 1]) + _d1(ms[i])) / 2)
-        if lhs < rhs:
-            return False
-    k1 = ks[1]
-    if k1 < ms[0] + ms[1] - ceil((3 * _d1(ms[0]) + _d1(ms[1])) / 2) - floor(
-        (_d1(ms[0] - 1) + _d1(ms[1] - 1)) / 2
-    ):
-        return False
-    kr = ks[r]
-    if kr < ms[r] + ms[r - 1] - ceil((3 * _d1(ms[r]) + _d1(ms[r - 1])) / 2) - floor(
-        (_d1(ms[r] - 1) + _d1(ms[r - 1] - 1)) / 2
-    ):
-        return False
-    return True
-
-
-def _sufficient_conditions(ks, ms, r) -> bool:
-    for i in range(2, r):
-        if ks[i] > ms[i - 1] + ms[i] + 2 - ceil((_d1(ms[i - 1]) + _d1(ms[i])) / 2):
-            return False
-    if ks[1] > ms[0] + ms[1] - ceil(
-        (3 * _d1(ms[0]) + _d1(ms[1]) + _d1(ms[0] - 1)) / 2
-    ):
-        return False
-    if ks[r] > ms[r - 1] + ms[r] - ceil(
-        (3 * _d1(ms[r]) + _d1(ms[r - 1]) + _d1(ms[r] - 1)) / 2
-    ):
-        return False
-    return True
-
-
-def screen(spec: OpenQuipu) -> ScreenReport:
-    """Exact structural screening of an open quipu."""
-    r = spec.r
-    ks, ms = spec.ks, spec.ms
-    normalized = r >= 2 and ks[0] == ms[0] and ks[-1] == ms[-1]
-    if not normalized:
-        return ScreenReport(None, None, None)
-    l1 = ks[1] + 2 - ms[0] - ms[1]
-    lr = ks[r] + 2 - ms[r - 1] - ms[r]
-    lmid = tuple(ks[i] - ms[i - 1] - ms[i] for i in range(2, r))
-    l_values = (l1,) + lmid + (lr,)
-    return ScreenReport(
-        l_values,
-        _necessary_conditions(ks, ms, r),
-        _sufficient_conditions(ks, ms, r),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -462,8 +462,9 @@ def verify_theorem(k: int) -> Verdict:
 
 
 def exception_specs(k: int) -> list[OpenQuipu]:
-    """The seven open quipus that survive structural screening at order
-    3k+1, diameter 2k but exceed the family minimum (k >= 7)."""
+    """The seven open quipus of order 3k+1 and diameter 2k that the paper's
+    structural conditions do not rule out but whose spectral radius exceeds
+    the family minimum (k >= 7)."""
     if k < 7:
         raise ValueError("need k >= 7")
     return [

@@ -1,5 +1,6 @@
 """Integer polynomials, Sturm root certification, and exact comparisons."""
 
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations
 
@@ -20,6 +21,7 @@ from rhomin.exactpoly import (
     charpoly,
     charpoly_dense,
     compare_rho,
+    compare_roots,
     count_roots_halfopen,
     equal_rho_certificate,
     poly_from_json,
@@ -244,6 +246,17 @@ def test_close_but_unequal_radii_are_separated():
     assert compare_rho(g1, g2) is Ordering.LESS
 
 
+def test_compare_roots_leaves_its_arguments_unchanged():
+    from rhomin.families import realize, spider
+
+    # coarse roots, so the comparison has to refine both
+    a = rho_certified(charpoly(realize(spider(9))), Fraction(1, 2))
+    b = rho_certified(charpoly(realize(spider(10))), Fraction(1, 2))
+    before = (a.lo, a.hi, b.lo, b.hi)
+    assert compare_roots(a, b)[0] is Ordering.LESS
+    assert (a.lo, a.hi, b.lo, b.hi) == before
+
+
 def test_threshold_decisions():
     assert below_3_over_sqrt2(rho_certified_graph(cycle_graph(6)))  # 2 < 2.121
     assert not below_3_over_sqrt2(rho_certified_graph(star_graph(6)))  # sqrt(5)
@@ -260,11 +273,29 @@ def test_threshold_decisions():
 
 
 def test_certified_root_refine_tightens_only():
-    root = rho_certified_graph(path_graph(6), Fraction(1, 100))
+    coarse = rho_certified(charpoly(path_graph(6)), Fraction(1, 100))
+    root = coarse
     lo0, hi0 = root.lo, root.hi
-    root.refine(Fraction(1, 10**9))
+    root = root.refine(Fraction(1, 10**9))
     assert lo0 <= root.lo <= root.hi <= hi0
     assert root.width <= Fraction(1, 10**9)
+    assert (coarse.lo, coarse.hi) == (lo0, hi0)
+    assert root.refine(Fraction(1, 10**6)) is root
+
+
+def test_certified_roots_are_immutable():
+    root = rho_certified_graph(path_graph(7))
+    with pytest.raises(FrozenInstanceError):
+        root.lo = Fraction(0)
+
+
+def test_fine_graph_root_does_not_narrow_the_cached_one():
+    g = path_graph(8)
+    fine = rho_certified_graph(g, Fraction(1, 10**30))
+    assert fine.width <= Fraction(1, 10**30)
+    later = rho_certified_graph(g)
+    assert later.width > Fraction(1, 10**30)
+    assert later.lo <= fine.lo <= fine.hi <= later.hi
 
 
 def test_rho_certified_rejects_degenerate():

@@ -1,4 +1,4 @@
-"""Family realization, classification round-trips, screening, enumeration."""
+"""Family realization, classification round-trips, enumeration."""
 
 import pytest
 
@@ -11,7 +11,6 @@ from rhomin.families import (
     enumerate_quipus,
     parse_spec_literal,
     realize,
-    screen,
     spec_diameter,
     spec_literal,
     spider,
@@ -118,47 +117,6 @@ def test_spec_literals():
         parse_spec_literal("open:ks=1,2")
     with pytest.raises(ValueError):
         parse_spec_literal("weird:x=1")
-
-
-def test_screen_applicability():
-    # not normalized (ends differ) -> structural predicates undefined
-    rep = screen(OpenQuipu((1, 2), (3,)))
-    assert rep.l_values is None and rep.necessary_ok is None
-    # normalized r>=2 member of the tied family: passes the necessary test
-    s = OpenQuipu((2, 3, 5, 3, 3), (2, 1, 2, 3))
-    if s.ks[0] == s.ms[0] and s.ks[-1] == s.ms[-1]:
-        rep = screen(s)
-        assert rep.l_values is not None
-
-
-def test_screen_exceptional_survivor():
-    # a known screening survivor: normalized, r=2, not certified above the
-    # threshold by the sufficient test, and passing the necessary test
-    rep = screen(OpenQuipu((1, 5, 5, 1), (1, 5, 1)))
-    assert rep.l_values == (1, 1)
-    assert rep.necessary_ok is True
-    assert rep.sufficient_violation is False
-
-
-def test_screen_predicates_sound_against_certificates():
-    # wherever the structural predicates claim rho > 3/sqrt(2), the exact
-    # certificate must agree
-    from rhomin.exactpoly import below_3_over_sqrt2, rho_certified_graph
-
-    checked = 0
-    for n, d in [(13, 8), (14, 9)]:
-        for s in enumerate_quipus(n, d, kinds={"open"}):
-            rep = screen(s)
-            if rep.l_values is None:
-                continue
-            above = not below_3_over_sqrt2(rho_certified_graph(realize(s)))
-            if rep.sufficient_violation:
-                checked += 1
-                assert above, spec_literal(s)
-            if not rep.necessary_ok:
-                checked += 1
-                assert above, spec_literal(s)
-    assert checked > 0
 
 
 def test_enumerate_small_complete():

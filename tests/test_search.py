@@ -12,7 +12,6 @@ from rhomin.families import (
     OpenQuipu,
     classify,
     realize,
-    spec_literal,
     spider,
     theorem_family,
 )
