@@ -144,6 +144,8 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_verify_theorem(args) -> int:
+    if args.k < 2:
+        raise ValueError("need k >= 2")
     ks = range(2, args.k + 1) if args.all_up_to else [args.k]
     rows = []
     ok = True

@@ -3,10 +3,15 @@
 All arithmetic is exact: integer polynomials, rational evaluation points,
 Sturm-chain root counting. The spectral radius of a graph is delivered as an
 immutable isolating interval with exact sign evidence; refining it yields a
-narrower copy. Comparisons between two radii are decided by interval
-refinement plus an integer polynomial gcd certificate for equality, never by
-floating point. The only caches are two bounded lru_caches: the root of each
-graph at DEFAULT_TOL and the root of each threshold den*x^2 - num.
+narrower copy. One Sturm bisection isolates every largest root. Its
+invariant: no root lies above hi, and V(lo) - V(+inf) roots of the
+square-free part lie in (lo, hi], where V counts the sign variations of the
+Sturm chain. lo may itself be a smaller root, so refinement keys its
+bisection on the sign at hi, which is never 0. Comparisons between two radii
+are decided by interval refinement plus an integer polynomial gcd certificate
+for equality, never by floating point. The only caches are two bounded
+lru_caches: the root of each graph at DEFAULT_TOL and the root of each
+threshold den*x^2 - num.
 """
 
 from __future__ import annotations
@@ -270,7 +275,8 @@ class CertifiedRoot:
     """Isolating rational interval for the largest real root of a polynomial.
 
     Invariants: exactly one root of the square-free part lies in (lo, hi]
-    and none lies above hi. `exact` marks a degenerate point interval.
+    and none lies above hi; hi is not a root, but lo may be a smaller one.
+    `exact` marks a degenerate point interval.
     A root is an immutable value: refine() returns a narrower copy, so no
     caller can narrow the interval another caller holds.
     """
@@ -300,6 +306,10 @@ class CertifiedRoot:
         """This root with its interval shrunk to width <= tol: self when it
         is exact or already that narrow, a narrower copy otherwise.
 
+        Bisection keys on the sign at hi: a midpoint of that sign has no
+        root in (mid, hi], so it becomes hi; any other sign leaves the root
+        in (mid, hi]. The sign at lo would not do, since lo may be a root.
+
         Raises ValueError unless tol > 0: an irrational root never reaches
         width 0, so bisection would not end.
         """
@@ -308,16 +318,16 @@ class CertifiedRoot:
         if self.exact or hi - lo <= tol:
             return self
         sf = self.square_free
-        s_lo = sf.sign_at(lo)
+        s_hi = sf.sign_at(hi)
         while hi - lo > tol:
             mid = (lo + hi) / 2
             s = sf.sign_at(mid)
             if s == 0:
                 return CertifiedRoot(self.poly, sf, mid, mid, True)
-            if s == s_lo:
-                lo = mid
-            else:
+            if s == s_hi:
                 hi = mid
+            else:
+                lo = mid
         return CertifiedRoot(self.poly, sf, lo, hi, False)
 
     def to_json(self) -> dict:
@@ -335,7 +345,14 @@ def _check_tol(tol: Rational) -> None:
 
 
 def rho_certified(p: IntPoly, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
-    """Certified isolating interval for the largest real root of p."""
+    """Certified isolating interval for the largest real root of p.
+
+    One Sturm bisection: no root lies above hi, and V(lo) - V(+inf) roots
+    of the square-free part lie in (lo, hi], with V the sign-variation count
+    of its Sturm chain. Each step evaluates the chain once, at the midpoint;
+    a midpoint that is itself a root needs no special case, as the count
+    over (lo, hi] holds there too.
+    """
     _check_tol(tol)
     if p.is_zero:
         raise ValueError("zero polynomial has no roots")
@@ -347,22 +364,20 @@ def rho_certified(p: IntPoly, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
     upper = Fraction(max(1, p.degree))
     if _var_at(chain, upper) != vinf:
         upper = cauchy_root_bound(sf)
-    lower = -cauchy_root_bound(sf)
-    total = _var_at(chain, lower) - vinf
-    if total <= 0:
+    lo, hi = -cauchy_root_bound(sf), upper
+    v_lo = _var_at(chain, lo)
+    if v_lo <= vinf:
         raise ValueError("polynomial has no real roots in range")
-    lo, hi = lower, upper
-    if sf.sign_at(hi) == 0:
-        return CertifiedRoot(p, sf, hi, hi, True)
     # bisect until (lo, hi] isolates exactly the largest root
-    while count_roots_halfopen(chain, lo, hi) > 1:
+    while v_lo - vinf > 1:
         mid = (lo + hi) / 2
-        if sf.sign_at(mid) == 0:
-            return _largest_given_rational_root(p, sf, mid, tol)
-        if _var_at(chain, mid) - _var_at(chain, hi) >= 1:
-            lo = mid
+        v_mid = _var_at(chain, mid)
+        if v_mid > vinf:
+            lo, v_lo = mid, v_mid
         else:
             hi = mid
+    if sf.sign_at(hi) == 0:
+        return CertifiedRoot(p, sf, hi, hi, True)
     # Rational roots of a monic integer polynomial are integers; once the
     # interval is narrower than 1 it can hold at most one integer, so a
     # single sign test decides whether the root is exactly rational.
@@ -372,21 +387,6 @@ def rho_certified(p: IntPoly, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
         if root.lo < m <= root.hi and sf.sign_at(m) == 0:
             return CertifiedRoot(p, sf, m, m, True)
     return root.refine(tol)
-
-
-def _largest_given_rational_root(p, sf, r: Rational, tol) -> "CertifiedRoot":
-    """Finish isolation once a rational root r of sf has been found exactly."""
-    q = poly_div_exact(sf, IntPoly((-r.numerator, r.denominator)))
-    try:
-        sub = rho_certified(q, tol)
-    except ValueError:
-        return CertifiedRoot(p, sf, r, r, True)
-    # the largest root of q is never r (sf is square-free); separate them
-    while not sub.exact and sub.lo < r <= sub.hi:
-        sub = sub.refine(sub.width / 16)
-    if sub.hi < r or (sub.exact and sub.lo < r):
-        return CertifiedRoot(p, sf, r, r, True)
-    return CertifiedRoot(p, sf, sub.lo, sub.hi, sub.exact)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,6 @@ import numpy as np
 from .exactpoly import (
     CertifiedRoot,
     Ordering,
-    Rational,
-    DEFAULT_TOL,
     adjacency_matrix,
     below_3_over_sqrt2,
     certified_screen,
@@ -108,14 +106,14 @@ class BudgetError(ValueError):
 # ---------------------------------------------------------------------------
 # exact confirmation shared by all search paths
 
-def _exact_tournament(graphs: list[Graph], specs, tol) -> tuple[CertifiedRoot, list[Winner]]:
+def _exact_tournament(graphs: list[Graph], specs) -> tuple[CertifiedRoot, list[Winner]]:
     """Certify the exact minimum and every tie among candidate graphs, each
     compared once against the running best: LESS starts a new best, EQUAL
     (backed by compare_roots' common-factor witness) adds a tie."""
     best = None
     winners: list[Winner] = []
     for g, spec in zip(graphs, specs):
-        root = rho_certified_graph(g, tol)
+        root = rho_certified_graph(g)
         order = Ordering.LESS if best is None else compare_roots(root, best)[0]
         if order is Ordering.LESS:
             best, winners = root, []
@@ -203,7 +201,7 @@ def _matched_batches(n: int, d: int, pairs: list[tuple[int, int]]):
         yield masks[idx], np.einsum("uwk,wk->uk", adj, vec), vec
 
 
-def brute_force_all_graphs(n: int, d: int, tol: Rational = DEFAULT_TOL) -> MinimizerReport:
+def brute_force_all_graphs(n: int, d: int) -> MinimizerReport:
     """Exhaustive minimum over all connected graphs of order n and diameter d,
     iterating all 2^C(n,2) labeled graphs in vectorized batches, screened
     exactly with the integer vectors (A + I)^POWER_STEPS 1."""
@@ -217,7 +215,7 @@ def brute_force_all_graphs(n: int, d: int, tol: Rational = DEFAULT_TOL) -> Minim
         if d != 0:
             return MinimizerReport(n, d, None, [], "all-graphs", total,
                                    stats={"matched": 0})
-        root = rho_certified_graph(g, tol)
+        root = rho_certified_graph(g)
         return MinimizerReport(n, d, root, [Winner(canonical_code(g), g, None)],
                                "all-graphs", total, stats={"matched": 1})
     pool_masks, matched = _screen_batches(_matched_batches(n, d, pairs))
@@ -229,7 +227,7 @@ def brute_force_all_graphs(n: int, d: int, tol: Rational = DEFAULT_TOL) -> Minim
         g = build_graph(n, [pairs[i] for i in range(m) if mk >> i & 1])
         seen.setdefault(canonical_code(g), g)
     graphs = [seen[c] for c in sorted(seen)]
-    min_rho, winners = _exact_tournament(graphs, [classify(g) for g in graphs], tol)
+    min_rho, winners = _exact_tournament(graphs, [classify(g) for g in graphs])
     return MinimizerReport(n, d, min_rho, winners, "all-graphs", total,
                            stats={"matched": matched, "pool": len(graphs)})
 
@@ -362,7 +360,7 @@ def unicyclic_graphs(n: int) -> list[Graph]:
 _sparse_cache: dict[int, list[tuple[int, Graph]]] = {}
 
 
-def brute_force_sparse(n: int, d: int, tol: Rational = DEFAULT_TOL) -> MinimizerReport:
+def brute_force_sparse(n: int, d: int) -> MinimizerReport:
     """Exact minimum over all trees and unicyclic graphs of order n and
     diameter d. Sound as a minimum over all graphs exactly when the result
     has certified spectral radius below 3/sqrt(2) (the structural reduction
@@ -377,7 +375,7 @@ def brute_force_sparse(n: int, d: int, tol: Rational = DEFAULT_TOL) -> Minimizer
     if not matched:
         return MinimizerReport(n, d, None, [], "sparse", len(cands), sound=False)
     graphs = [matched[i] for i in _screen_batches(_perron_batches(matched))[0]]
-    min_rho, winners = _exact_tournament(graphs, [classify(g) for g in graphs], tol)
+    min_rho, winners = _exact_tournament(graphs, [classify(g) for g in graphs])
     return MinimizerReport(
         n, d, min_rho, winners, "sparse", len(cands), sound=below_3_over_sqrt2(min_rho),
         stats={"matched": len(matched), "screened_out": len(matched) - len(graphs)},
@@ -387,11 +385,7 @@ def brute_force_sparse(n: int, d: int, tol: Rational = DEFAULT_TOL) -> Minimizer
 # ---------------------------------------------------------------------------
 # production path: quipu/dagger family search
 
-def minimize_over_quipus(
-    n: int,
-    d: int,
-    tol: Rational = DEFAULT_TOL,
-) -> MinimizerReport:
+def minimize_over_quipus(n: int, d: int) -> MinimizerReport:
     """Exact minimum over all open quipus, closed quipus and daggers of order
     n and diameter d.
 
@@ -408,7 +402,7 @@ def minimize_over_quipus(
         return MinimizerReport(n, d, None, [], "quipu-family", 0, sound=False)
     graphs = [realize(s) for s in specs]
     kept = _screen_batches(_perron_batches(graphs))[0].tolist()
-    min_rho, winners = _exact_tournament([graphs[i] for i in kept], [specs[i] for i in kept], tol)
+    min_rho, winners = _exact_tournament([graphs[i] for i in kept], [specs[i] for i in kept])
     diameter_mismatches = sum(spec_diameter(w.spec) != d for w in winners)
     sound = below_3_over_sqrt2(min_rho) and not diameter_mismatches
     return MinimizerReport(
@@ -428,9 +422,9 @@ class Verdict:
     data: dict = field(default_factory=dict)
 
 
-def rho_k(k: int, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
+def rho_k(k: int) -> CertifiedRoot:
     """Certified spectral radius of the three-arm spider with arm length k."""
-    return rho_certified_graph(realize(spider(k)), tol)
+    return rho_certified_graph(realize(spider(k)))
 
 
 def verify_theorem(k: int) -> Verdict:

@@ -98,6 +98,16 @@ def test_verify_theorem_csv(capsys):
     assert lines[1].startswith("3,10,6,2,")
 
 
+@pytest.mark.parametrize("k", ["-5", "0", "1"])
+@pytest.mark.parametrize("all_up_to", [False, True])
+def test_verify_theorem_rejects_k_below_2(capsys, k, all_up_to):
+    # with --all-up-to an empty range of k must not pass vacuously
+    argv = ["--format", "json", "verify-theorem", "--k", k] + ["--all-up-to"] * all_up_to
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_verify_lemmas_named_suite(capsys):
     code, out = run(capsys, "--format", "json", "verify-lemmas", "--suite",
                     "equal-radius-family")

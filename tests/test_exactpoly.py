@@ -1,5 +1,6 @@
 """Integer polynomials, Sturm root certification, and exact comparisons."""
 
+import math
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from rhomin.exactpoly import (
     PERRON_SCALE,
+    CertifiedRoot,
     IntPoly,
     Ordering,
     adjacency_matrix,
@@ -33,7 +35,7 @@ from rhomin.exactpoly import (
     square_free_part,
     sturm_chain,
 )
-from rhomin.families import realize, theorem_family
+from rhomin.families import realize, spider, theorem_family
 from rhomin.graphs import (
     build_graph,
     cycle_graph,
@@ -87,12 +89,99 @@ def test_rho_certified_irrational():
 
 
 def test_rho_certified_rational_root_deflation():
-    # x(x-2)(x+2): largest root exactly 2, found via a rational bisection hit
+    # x(x-2)(x+2): largest root exactly 2, marked exact by the one Sturm
+    # bisection that isolates every root
     root = rho_certified(IntPoly((0, -4, 0, 1)))
     assert root.exact and root.lo == 2
     # largest root rational but not the bisection midpoint
     root = rho_certified(IntPoly((-6, 11, -6, 1)))  # (x-1)(x-2)(x-3)
     assert root.contains(Fraction(3))
+
+
+def _minus(root, q: Fraction) -> int:
+    """Sign of root - q, for a rational root or for the quadratic root
+    (-b + sqrt(disc)) / 2 given as (b, disc) with disc not a square."""
+    if isinstance(root, Fraction):
+        return (root > q) - (root < q)
+    b, disc = root
+    t = 2 * q + b
+    return 1 if t < 0 or disc > t * t else -1
+
+
+def _as_float(root) -> float:
+    if isinstance(root, Fraction):
+        return float(root)
+    b, disc = root
+    return (-b + math.sqrt(disc)) / 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    linear=st.lists(
+        st.tuples(st.integers(1, 4), st.integers(-8, 8), st.integers(1, 3)),
+        min_size=1, max_size=4),
+    quadratics=st.lists(
+        st.tuples(st.integers(-6, 6), st.integers(-9, 9), st.integers(1, 2)),
+        max_size=2),
+    tol=st.sampled_from([Fraction(1, 2), Fraction(1, 1000), Fraction(1, 10**12)]),
+)
+def test_isolation_of_products_of_known_factors(linear, quadratics, tol):
+    # (a x - b)^k and (x^2 + b x + c)^k factors, so repeated roots occur
+    p, roots = IntPoly((1,)), []
+    for a, b, k in linear:
+        for _ in range(k):
+            p = p * IntPoly((-b, a))
+        roots.append(Fraction(b, a))
+    for b, c, k in quadratics:
+        for _ in range(k):
+            p = p * IntPoly((c, b, 1))
+        disc = b * b - 4 * c
+        if disc >= 0:
+            s = math.isqrt(disc)
+            roots.append(Fraction(-b + s, 2) if s * s == disc else (b, disc))
+    largest = max(roots, key=_as_float)
+    root = rho_certified(p, tol)
+    assert root.width <= tol
+    if root.exact:
+        assert _minus(largest, root.lo) == 0
+    else:
+        assert _minus(largest, root.lo) > 0 and _minus(largest, root.hi) <= 0
+    if all(a == 1 for a, _, _ in linear):
+        is_integer = isinstance(largest, Fraction) and largest.denominator == 1
+        assert root.exact == is_integer
+
+
+def test_refine_converges_to_the_root_above_a_root_at_lo():
+    p = IntPoly((3, -4, 1))  # (x - 1)(x - 3); lo = 1 is the smaller root
+    root = CertifiedRoot(p, p, Fraction(1), Fraction(4), False)
+    fine = root.refine(Fraction(1, 10**9))
+    assert fine.contains(Fraction(3))
+    assert fine.width <= Fraction(1, 10**9)
+
+
+def test_isolation_evaluates_the_sturm_chain_once_per_halving(monkeypatch):
+    import rhomin.exactpoly as ep
+
+    g = realize(spider(10))
+    p = charpoly(g)
+    calls = []
+    var_at = ep._var_at
+
+    def counting(chain, x):
+        calls.append(x)
+        return var_at(chain, x)
+
+    monkeypatch.setattr(ep, "_var_at", counting)
+    rho_certified(p)
+    # Bisection stops once the interval is narrower than the gap between
+    # the two largest distinct roots, so it halves the starting interval
+    # (-C, U], C the Cauchy bound and U <= max(deg, C), at most
+    # log2(width / gap) times; V is also read once at each starting bound.
+    bound = cauchy_root_bound(square_free_part(p))
+    width = float(max(p.degree, bound) + bound)
+    eig = np.unique(np.round(np.linalg.eigvalsh(adjacency_matrix(g)), 9))
+    halvings = math.ceil(math.log2(width / (eig[-1] - eig[-2])))
+    assert len(calls) <= halvings + 2
 
 
 def test_charpoly_known_values():

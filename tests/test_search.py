@@ -122,9 +122,9 @@ def test_wrong_vector_moves_loser_into_tournament(monkeypatch):
     pools = []
     tournament = rhomin.search._exact_tournament
 
-    def spy(graphs, specs, tol):
+    def spy(graphs, specs):
         pools.append({canonical_code(g) for g in graphs})
-        return tournament(graphs, specs, tol)
+        return tournament(graphs, specs)
 
     monkeypatch.setattr(rhomin.search, "_exact_tournament", spy)
     base = brute_force_sparse(8, 5)
