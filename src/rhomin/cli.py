@@ -29,7 +29,7 @@ from .families import (
     spec_literal,
     spec_to_json,
 )
-from .graphs import Graph6Error, graph6_decode, graph6_encode
+from .graphs import GRAPH6_MAX_N, Graph6Error, graph6_decode, graph6_encode
 from .search import (
     BudgetError,
     brute_force_all_graphs,
@@ -46,10 +46,15 @@ EXIT_USAGE = 2
 
 
 def _load_graph(token: str):
-    """A graph argument is either a spec literal or a graph6 string."""
+    """A graph argument is either a spec literal or a graph6 string. Every
+    command echoes its graph in graph6, so a spec of larger order is refused
+    before any work is done on it."""
     body = token.removeprefix("spec:")
     if body.startswith(("open:", "closed:", "dagger:")):
-        return realize(parse_spec_literal(body))
+        spec = parse_spec_literal(body)
+        if spec.order > GRAPH6_MAX_N:
+            raise Graph6Error(f"only n <= {GRAPH6_MAX_N} supported")
+        return realize(spec)
     try:
         return graph6_decode(token)
     except Graph6Error as exc:

@@ -1,17 +1,25 @@
 """Exact characteristic polynomials and certified spectral radii.
 
 All arithmetic is exact: integer polynomials, rational evaluation points,
-Sturm-chain root counting. The spectral radius of a graph is delivered as an
-immutable isolating interval with exact sign evidence; refining it yields a
-narrower copy. One Sturm bisection isolates every largest root. Its
-invariant: no root lies above hi, and V(lo) - V(+inf) roots of the
-square-free part lie in (lo, hi], where V counts the sign variations of the
-Sturm chain. lo may itself be a smaller root, so refinement keys its
-bisection on the sign at hi, which is never 0. Comparisons between two radii
-are decided by interval refinement plus an integer polynomial gcd certificate
-for equality, never by floating point. The only caches are two bounded
-lru_caches: the root of each graph at DEFAULT_TOL and the root of each
-threshold den*x^2 - num.
+Sturm-chain root counting. charpoly is the one dispatcher for characteristic
+polynomials: it multiplies over connected components and takes two routes.
+A tree or unicyclic component goes through Schwenk's bridge recursion: one
+post-order pass carries (phi(T_v), phi(T_v - v)) for each rooted subtree and
+maps it across the edge to each child c by (a, b) -> (a*a_c - b*b_c, b*a_c);
+a unicyclic component is first cut at an edge of its cycle. Any other
+component goes through the Faddeev-LeVerrier recurrence of charpoly_dense,
+which sums neighbours' rows in place of a matrix product.
+
+The spectral radius of a graph is delivered as an immutable isolating
+interval with exact sign evidence; refining it yields a narrower copy. One
+Sturm bisection isolates every largest root. Its invariant: no root lies
+above hi, and V(lo) - V(+inf) roots of the square-free part lie in (lo, hi],
+where V counts the sign variations of the Sturm chain. lo may itself be a
+smaller root, so refinement keys its bisection on the sign at hi, which is
+never 0. Comparisons between two radii are decided by interval refinement
+plus an integer polynomial gcd certificate for equality, never by floating
+point. The only caches are two bounded lru_caches: the root of each graph at
+DEFAULT_TOL and the root of each threshold den*x^2 - num.
 """
 
 from __future__ import annotations
@@ -26,7 +34,6 @@ import numpy as np
 
 from .graphs import (
     Graph,
-    GraphError,
     connected_components,
     delete_edge,
     delete_vertices,
@@ -187,29 +194,23 @@ def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
 
 
 def poly_div_exact(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Exact quotient a / b; raises if the division is not exact."""
+    """Exact quotient a / b by integer long division; raises ValueError
+    unless b divides a with an integer quotient."""
     if b.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(c) for c in a.coeffs]
-    q = [Fraction(0)] * max(1, len(a.coeffs) - len(b.coeffs) + 1)
-    dg = b.degree
-    bl = Fraction(b.lead)
-    while len(rem) - 1 >= dg and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dg:
-            break
-        shift = len(rem) - 1 - dg
-        coef = rem[-1] / bl
+    rem = list(a.coeffs)
+    db = b.degree
+    q = [0] * max(1, len(rem) - db)
+    for shift in range(len(rem) - 1 - db, -1, -1):
+        coef, r = divmod(rem[shift + db], b.lead)
+        if r:
+            raise ValueError("inexact polynomial division")
         q[shift] = coef
         for i, c in enumerate(b.coeffs):
-            rem[i + shift] -= coef * c
-        rem.pop()
-    if any(rem):
+            rem[shift + i] -= coef * c
+    if any(rem[:db]):
         raise ValueError("inexact polynomial division")
-    if any(c.denominator != 1 for c in q):
-        raise ValueError("quotient is not an integer polynomial")
-    return IntPoly(tuple(int(c) for c in q))
+    return IntPoly(tuple(q))
 
 
 def square_free_part(p: IntPoly) -> IntPoly:
@@ -245,17 +246,8 @@ def _var_at(chain, x: Rational) -> int:
     return _variations([q.sign_at(x) for q in chain])
 
 
-def _var_at_inf(chain, positive: bool) -> int:
-    signs = []
-    for q in chain:
-        if q.is_zero:
-            signs.append(0)
-        else:
-            s = (q.lead > 0) - (q.lead < 0)
-            if not positive and q.degree % 2 == 1:
-                s = -s
-            signs.append(s)
-    return _variations(signs)
+def _var_at_inf(chain) -> int:
+    return _variations([(q.lead > 0) - (q.lead < 0) for q in chain])
 
 
 def count_roots_halfopen(chain, a: Rational, b: Rational) -> int:
@@ -360,7 +352,7 @@ def rho_certified(p: IntPoly, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
         raise ValueError("constant polynomial has no roots")
     sf = square_free_part(p)
     chain = sturm_chain(sf)
-    vinf = _var_at_inf(chain, True)
+    vinf = _var_at_inf(chain)
     upper = Fraction(max(1, p.degree))
     if _var_at(chain, upper) != vinf:
         upper = cauchy_root_bound(sf)
@@ -392,90 +384,80 @@ def rho_certified(p: IntPoly, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
 # ---------------------------------------------------------------------------
 # characteristic polynomials
 
+def charpoly(g: Graph) -> IntPoly:
+    """Exact characteristic polynomial det(xI - A), the product over the
+    connected components. Each component takes one of two routes, chosen by
+    its edge count. A tree or unicyclic component takes Schwenk's bridge
+    recursion: _tree_phi maps (phi(T_v), phi(T_v - v)) across the edge to
+    each child c by (a, b) -> (a*a_c - b*b_c, b*a_c), and _unicyclic_phi
+    first cuts an edge of the cycle. A component with two or more
+    independent cycles takes charpoly_dense."""
+    result = ONE
+    for comp in connected_components(g):
+        edges = sum(g.degree(v) for v in comp) // 2
+        if edges == len(comp) - 1:
+            phi = _tree_phi(g, comp[0])
+        else:
+            sub = g if len(comp) == g.n else delete_vertices(g, set(range(g.n)).difference(comp))
+            phi = _unicyclic_phi(sub) if edges == len(comp) else charpoly_dense(sub)
+        result = result * phi
+    return result
+
+
+def _tree_phi(g: Graph, root: int) -> IntPoly:
+    """Characteristic polynomial of the tree component of g holding root.
+
+    One post-order pass carries (a, b) = (phi(T_v), phi(T_v - v)) for the
+    subtree T_v below each vertex v, starting from (x, 1). Schwenk's bridge
+    rule phi(G) = phi(G - uv) - phi(G - u - v) adds each child c's subtree
+    across the edge vc: (a, b) -> (a*a_c - b*b_c, b*a_c).
+    """
+    parent = {root: root}
+    order = [root]
+    for v in order:
+        for w in g.adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    a: dict[int, IntPoly] = {}
+    b: dict[int, IntPoly] = {}
+    for v in reversed(order):
+        av, bv = X, ONE
+        for c in g.adj[v]:
+            if c != parent[v]:
+                av, bv = av * a[c] - bv * b[c], bv * a[c]
+        a[v], b[v] = av, bv
+    return a[root]
+
+
+def _unicyclic_phi(g: Graph) -> IntPoly:
+    """Characteristic polynomial of a connected unicyclic graph, through an
+    edge uv of its cycle C: phi(G - uv) - phi(G - u - v) - 2 phi(G - C)."""
+    cycle = two_core_cycle(g)
+    u, v = cycle[0], cycle[1]
+    phi_tree = _tree_phi(delete_edge(g, u, v), u)
+    phi_uv = charpoly(delete_vertices(g, [u, v]))
+    phi_rest = charpoly(delete_vertices(g, cycle))
+    return phi_tree - phi_uv - phi_rest.scale(2)
+
+
 def charpoly_dense(g: Graph) -> IntPoly:
-    """det(xI - A) by the exact integer Faddeev-LeVerrier recurrence."""
+    """det(xI - A) of any graph by the exact integer Faddeev-LeVerrier
+    recurrence: M_0 = I, c_k = -tr(A M_{k-1}) / k, M_k = A M_{k-1} + c_k I.
+    Row i of A M is the sum of M's rows at the neighbours of i, so A is
+    never built. charpoly routes only components with two or more
+    independent cycles here."""
     n = g.n
-    if n == 0:
-        return ONE
-    A = [[0] * n for _ in range(n)]
-    for u, v in g.edges():
-        A[u][v] = 1
-        A[v][u] = 1
     M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     for k in range(1, n + 1):
-        AM = [[sum(A[i][t] * M[t][j] for t in range(n) if A[i][t]) for j in range(n)]
-              for i in range(n)]
-        tr = sum(AM[i][i] for i in range(n))
-        ck = -tr // k
+        M = [[sum(col) for col in zip([0] * n, *(M[t] for t in nbrs))] for nbrs in g.adj]
+        ck = -sum(M[i][i] for i in range(n)) // k
         coeffs[n - k] = ck
-        M = AM
         for i in range(n):
             M[i][i] += ck
     return IntPoly(tuple(coeffs))
-
-
-def _forest_phi(g: Graph, verts: frozenset[int], memo: dict) -> IntPoly:
-    """Characteristic polynomial of the induced subforest on `verts`."""
-    if not verts:
-        return ONE
-    hit = memo.get(verts)
-    if hit is not None:
-        return hit
-    deg = {v: sum(1 for w in g.adj[v] if w in verts) for v in verts}
-    v = min((x for x in verts if deg[x] <= 1), default=None)
-    if v is None:
-        raise GraphError("induced subgraph is not a forest")
-    if deg[v] == 0:
-        result = _forest_phi(g, verts - {v}, memo) * X
-    else:
-        u = next(w for w in g.adj[v] if w in verts)
-        result = _forest_phi(g, verts - {v}, memo) * X - _forest_phi(
-            g, verts - {v, u}, memo
-        )
-    memo[verts] = result
-    return result
-
-
-def charpoly_recursive(g: Graph) -> IntPoly:
-    """Characteristic polynomial via vertex/edge deletion recursions.
-
-    Applies to graphs whose components are forests or unicyclic; a unicyclic
-    component is reduced through an edge of its cycle, picking up the cycle
-    correction term.
-    """
-    result = ONE
-    for comp in connected_components(g):
-        s = frozenset(comp)
-        m = sum(1 for u, v in g.edges() if u in s and v in s)
-        if m == len(comp) - 1:
-            result = result * _forest_phi(g, s, {})
-        elif m == len(comp):
-            sub = delete_vertices(g, [v for v in range(g.n) if v not in s])
-            result = result * _unicyclic_phi(sub)
-        else:
-            raise GraphError("component has two or more independent cycles")
-    return result
-
-
-def _unicyclic_phi(g: Graph) -> IntPoly:
-    cycle = two_core_cycle(g)
-    u, v = cycle[0], cycle[1]
-    no_edge = delete_edge(g, u, v)
-    phi_tree = _forest_phi(no_edge, frozenset(range(g.n)), {})
-    phi_uv = charpoly_recursive(delete_vertices(g, [u, v]))
-    phi_rest = charpoly_recursive(delete_vertices(g, cycle))
-    return phi_tree - phi_uv - phi_rest.scale(2)
-
-
-def charpoly(g: Graph) -> IntPoly:
-    """Exact characteristic polynomial, using the recursion when applicable."""
-    sparse = all(
-        sum(1 for x, y in g.edges() if x in set(c)) <= len(c)
-        for c in connected_components(g)
-    )
-    return charpoly_recursive(g) if sparse else charpoly_dense(g)
 
 
 def eval_at(p: IntPoly, x: Rational) -> Rational:

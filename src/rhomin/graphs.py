@@ -363,9 +363,13 @@ class Graph6Error(GraphError):
     """Malformed graph6 text."""
 
 
+# The largest order graph6 writes in its one-byte size field.
+GRAPH6_MAX_N = 62
+
+
 def graph6_encode(g: Graph) -> str:
-    if g.n > 62:
-        raise Graph6Error("only n <= 62 supported")
+    if g.n > GRAPH6_MAX_N:
+        raise Graph6Error(f"only n <= {GRAPH6_MAX_N} supported")
     bits = []
     for j in range(1, g.n):
         for i in range(j):
@@ -387,8 +391,8 @@ def graph6_decode(text: str) -> Graph:
     if any(not (63 <= ord(ch) <= 126) for ch in text):
         raise Graph6Error("illegal graph6 character")
     n = ord(text[0]) - 63
-    if n > 62:
-        raise Graph6Error("only n <= 62 supported")
+    if n > GRAPH6_MAX_N:
+        raise Graph6Error(f"only n <= {GRAPH6_MAX_N} supported")
     need = (n * (n - 1) // 2 + 5) // 6
     body = text[1:]
     if len(body) != need:

@@ -11,6 +11,7 @@ of open quipus with parameters (i, i+j-1, j) over i+j=k.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -235,22 +236,15 @@ def brute_force_all_graphs(n: int, d: int) -> MinimizerReport:
 # ---------------------------------------------------------------------------
 # oracle 2: all trees and unicyclic graphs up to n = 14
 
-_tree_cache: dict[int, list[Graph]] = {}
-
-
+@functools.cache
 def free_trees(n: int) -> list[Graph]:
     """All free trees of order n, one per isomorphism class, generated by
     leaf addition with canonical deduplication."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if n in _tree_cache:
-        return _tree_cache[n]
     if n == 1:
-        out = [build_graph(1, [])]
-    else:
-        out = _leaf_extensions(free_trees(n - 1), {})
-    _tree_cache[n] = out
-    return out
+        return [build_graph(1, [])]
+    return _leaf_extensions(free_trees(n - 1), {})
 
 
 def _leaf_extensions(parents: list[Graph], seen: dict[bytes, Graph]) -> list[Graph]:
@@ -339,25 +333,20 @@ def counted_free_trees(n: int) -> int:
     return r[n] - conv // 2
 
 
-_unicyclic_cache: dict[int, list[Graph]] = {}
-
-
+@functools.cache
 def unicyclic_graphs(n: int) -> list[Graph]:
     """All connected unicyclic graphs of order n up to isomorphism, by leaf
     addition starting from each cycle length."""
     if n < 3:
         return []
-    if n in _unicyclic_cache:
-        return _unicyclic_cache[n]
-    prev = unicyclic_graphs(n - 1) if n > 3 else []
     cycle = cycle_graph(n)
-    out = _leaf_extensions(prev, {canonical_code(cycle): cycle})
-    _unicyclic_cache[n] = out
-    return out
+    return _leaf_extensions(unicyclic_graphs(n - 1), {canonical_code(cycle): cycle})
 
 
-# every tree and unicyclic graph of order n with its diameter, computed once
-_sparse_cache: dict[int, list[tuple[int, Graph]]] = {}
+@functools.cache
+def _sparse_members(n: int) -> list[tuple[int, Graph]]:
+    """Every tree and unicyclic graph of order n with its diameter."""
+    return [(diameter(g), g) for g in free_trees(n) + unicyclic_graphs(n)]
 
 
 def brute_force_sparse(n: int, d: int) -> MinimizerReport:
@@ -368,9 +357,7 @@ def brute_force_sparse(n: int, d: int) -> MinimizerReport:
     `screened_out` counts the graphs dropped by the exact screen."""
     if not 1 <= n <= 14:
         raise BudgetError("brute_force_sparse supports 1 <= n <= 14")
-    if n not in _sparse_cache:
-        _sparse_cache[n] = [(diameter(g), g) for g in free_trees(n) + unicyclic_graphs(n)]
-    cands = _sparse_cache[n]
+    cands = _sparse_members(n)
     matched = [g for diam, g in cands if diam == d]
     if not matched:
         return MinimizerReport(n, d, None, [], "sparse", len(cands), sound=False)

@@ -134,15 +134,34 @@ def test_failing_verification_exits_1(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("tol", ["-1", "0", "1/0", "x"])
-def test_bad_tolerance_exits_2_promptly(tol):
+def run_subprocess(*argv):
+    """`python -m rhomin.cli argv...` on this checkout, killed after 10 s."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "rhomin.cli", "--tolerance", tol, "rho", "open:ks=1,1;ms=1"],
+    return subprocess.run(
+        [sys.executable, "-m", "rhomin.cli", *argv],
         capture_output=True, text=True, timeout=10, env=env,
     )
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "1/0", "x"])
+def test_bad_tolerance_exits_2_promptly(tol):
+    proc = run_subprocess("--tolerance", tol, "rho", "open:ks=1,1;ms=1")
     assert proc.returncode == 2
     assert "tolerance" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["rho", "open:ks=0,0;ms=250"],
+    ["charpoly", "open:ks=0,0;ms=1100"],
+    ["compare", "open:ks=1,1;ms=1", "closed:ks=1,1,1;ms=80,80,80"],
+])
+def test_graph_beyond_graph6_exits_2_promptly(argv):
+    # every command echoes its graphs in graph6, which stops at n = 62, so
+    # the order is refused before any root or polynomial is computed
+    proc = run_subprocess(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: only n <= 62 supported\n"
     assert proc.stdout == ""

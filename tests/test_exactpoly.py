@@ -27,6 +27,7 @@ from rhomin.exactpoly import (
     count_roots_halfopen,
     equal_rho_certificate,
     poly_from_json,
+    poly_div_exact,
     poly_gcd,
     perron_vector,
     poly_to_json,
@@ -41,6 +42,7 @@ from rhomin.graphs import (
     cycle_graph,
     disjoint_union,
     path_graph,
+    relabel,
     star_graph,
 )
 
@@ -214,6 +216,64 @@ def test_charpoly_routes_agree():
 def test_charpoly_disconnected_multiplies():
     g = disjoint_union(path_graph(2), path_graph(3))
     assert charpoly(g).coeffs == (charpoly(path_graph(2)) * charpoly(path_graph(3))).coeffs
+
+
+def _connected(data, n, least_extra, most_extra):
+    """A random connected graph on n vertices: a random tree plus between
+    least_extra and most_extra further edges."""
+    edges = [(data.draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    others = [e for e in combinations(range(n), 2) if e not in edges]
+    k = data.draw(st.integers(least_extra, min(most_extra, len(others))))
+    return build_graph(n, edges + data.draw(st.permutations(others))[:k])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_charpoly_routes_agree_on_mixed_components(data):
+    # one component per route of charpoly (tree, unicyclic, two or more
+    # cycles), interleaved by a random relabelling
+    t, u = data.draw(st.integers(1, 2)), data.draw(st.integers(3, 4))
+    m = data.draw(st.integers(4, 10 - t - u))
+    g = disjoint_union(disjoint_union(_connected(data, t, 0, 0), _connected(data, u, 1, 1)),
+                       _connected(data, m, 2, m * m))
+    g = relabel(g, data.draw(st.permutations(range(g.n))))
+    expected = tuple(int(c) for c in np.rint(np.poly(adjacency_matrix(g)))[::-1])
+    assert charpoly(g).coeffs == charpoly_dense(g).coeffs == expected
+
+
+def test_charpoly_of_a_long_path_needs_no_deep_recursion():
+    # P_n = x P_{n-1} - P_{n-2}; a recursion per vertex would overflow the stack
+    x = IntPoly((0, 1))
+    prev, cur = IntPoly((1,)), x
+    for _ in range(1099):
+        prev, cur = cur, x * cur - prev
+    assert charpoly(path_graph(1100)) == cur
+
+
+_SMALL_POLY = st.lists(st.integers(-9, 9), min_size=1, max_size=5).map(
+    lambda c: IntPoly(tuple(c)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SMALL_POLY, _SMALL_POLY, _SMALL_POLY)
+def test_poly_div_exact(q, b, r):
+    if b.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            poly_div_exact(q, b)
+        return
+    assert poly_div_exact(q * b, b) == q
+    # a nonzero remainder of lower degree than b is never divided away
+    r = IntPoly(r.coeffs[: b.degree])
+    if not r.is_zero:
+        with pytest.raises(ValueError, match="inexact"):
+            poly_div_exact(q * b + r, b)
+
+
+def test_poly_div_exact_rejects_a_non_integral_quotient():
+    # (2x^2 + 2) / (4x^2 + 4) = 1/2 has no remainder but is not integral
+    with pytest.raises(ValueError, match="inexact"):
+        poly_div_exact(IntPoly((2, 0, 2)), IntPoly((4, 0, 4)))
+    assert poly_div_exact(IntPoly((4, 0, 4)), IntPoly((2, 0, 2))) == IntPoly((2,))
 
 
 def _bracket(screen, j):
