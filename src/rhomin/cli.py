@@ -3,7 +3,7 @@ enumeration, minimizer searches, and verification batches.
 
 Graphs cross the boundary as graph6 strings or family spec literals
 (`open:ks=...;ms=...`, `closed:ks=...;ms=...`, `dagger:t=...`). Exit codes:
-0 success/pass, 1 verdict failure, 2 usage error.
+0 success/pass, 1 verdict failure, 2 usage error or closed output.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -288,9 +289,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, BudgetError, Graph6Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed our output; point stdout at devnull so that the
+        # interpreter's last flush does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_USAGE
 
 

@@ -3,7 +3,9 @@
 Vertices are labelled 0..n-1 with no gaps. Graph values are immutable and
 hashable; every operation returns a new value. Besides construction and BFS
 metrics the module provides canonical codes (isomorphism keys for trees,
-unicyclic graphs and small graphs) and the graph6 interchange format.
+unicyclic graphs and small graphs) and the graph6 interchange format. Tree
+and unicyclic codes, a tree's centres and a unicyclic graph's cycle all come
+from one leaf-peeling pass.
 """
 
 from __future__ import annotations
@@ -204,35 +206,61 @@ def is_unicyclic(g: Graph) -> bool:
     return g.edge_count == g.n and is_connected(g)
 
 
-def two_core_cycle(g: Graph) -> list[int]:
-    """The unique cycle of a connected unicyclic graph, in cyclic order."""
-    deg = [g.degree(v) for v in range(g.n)]
+def _code(child_codes: list[bytes]) -> bytes:
+    return b"(" + b"".join(sorted(child_codes)) + b")"
+
+
+def _peel(g: Graph) -> tuple[list[int], list[list[bytes]]]:
+    """Remove leaves one layer at a time while more than two vertices are
+    left, giving each peeled vertex its AHU code as it goes (Aho, Hopcroft &
+    Ullman, 1974). Returns the vertices left, in increasing order, and each
+    vertex's list of child codes: a tree leaves its one or two centres, a
+    connected unicyclic graph its cycle with the codes of its hanging trees."""
+    deg = [len(a) for a in g.adj]
     alive = [True] * g.n
-    stack = [v for v in range(g.n) if deg[v] <= 1]
-    while stack:
-        v = stack.pop()
-        alive[v] = False
-        for w in g.adj[v]:
-            if alive[w]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    stack.append(w)
-    core = [v for v in range(g.n) if alive[v]]
-    if not core:
-        raise GraphError("graph has no cycle")
-    start = min(core)
-    order = [start]
-    prev = None
-    cur = start
-    while True:
-        nxt = [w for w in g.adj[cur] if alive[w] and w != prev]
-        # pick deterministically; a cycle vertex has exactly two core neighbors
-        step = min(nxt)
-        if step == start:
-            break
-        order.append(step)
-        prev, cur = cur, step
-    return order
+    kids: list[list[bytes]] = [[] for _ in range(g.n)]
+    left = g.n
+    layer = [v for v in range(g.n) if deg[v] == 1]
+    while layer and left > 2:
+        for v in layer:
+            alive[v] = False
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            code = _code(kids[v])
+            for w in g.adj[v]:
+                if alive[w]:
+                    kids[w].append(code)
+                    deg[w] -= 1
+                    if deg[w] == 1:
+                        nxt.append(w)
+        layer = nxt
+    return [v for v in range(g.n) if alive[v]], kids
+
+
+def _cycle(g: Graph, core: list[int]) -> list[int] | None:
+    """`core` in cyclic order from its least vertex when it induces exactly
+    one cycle, else None."""
+    inside = set(core)
+    nbrs = {v: [w for w in g.adj[v] if w in inside] for v in core}
+    if not core or any(len(ws) != 2 for ws in nbrs.values()):
+        return None
+    order = [core[0]]
+    prev, cur = core[0], min(nbrs[core[0]])
+    while cur != core[0]:
+        order.append(cur)
+        a, b = nbrs[cur]
+        prev, cur = cur, b if a == prev else a
+    return order if len(order) == len(core) else None
+
+
+def two_core_cycle(g: Graph) -> list[int]:
+    """The unique cycle of a connected unicyclic graph, in cyclic order from
+    its least vertex toward the lesser of that vertex's cycle neighbours."""
+    cycle = _cycle(g, _peel(g)[0]) if g.edge_count == g.n else None
+    if cycle is None:
+        raise GraphError("graph is not connected and unicyclic")
+    return cycle
 
 
 # ---------------------------------------------------------------------------
@@ -240,58 +268,6 @@ def two_core_cycle(g: Graph) -> list[int]:
 
 class UnsupportedFamily(GraphError):
     """Graph outside the families supported by canonical_code."""
-
-
-def _rooted_tree_code(g: Graph, root: int, blocked: frozenset[int]) -> bytes:
-    """AHU-style canonical code of the tree hanging from root, not crossing
-    `blocked` vertices."""
-    def code(v: int, parent: int) -> bytes:
-        subs = sorted(
-            code(w, v) for w in g.adj[v] if w != parent and w not in blocked
-        )
-        return b"(" + b"".join(subs) + b")"
-
-    return code(root, -1)
-
-
-def _tree_centers(g: Graph) -> list[int]:
-    n = g.n
-    if n == 1:
-        return [0]
-    deg = [g.degree(v) for v in range(n)]
-    layer = [v for v in range(n) if deg[v] == 1]
-    removed = len(layer)
-    while removed < n:
-        nxt = []
-        for v in layer:
-            for w in g.adj[v]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    nxt.append(w)
-        if not nxt:
-            break
-        removed += len(nxt)
-        layer = nxt
-    return sorted(layer)
-
-
-def _tree_code(g: Graph) -> bytes:
-    centers = _tree_centers(g)
-    return b"T:" + min(_rooted_tree_code(g, c, frozenset()) for c in centers)
-
-
-def _unicyclic_code(g: Graph) -> bytes:
-    cycle = two_core_cycle(g)
-    cyc_set = frozenset(cycle)
-    hang = [_rooted_tree_code(g, v, cyc_set - {v}) for v in cycle]
-    c = len(hang)
-    best = None
-    for seq in (hang, hang[::-1]):
-        for s in range(c):
-            cand = b"|".join(seq[s:] + seq[:s])
-            if best is None or cand < best:
-                best = cand
-    return b"U:" + best
 
 
 def _wl_cells(g: Graph) -> list[list[int]]:
@@ -345,14 +321,28 @@ def canonical_code(g: Graph) -> bytes:
     """Relabeling-invariant code; equal codes <=> isomorphic graphs.
 
     Supported: connected trees, connected unicyclic graphs, and arbitrary
-    connected graphs with n <= 10.
+    connected graphs with n <= 10. Tree and unicyclic codes come from one
+    leaf-peeling pass, which also decides connectivity: with n - 1 edges a
+    disconnected graph has a cycle, so more than two vertices survive; with
+    n edges the graph is connected exactly when one cycle survives.
     """
+    m = g.edge_count
+    if m == g.n - 1 or m == g.n:
+        core, kids = _peel(g)
+        if m == g.n - 1 and len(core) <= 2:
+            # root at each centre, with the other centre, if any, as a child
+            return b"T:" + min(
+                _code(kids[c] + [_code(kids[o]) for o in core if o != c]) for c in core
+            )
+        cycle = _cycle(g, core) if m == g.n else None
+        if cycle is None:
+            raise UnsupportedFamily("canonical_code requires a connected graph")
+        hang = [_code(kids[v]) for v in cycle]
+        return b"U:" + min(
+            b"|".join(seq[s:] + seq[:s]) for seq in (hang, hang[::-1]) for s in range(len(hang))
+        )
     if not is_connected(g):
         raise UnsupportedFamily("canonical_code requires a connected graph")
-    if g.edge_count == g.n - 1:
-        return _tree_code(g)
-    if g.edge_count == g.n:
-        return _unicyclic_code(g)
     return _small_graph_code(g)
 
 

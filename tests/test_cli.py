@@ -134,14 +134,18 @@ def test_failing_verification_exits_1(capsys):
     assert code == 1
 
 
+def _checkout_env():
+    """The environment that imports rhomin from this checkout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+
 def run_subprocess(*argv):
     """`python -m rhomin.cli argv...` on this checkout, killed after 10 s."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
         [sys.executable, "-m", "rhomin.cli", *argv],
-        capture_output=True, text=True, timeout=10, env=env,
+        capture_output=True, text=True, timeout=10, env=_checkout_env(),
     )
 
 
@@ -165,3 +169,15 @@ def test_graph_beyond_graph6_exits_2_promptly(argv):
     assert proc.returncode == 2
     assert proc.stderr == "error: only n <= 62 supported\n"
     assert proc.stdout == ""
+
+
+def test_closed_stdout_exits_2_quietly():
+    # a reader that stops early, as `rhomin ... | head -1` does
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rhomin.cli", "compare", "open:ks=0,0;ms=4", "open:ks=0,0;ms=5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_checkout_env(),
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=10)
+    assert proc.returncode == 2
+    assert "Traceback" not in err and "Exception ignored" not in err

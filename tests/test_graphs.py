@@ -1,6 +1,14 @@
 """Graph container, metrics, canonical codes, and graph6 round-trips."""
 
+import os
+import subprocess
+import sys
+from itertools import combinations
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhomin.graphs import (
     Graph6Error,
@@ -23,6 +31,7 @@ from rhomin.graphs import (
     is_tree,
     is_unicyclic,
     path_graph,
+    relabel,
     star_graph,
     subdivide_edge,
     two_core_cycle,
@@ -130,3 +139,79 @@ def _nx_graph(nx, n, edges):
     g.add_nodes_from(range(n))
     g.add_edges_from(edges)
     return g
+
+
+def test_canonical_code_of_a_long_path_needs_no_deep_recursion():
+    p = path_graph(1100)
+    assert canonical_code(p) == canonical_code(relabel(p, list(range(1099, -1, -1))))
+
+
+def test_canonical_code_of_a_long_cycle_with_a_long_tail():
+    g, _ = add_pendant_path(cycle_graph(600), 0, 600)
+    assert canonical_code(g).startswith(b"U:")
+
+
+FIGURE_EIGHT = [(0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (3, 4), (4, 5)]
+
+
+def test_two_core_cycle_refuses_a_figure_eight_promptly():
+    # run apart, so that a walk that never closes fails the test, not the run
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    script = (
+        "from rhomin.graphs import GraphError, build_graph, two_core_cycle\n"
+        "try:\n"
+        f"    two_core_cycle(build_graph(6, {FIGURE_EIGHT}))\n"
+        "except GraphError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], timeout=10, env=env)
+    assert proc.returncode == 0
+
+
+@pytest.mark.parametrize("g", [
+    build_graph(4, list(combinations(range(4), 2))),
+    disjoint_union(cycle_graph(3), cycle_graph(3)),
+], ids=["K4", "two-triangles"])
+def test_two_core_cycle_refuses_more_than_one_cycle(g):
+    with pytest.raises(GraphError):
+        two_core_cycle(g)
+
+
+@st.composite
+def sparse_graphs(draw):
+    """A random tree or unicyclic graph on at most 12 vertices, randomly
+    labelled."""
+    n = draw(st.integers(1, 12))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    others = [e for e in combinations(range(n), 2) if e not in edges]
+    if others and draw(st.booleans()):
+        edges.append(draw(st.sampled_from(others)))
+    return relabel(build_graph(n, edges), draw(st.permutations(range(n))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_graphs(), st.data())
+def test_canonical_code_ignores_labels(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    assert canonical_code(relabel(g, perm)) == canonical_code(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_graphs(), sparse_graphs())
+def test_equal_codes_exactly_when_isomorphic(g, h):
+    nx = pytest.importorskip("networkx")
+    same = nx.is_isomorphic(_nx_graph(nx, g.n, g.edges()), _nx_graph(nx, h.n, h.edges()))
+    assert (canonical_code(g) == canonical_code(h)) == same
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_graph6_round_trip_random(data):
+    n = data.draw(st.integers(0, 20))
+    pairs = list(combinations(range(n), 2))
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = build_graph(n, [e for e, k in zip(pairs, keep) if k])
+    assert graph6_decode(graph6_encode(g)) == g
