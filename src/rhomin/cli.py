@@ -46,15 +46,19 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
+def _check_order(n: int) -> None:
+    """Every command prints its graphs in graph6, so an order beyond it is
+    refused before any work is done."""
+    if n > GRAPH6_MAX_N:
+        raise Graph6Error(f"only n <= {GRAPH6_MAX_N} supported")
+
+
 def _load_graph(token: str):
-    """A graph argument is either a spec literal or a graph6 string. Every
-    command echoes its graph in graph6, so a spec of larger order is refused
-    before any work is done on it."""
+    """A graph argument is either a spec literal or a graph6 string."""
     body = token.removeprefix("spec:")
     if body.startswith(("open:", "closed:", "dagger:")):
         spec = parse_spec_literal(body)
-        if spec.order > GRAPH6_MAX_N:
-            raise Graph6Error(f"only n <= {GRAPH6_MAX_N} supported")
+        _check_order(spec.order)
         return realize(spec)
     try:
         return graph6_decode(token)
@@ -111,6 +115,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    _check_order(args.n)
     kinds = frozenset(args.kinds.split(","))
     specs = list(enumerate_quipus(args.n, args.d, kinds))
     payload = {
@@ -133,6 +138,7 @@ def cmd_minimize(args) -> int:
     elif args.space == "sparse":
         report = brute_force_sparse(args.n, args.d)
     else:
+        _check_order(args.n)
         report = minimize_over_quipus(args.n, args.d)
     payload = report.to_json()
     lines = [
@@ -152,6 +158,7 @@ def cmd_minimize(args) -> int:
 def cmd_verify_theorem(args) -> int:
     if args.k < 2:
         raise ValueError("need k >= 2")
+    _check_order(3 * args.k + 1)
     ks = range(2, args.k + 1) if args.all_up_to else [args.k]
     rows = []
     ok = True

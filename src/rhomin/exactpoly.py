@@ -343,7 +343,10 @@ def rho_certified(p: IntPoly, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
     of the square-free part lie in (lo, hi], with V the sign-variation count
     of its Sturm chain. Each step evaluates the chain once, at the midpoint;
     a midpoint that is itself a root needs no special case, as the count
-    over (lo, hi] holds there too.
+    over (lo, hi] holds there too. lo starts at minus the Cauchy bound, below
+    every root, where V is V(-inf). One probe at -upper tells whether any
+    root lies at or below it; if none does, every midpoint <= -upper moves
+    lo without an evaluation.
     """
     _check_tol(tol)
     if p.is_zero:
@@ -357,13 +360,15 @@ def rho_certified(p: IntPoly, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
     if _var_at(chain, upper) != vinf:
         upper = cauchy_root_bound(sf)
     lo, hi = -cauchy_root_bound(sf), upper
-    v_lo = _var_at(chain, lo)
+    # V(-inf): each entry's sign there is its leading sign times (-1)^degree
+    v_lo = _variations([(-1) ** q.degree * ((q.lead > 0) - (q.lead < 0)) for q in chain])
     if v_lo <= vinf:
         raise ValueError("polynomial has no real roots in range")
+    floor = -upper if _var_at(chain, -upper) == v_lo else lo
     # bisect until (lo, hi] isolates exactly the largest root
     while v_lo - vinf > 1:
         mid = (lo + hi) / 2
-        v_mid = _var_at(chain, mid)
+        v_mid = v_lo if mid <= floor else _var_at(chain, mid)
         if v_mid > vinf:
             lo, v_lo = mid, v_mid
         else:

@@ -6,23 +6,19 @@ pendant path lengths at the branch vertices. A closed quipu is the unicyclic
 analogue (branch vertices on the cycle). A dagger is a star of order 4 with a
 pendant path attached at its center.
 
-The module realizes parameter tuples as graphs, classifies graphs back to
-canonical parameters, and enumerates all family members with a given order
-and diameter.
+All three are one shape: a backbone (a path, a cycle or a single centre)
+with pendant paths, the arms, hanging at branch positions. realize() builds
+the backbone and hangs the arms; classify() strips the arms from the leaves
+inward and reads the parameters off what is left. The module also
+enumerates all family members with a given order and diameter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .graphs import (
-    Graph,
-    build_graph,
-    diameter,
-    distances,
-    is_connected,
-    two_core_cycle,
-)
+from .graphs import Graph, build_graph, diameter, is_connected
 
 
 @dataclass(frozen=True)
@@ -101,68 +97,26 @@ QuipuSpec = OpenQuipu | ClosedQuipu | Dagger
 def realize(spec: QuipuSpec) -> Graph:
     """Build the graph of a parameter tuple.
 
-    Backbone (or cycle) vertices are numbered first, left to right, then the
-    pendant paths in branch order.
+    The backbone is numbered first: the path of an open quipu left to right,
+    the cycle of a closed one, or a dagger's centre. A pendant path then
+    hangs at each branch position, numbered in branch order. The positions
+    are ks[0] and then one past each inner gap on the path, 0 and then one
+    past each gap on the cycle, and the centre four times, with lengths 1,
+    1, 1 and the tail, for a dagger.
     """
-    if isinstance(spec, OpenQuipu):
-        return _realize_open(spec)
-    if isinstance(spec, ClosedQuipu):
-        return _realize_closed(spec)
     if isinstance(spec, Dagger):
-        return _realize_dagger(spec)
-    raise TypeError(f"not a family spec: {spec!r}")
-
-
-def _realize_open(q: OpenQuipu) -> Graph:
-    edges = []
-    branch = []
-    v = -1
-    for i, k in enumerate(q.ks):
-        for _ in range(k):
-            v += 1
-            if v:
-                edges.append((v - 1, v))
-        if i < len(q.ms):
-            v += 1
-            if v:
-                edges.append((v - 1, v))
-            branch.append(v)
-    n = v + 1
-    for b, m in zip(branch, q.ms):
-        prev = b
-        for _ in range(m):
-            edges.append((prev, n))
-            prev = n
-            n += 1
-    return build_graph(n, edges)
-
-
-def _realize_closed(q: ClosedQuipu) -> Graph:
-    c = q.cycle_length
-    edges = [(i, (i + 1) % c) for i in range(c)]
-    branch = []
-    pos = 0
-    for k in q.ks:
-        branch.append(pos)
-        pos += k + 1
-    n = c
-    for b, m in zip(branch, q.ms):
-        prev = b
-        for _ in range(m):
-            edges.append((prev, n))
-            prev = n
-            n += 1
-    return build_graph(n, edges)
-
-
-def _realize_dagger(d: Dagger) -> Graph:
-    edges = [(0, 1), (0, 2), (0, 3)]
-    prev = 0
-    n = 4
-    for _ in range(d.tail):
-        edges.append((prev, n))
-        prev = n
-        n += 1
+        n, edges, hubs, arms = 1, [], (0, 0, 0, 0), (1, 1, 1, spec.tail)
+    elif isinstance(spec, (OpenQuipu, ClosedQuipu)):
+        closed = isinstance(spec, ClosedQuipu)
+        n = spec.cycle_length if closed else sum(spec.ks) + spec.r + 1
+        edges = [(v, (v + 1) % n) for v in range(n if closed else n - 1)]
+        first, gaps = (0, spec.ks[:-1]) if closed else (spec.ks[0], spec.ks[1:-1])
+        hubs, arms = accumulate((k + 1 for k in gaps), initial=first), spec.ms
+    else:
+        raise TypeError(f"not a family spec: {spec!r}")
+    for hub, m in zip(hubs, arms):
+        edges += zip([hub, *range(n, n + m - 1)], range(n, n + m))
+        n += m
     return build_graph(n, edges)
 
 
@@ -172,23 +126,6 @@ def spec_diameter(spec: QuipuSpec) -> int:
 
 # ---------------------------------------------------------------------------
 # classification back to canonical parameters
-
-def _walk_arm(g: Graph, start: int, first: int):
-    """Follow the path leaving `start` through `first`; return its vertex
-    count, or None if it runs into a vertex of degree >= 3."""
-    length = 0
-    prev, cur = start, first
-    while True:
-        length += 1
-        deg = g.degree(cur)
-        if deg == 1:
-            return length
-        if deg > 2:
-            return None
-        nxt = next(w for w in g.adj[cur] if w != prev)
-        prev, cur = cur, nxt
-    # unreachable
-
 
 def _open_variants(ks, ms):
     """(ks + ms, ks, ms) of every end-arm swap and reversal (r >= 1)."""
@@ -239,133 +176,65 @@ def canonicalize(spec: QuipuSpec) -> QuipuSpec:
 def classify(g: Graph):
     """Parse a connected graph into a canonical family spec, or None.
 
-    The parse is maximal: every reported branch vertex has degree 3, so all
-    pendant lengths at branch vertices are >= 1 (degenerate zero parameters
-    are accepted by realize() but never produced here). Paths classify as
-    open quipus with ks=(0,0); cycles as closed quipus with a zero pendant.
-    Daggers are recognized by their degree-4 center (tail >= 1).
+    Every family member is a backbone with arms. An arm is what a walk from
+    a leaf covers while the degree stays <= 2; its vertex count is credited
+    to the first vertex of degree >= 3 it reaches, its hub. The vertices on
+    no arm form the core: a dagger's centre, a spider's one hub, the path of
+    an open quipu from its first hub to its last, or the cycle of a closed
+    quipu. Graphs of maximum degree <= 2 are the path, which classifies as
+    an open quipu with ks=(0,0), and the cycle, a closed quipu with a zero
+    pendant. Otherwise every hub carries arms of length >= 1, so zero
+    parameters (accepted by realize()) are never produced here, and a
+    dagger's tail is >= 1.
     """
     if g.n == 0 or not is_connected(g):
         return None
-    degs = [g.degree(v) for v in range(g.n)]
-    maxdeg = max(degs)
-    m = g.edge_count
-    if maxdeg > 4:
+    deg = [len(a) for a in g.adj]
+    cyclic = g.edge_count - g.n + 1
+    if cyclic not in (0, 1) or max(deg) > 4:
         return None
-    if maxdeg == 4:
-        return _classify_dagger(g, degs)
-    if m == g.n - 1:
-        return _classify_tree(g, degs)
-    if m == g.n:
-        return _classify_unicyclic(g, degs)
-    return None
-
-
-def _classify_dagger(g: Graph, degs):
-    if g.edge_count != g.n - 1:
+    if max(deg) <= 2:
+        return ClosedQuipu((g.n - 1,), (0,)) if cyclic else OpenQuipu((0, 0), (g.n - 1,))
+    arms = [[] for _ in range(g.n)]
+    in_core = [True] * g.n
+    for leaf in (v for v in range(g.n) if deg[v] == 1):
+        prev, cur, length = -1, leaf, 0
+        while deg[cur] <= 2:
+            in_core[cur] = False
+            length += 1
+            a = g.adj[cur]
+            prev, cur = cur, a[0] if a[0] != prev else a[1]
+        arms[cur].append(length)
+    core = [v for v in range(g.n) if in_core[v]]
+    if max(deg) == 4:
+        if len(core) == 1 and sorted(arms[core[0]])[:3] == [1, 1, 1]:
+            return Dagger(max(arms[core[0]]))
         return None
-    centers = [v for v in range(g.n) if degs[v] == 4]
-    if len(centers) != 1 or any(d > 2 for d in degs if d != 4):
+    if len(core) == 1:
+        a = arms[core[0]]
+        return _open_canonical((a[0], a[1]), (a[2],))
+    core_adj = [[w for w in g.adj[v] if in_core[w]] for v in range(g.n)]
+    if any(len(core_adj[v]) > 2 or cyclic and len(core_adj[v]) < 2 for v in core):
         return None
-    c = centers[0]
-    arms = [_walk_arm(g, c, w) for w in g.adj[c]]
-    if any(a is None for a in arms):
-        return None
-    arms.sort()
-    if arms[:3] != [1, 1, 1]:
-        return None
-    return Dagger(arms[3])
-
-
-def _classify_tree(g: Graph, degs):
-    branch = [v for v in range(g.n) if degs[v] == 3]
-    if not branch:
-        return OpenQuipu((0, 0), (g.n - 1,))
-    if len(branch) == 1:
-        b = branch[0]
-        arms = [_walk_arm(g, b, w) for w in g.adj[b]]
-        if any(a is None for a in arms):
-            return None
-        a0, a1, a2 = sorted(arms)
-        return OpenQuipu((a0, a1), (a2,))
-    # order the branch vertices along their common path
-    dist0 = distances(g, branch[0])
-    u = max(branch, key=lambda v: (dist0[v], v))
-    distu = distances(g, u)
-    w = max(branch, key=lambda v: (distu[v], v))
-    path = _tree_path(g, u, w)
-    if any(b not in set(path) for b in branch):
-        return None
-    order = [v for v in path if degs[v] == 3]
-    gaps = []
-    idx = {v: i for i, v in enumerate(path)}
-    for a, b in zip(order, order[1:]):
-        seg = path[idx[a] + 1 : idx[b]]
-        if any(degs[v] != 2 for v in seg):
-            return None
-        gaps.append(len(seg))
-    pend = []
-    for i, b in enumerate(order[1:-1], start=1):
-        off = [x for x in g.adj[b] if x not in (path[idx[b] - 1], path[idx[b] + 1])]
-        arm = _walk_arm(g, b, off[0])
-        if arm is None:
-            return None
-        pend.append(arm)
-    end_arms = []
-    for b, inward in ((order[0], path[idx[order[0]] + 1]),
-                      (order[-1], path[idx[order[-1]] - 1])):
-        offs = [x for x in g.adj[b] if x != inward]
-        arms = [_walk_arm(g, b, x) for x in offs]
-        if any(a is None for a in arms):
-            return None
-        end_arms.append(sorted(arms))
-    ks = (end_arms[0][0],) + tuple(gaps) + (end_arms[1][0],)
-    ms = (end_arms[0][1],) + tuple(pend) + (end_arms[1][1],)
-    return _open_canonical(ks, ms)
-
-
-def _tree_path(g: Graph, u: int, w: int) -> list[int]:
-    parent = {u: None}
-    stack = [u]
-    while stack:
-        v = stack.pop()
-        if v == w:
+    # walk the core from a path end, or once around the cycle from a hub;
+    # each hub records its arms and the core vertices up to the next hub
+    start = next(v for v in core if arms[v] and len(core_adj[v]) <= 1 + cyclic)
+    prev, v, seq, gaps = -1, start, [], []
+    while True:
+        if arms[v]:
+            seq.append(arms[v])
+            gaps.append(0)
+        else:
+            gaps[-1] += 1
+        nxt = [w for w in core_adj[v] if w != prev]
+        if not nxt or nxt[0] == start:
             break
-        for x in g.adj[v]:
-            if x not in parent:
-                parent[x] = v
-                stack.append(x)
-    path = [w]
-    while path[-1] != u:
-        path.append(parent[path[-1]])
-    return path[::-1]
-
-
-def _classify_unicyclic(g: Graph, degs):
-    cycle = two_core_cycle(g)
-    cyc_set = set(cycle)
-    if any(degs[v] == 3 and v not in cyc_set for v in range(g.n)):
-        return None
-    branch_pend = {}
-    for v in cycle:
-        if degs[v] == 3:
-            off = next(x for x in g.adj[v] if x not in cyc_set)
-            arm = _walk_arm(g, v, off)
-            if arm is None:
-                return None
-            branch_pend[v] = arm
-    if not branch_pend:
-        return ClosedQuipu((g.n - 1,), (0,))
-    order = [v for v in cycle if v in branch_pend]
-    idx = {v: i for i, v in enumerate(cycle)}
-    c = len(cycle)
-    ks = []
-    ms = []
-    for a, b in zip(order, order[1:] + order[:1]):
-        gap = (idx[b] - idx[a]) % c
-        ks.append(gap - 1 if len(order) > 1 else c - 1)
-        ms.append(branch_pend[a])
-    return _closed_canonical(tuple(ks), tuple(ms))
+        prev, v = v, nxt[0]
+    if cyclic:
+        return _closed_canonical(tuple(gaps), tuple(a[0] for a in seq))
+    ks = (seq[0][0], *gaps[:-1], seq[-1][0])
+    ms = (seq[0][1], *(a[0] for a in seq[1:-1]), seq[-1][1])
+    return _open_canonical(ks, ms)
 
 
 # ---------------------------------------------------------------------------
@@ -434,8 +303,11 @@ def _enumerate_open(n: int, d: int):
                 c = n - 1 - a - b
                 if c >= b and b + c == d:
                     yield OpenQuipu((a, b), (c,))
-    # r+1 >= 2 branch vertices
-    for r in range(1, (n - 4) // 2 + 1):
+    # r+1 >= 2 branch vertices carry r+3 disjoint arms of >= 1 vertex each
+    # (two at either end, one at each inner branch vertex); a longest path
+    # meets at most two of them, so it misses >= r+1 vertices and
+    # d <= n - r - 2
+    for r in range(1, min((n - 4) // 2, n - d - 2) + 1):
         yield from _enumerate_open_r(n, d, r)
 
 
@@ -459,12 +331,7 @@ def _enumerate_open_r(n: int, d: int, r: int):
             # a canonical tuple has the least first entry among its variants
             if ks[0] > ks[-1]:
                 continue
-            pos = []
-            p = ks[0]
-            for k in ks[1:-1]:
-                pos.append(p)
-                p += k + 1
-            pos.append(p)
+            pos = list(accumulate((k + 1 for k in ks[1:-1]), initial=ks[0]))
             for ms in _open_pendants(ks, pos, s + r, budget - s, d):
                 if ks + ms == min(v[0] for v in _open_variants(ks, ms)):
                     yield OpenQuipu(ks, ms)
@@ -510,17 +377,16 @@ def _enumerate_closed(n: int, d: int):
         mcap = d - c // 2
         if mcap < 1:
             continue
-        for r in range(1, min(c, n - c) + 1):
+        # with r >= 2 pendants a longest path takes at most half the cycle
+        # and two whole pendants; each other pendant leaves >= 1 vertex off
+        # it, so d <= c//2 + (n - c) - (r - 2)
+        for r in range(1, min(c, n - c, max(1, c // 2 + n - c + 2 - d)) + 1):
             for ks in _compositions(c - r, r, (0,) * r):
                 # the reflection through the first branch vertex starts
                 # with (ms[0], ks[-1])
                 if ks[0] > ks[-1]:
                     continue
-                pos = []
-                p = 0
-                for k in ks:
-                    pos.append(p)
-                    p += k + 1
+                pos = list(accumulate((k + 1 for k in ks[:-1]), initial=0))
                 for ms in _cycle_pendants(pos, c, n - c, d, mcap):
                     if tuple(zip(ms, ks)) == min(_closed_pair_candidates(ks, ms)):
                         yield ClosedQuipu(ks, ms)
@@ -576,13 +442,9 @@ def _cycle_pendants(pos, c, total, d, mcap):
 # spec literals
 
 def spec_literal(spec: QuipuSpec) -> str:
-    if isinstance(spec, OpenQuipu):
-        return "open:ks=%s;ms=%s" % (
-            ",".join(map(str, spec.ks)),
-            ",".join(map(str, spec.ms)),
-        )
-    if isinstance(spec, ClosedQuipu):
-        return "closed:ks=%s;ms=%s" % (
+    if isinstance(spec, (OpenQuipu, ClosedQuipu)):
+        return "%s:ks=%s;ms=%s" % (
+            "open" if isinstance(spec, OpenQuipu) else "closed",
             ",".join(map(str, spec.ks)),
             ",".join(map(str, spec.ms)),
         )
@@ -593,25 +455,24 @@ def spec_literal(spec: QuipuSpec) -> str:
 
 def parse_spec_literal(text: str) -> QuipuSpec:
     """Parse `open:ks=...;ms=...`, `closed:ks=...;ms=...` or `dagger:t=...`
-    (an optional `spec:` prefix is accepted)."""
+    (an optional `spec:` prefix is accepted). Each key must appear exactly
+    once, and no other key may appear."""
     body = text.removeprefix("spec:")
     kind, _, rest = body.partition(":")
+    keys = {"open": ["ks", "ms"], "closed": ["ks", "ms"], "dagger": ["t"]}.get(kind)
+    if keys is None:
+        raise ValueError(f"unknown spec kind: {kind!r}")
     try:
+        pairs = [item.split("=") for item in rest.split(";")]
+        fields = dict(pairs)
+        if sorted(fields) != keys or len(pairs) != len(keys):
+            raise ValueError
         if kind == "dagger":
-            key, _, val = rest.partition("=")
-            if key != "t":
-                raise ValueError
-            return Dagger(int(val))
-        fields = dict(item.split("=") for item in rest.split(";"))
-        ks = tuple(int(x) for x in fields["ks"].split(","))
-        ms = tuple(int(x) for x in fields["ms"].split(","))
-        if kind == "open":
-            return OpenQuipu(ks, ms)
-        if kind == "closed":
-            return ClosedQuipu(ks, ms)
-    except (KeyError, ValueError) as exc:
+            return Dagger(int(fields["t"]))
+        ks, ms = (tuple(int(x) for x in fields[key].split(",")) for key in keys)
+        return (OpenQuipu if kind == "open" else ClosedQuipu)(ks, ms)
+    except ValueError as exc:
         raise ValueError(f"malformed spec literal: {text!r}") from exc
-    raise ValueError(f"unknown spec kind: {kind!r}")
 
 
 def spec_to_json(spec: QuipuSpec) -> dict:

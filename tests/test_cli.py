@@ -161,13 +161,30 @@ def test_bad_tolerance_exits_2_promptly(tol):
     ["rho", "open:ks=0,0;ms=250"],
     ["charpoly", "open:ks=0,0;ms=1100"],
     ["compare", "open:ks=1,1;ms=1", "closed:ks=1,1,1;ms=80,80,80"],
+    ["enumerate", "--n", "70", "--d", "40"],
+    ["minimize", "--n", "70", "--d", "46"],
+    ["verify-theorem", "--k", "21"],  # n = 3k + 1 = 64
+    ["verify-theorem", "--k", "21", "--all-up-to"],
 ])
 def test_graph_beyond_graph6_exits_2_promptly(argv):
     # every command echoes its graphs in graph6, which stops at n = 62, so
-    # the order is refused before any root or polynomial is computed
+    # the order is refused before any search, root or polynomial is computed
     proc = run_subprocess(*argv)
     assert proc.returncode == 2
     assert proc.stderr == "error: only n <= 62 supported\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("literal", [
+    "open:ks=1,1;ms=1;foo=bar",
+    "open:ks=1,1;ms=1;ms=5",
+    "closed:ks=3;ks=3;ms=1",
+    "dagger:t=2;t=3",
+])
+def test_unknown_or_repeated_spec_key_exits_2(literal):
+    proc = run_subprocess("classify", literal)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: malformed spec literal: {literal!r}\n"
     assert proc.stdout == ""
 
 

@@ -186,6 +186,30 @@ def test_isolation_evaluates_the_sturm_chain_once_per_halving(monkeypatch):
     assert len(calls) <= halvings + 2
 
 
+def test_isolation_skips_the_halvings_below_the_degree_bound(monkeypatch):
+    import rhomin.exactpoly as ep
+
+    g = realize(spider(10))
+    p = charpoly(g)
+    calls = []
+    var_at = ep._var_at
+
+    def counting(chain, x):
+        calls.append(x)
+        return var_at(chain, x)
+
+    monkeypatch.setattr(ep, "_var_at", counting)
+    rho_certified(p)
+    # Every root of a graph's charpoly lies in [-deg, deg]. The halvings
+    # that only raise lo from minus the Cauchy bound to -deg need no
+    # evaluation, so V is read once at deg, once at -deg and once for each
+    # halving of (-deg, deg] down to the gap between the two largest roots.
+    eig = np.unique(np.round(np.linalg.eigvalsh(adjacency_matrix(g)), 9))
+    halvings = math.ceil(math.log2(2 * p.degree / (eig[-1] - eig[-2])))
+    assert halvings + 2 == 11
+    assert len(calls) <= halvings + 2
+
+
 def test_charpoly_known_values():
     assert charpoly(path_graph(4)).coeffs == (1, 0, -3, 0, 1)
     assert charpoly(star_graph(4)).coeffs == (0, 0, -3, 0, 1)

@@ -1,6 +1,13 @@
 """Family realization, classification round-trips, enumeration."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhomin.families import (
     ClosedQuipu,
@@ -22,6 +29,7 @@ from rhomin.graphs import (
     cycle_graph,
     diameter,
     path_graph,
+    relabel,
     star_graph,
 )
 
@@ -119,6 +127,13 @@ def test_spec_literals():
         parse_spec_literal("weird:x=1")
 
 
+@pytest.mark.parametrize("text", ["open:ks=1,1;ms=1;foo=bar", "open:ks=1,1;ms=1;ms=5",
+                                  "dagger:t=1;t=2", "closed:ks=3;ms=1;ks=3"])
+def test_spec_literal_rejects_unknown_and_repeated_keys(text):
+    with pytest.raises(ValueError, match="malformed"):
+        parse_spec_literal(text)
+
+
 def test_enumerate_small_complete():
     specs = list(enumerate_quipus(7, 4))
     literals = sorted(spec_literal(s) for s in specs)
@@ -197,3 +212,59 @@ def test_enumerate_theorem_family_counts(k, counts):
     if k <= 5:
         for s in specs:
             assert s.order == n and spec_diameter(s) == d, spec_literal(s)
+
+
+# ---------------------------------------------------------------------------
+# properties of classify over random specs, zero parameters included
+
+_PARAM = st.integers(0, 5)
+
+
+@st.composite
+def _specs(draw):
+    kind = draw(st.sampled_from(["open", "closed", "dagger"]))
+    if kind == "dagger":
+        return Dagger(draw(st.integers(0, 8)))
+    r = draw(st.integers(1 if kind == "closed" else 0, 4))
+    if kind == "open":
+        return OpenQuipu(tuple(draw(_PARAM) for _ in range(r + 2)),
+                         tuple(draw(_PARAM) for _ in range(r + 1)))
+    ks = tuple(draw(_PARAM) for _ in range(r))
+    if sum(ks) + r < 3:
+        ks = (3 - r + ks[0],) + ks[1:]
+    return ClosedQuipu(ks, tuple(draw(_PARAM) for _ in range(r)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_specs(), st.randoms(use_true_random=False))
+def test_classify_is_a_canonical_inverse_of_realize(spec, rnd):
+    g = realize(spec)
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    out = classify(g)
+    assert out is not None
+    assert classify(relabel(g, perm)) == out
+    assert canonical_code(realize(out)) == canonical_code(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 17).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))))
+def test_classify_returns_every_enumerated_spec(nd):
+    for s in enumerate_quipus(*nd):
+        assert classify(realize(s)) == s, spec_literal(s)
+
+
+def test_enumerate_at_large_diameter_ends_promptly():
+    # a quipu with many branch vertices has many disjoint arms, and a
+    # longest path meets at most two, so at d close to n the enumeration is
+    # short; run in a subprocess, so a search that never ends fails here
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("from rhomin.families import enumerate_quipus, spec_literal\n"
+            "for n, d in ((40, 39), (62, 61)):\n"
+            "    print(*(spec_literal(s) for s in enumerate_quipus(n, d)))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")]))},
+    )
+    assert proc.stdout == "open:ks=0,0;ms=39\nopen:ks=0,0;ms=61\n"

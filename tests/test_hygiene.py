@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name in the package and the tests is read."""
+"""Source hygiene: every imported name in the package and the tests is read,
+and so is every module-level private name of the package."""
 
 import ast
 from pathlib import Path
@@ -6,10 +7,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "rhomin").glob("*.py"))
 # __init__.py imports in order to re-export, so its names are never read there
-SOURCES = sorted(
-    p for p in (ROOT / "src" / "rhomin").glob("*.py") if p.name != "__init__.py"
-) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +38,41 @@ def test_unused_imports_are_detected():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_definitions(source: str) -> list[str]:
+    """Private names (one leading underscore) that `source` binds at module
+    level by def, class or assignment."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def read_names(source: str) -> set[str]:
+    """Names loaded in `source`, bare or as an attribute."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.add(node.attr)
+    return out
+
+
+def test_private_definitions_are_detected():
+    src = "_A = 1\n_b: int = 2\n__all__ = []\ndef _f(): return _A\nclass _C: pass\nx = m._g\n"
+    assert private_definitions(src) == ["_A", "_b", "_f", "_C"]
+    assert {"_A", "_g"} <= read_names(src) and "_f" not in read_names(src)
+
+
+def test_no_unread_private_names():
+    sources = {p.name: p.read_text() for p in PACKAGE}
+    read = set().union(*map(read_names, sources.values()))
+    unread = [f"{name}: {n}" for name, src in sources.items()
+              for n in private_definitions(src) if n not in read]
+    assert unread == []
