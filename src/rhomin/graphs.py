@@ -207,7 +207,20 @@ def is_unicyclic(g: Graph) -> bool:
 
 
 def _code(child_codes: list[bytes]) -> bytes:
+    """AHU code from child codes; none is a prefix of another, so lists compare as joins."""
     return b"(" + b"".join(sorted(child_codes)) + b")"
+
+
+def tree_code(centres: list[list[bytes]]) -> bytes:
+    """Canonical code of a tree from the child codes of its one or two centres,
+    other centre excluded: the least rooting at a centre, the other a child."""
+    return b"T:" + min(_code(kids + [_code(c) for c in centres[:i] + centres[i + 1:]])
+                       for i, kids in enumerate(centres))
+
+
+def unicyclic_code(hang: list[bytes]) -> bytes:
+    """Code of a unicyclic graph from its cycle's tree codes in least rotation or reflection."""
+    return b"U:" + b"|".join(hang)
 
 
 def _peel(g: Graph) -> tuple[list[int], list[list[bytes]]]:
@@ -330,17 +343,13 @@ def canonical_code(g: Graph) -> bytes:
     if m == g.n - 1 or m == g.n:
         core, kids = _peel(g)
         if m == g.n - 1 and len(core) <= 2:
-            # root at each centre, with the other centre, if any, as a child
-            return b"T:" + min(
-                _code(kids[c] + [_code(kids[o]) for o in core if o != c]) for c in core
-            )
+            return tree_code([kids[c] for c in core])
         cycle = _cycle(g, core) if m == g.n else None
         if cycle is None:
             raise UnsupportedFamily("canonical_code requires a connected graph")
         hang = [_code(kids[v]) for v in cycle]
-        return b"U:" + min(
-            b"|".join(seq[s:] + seq[:s]) for seq in (hang, hang[::-1]) for s in range(len(hang))
-        )
+        return unicyclic_code(min(seq[s:] + seq[:s] for seq in (hang, hang[::-1])
+                                  for s in range(len(hang))))
     if not is_connected(g):
         raise UnsupportedFamily("canonical_code requires a connected graph")
     return _small_graph_code(g)

@@ -12,8 +12,10 @@ of open quipus with parameters (i, i+j-1, j) over i+j=k.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
+from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, product
 
 import numpy as np
 
@@ -42,11 +44,12 @@ from .families import (
 )
 from .graphs import (
     Graph,
+    _code,
     build_graph,
     canonical_code,
-    cycle_graph,
-    diameter,
     graph6_encode,
+    tree_code,
+    unicyclic_code,
 )
 
 # brute_force_all_graphs screens with v = (A + I)^POWER_STEPS 1. Its entries
@@ -236,117 +239,105 @@ def brute_force_all_graphs(n: int, d: int) -> MinimizerReport:
 # ---------------------------------------------------------------------------
 # oracle 2: all trees and unicyclic graphs up to n = 14
 
+# A rooted tree: AHU code, order, height, internal diameter, root's subtrees.
+_Rooted = namedtuple("_Rooted", "code size height diam kids")
+
+
+def _root(kids: tuple) -> _Rooted:
+    """The rooted tree with these subtrees at its root."""
+    h = sorted([t.height + 1 for t in kids] + [0, 0])[-2:]
+    return _Rooted(_code([t.code for t in kids]), 1 + sum(t.size for t in kids), h[1],
+                   max([t.diam for t in kids] + [h[0] + h[1]]), kids)
+
+
+def _forests(total: int, pool: list[_Rooted], bound: int):
+    """Every multiset, as a tuple, of trees in pool[:bound] whose orders sum
+    to `total`; pool is sorted by order."""
+    if total == 0:
+        yield ()
+    for i in range(bound):
+        if pool[i].size > total:
+            break
+        for rest in _forests(total - pool[i].size, pool, i + 1):
+            yield (pool[i], *rest)
+
+
+def _place(adj: list, rows: dict, t: _Rooted, parent: int) -> int:
+    """Append t's vertices to adj depth-first below `parent` and return the
+    label of t's root. Rows are interned in `rows`, so graphs share them."""
+    v = len(adj)
+    adj.append(None)
+    row = (parent, *[_place(adj, rows, k, v) for k in t.kids])
+    adj[v] = rows.setdefault(row, row)
+    return v
+
+
+def _hang(rows: dict, heads: list[tuple[int, ...]], trees: list[_Rooted]) -> Graph:
+    """The graph whose vertices 0..len(heads)-1 are adjacent to their heads
+    and carry the given rooted trees, numbered in that order after them."""
+    adj = list(heads)
+    for v, (head, t) in enumerate(zip(heads, trees)):
+        row = head + tuple([_place(adj, rows, k, v) for k in t.kids])
+        adj[v] = rows.setdefault(row, row)
+    return Graph(len(adj), tuple(adj))
+
+
 @functools.cache
+def _sparse_members(n: int) -> list[tuple[bytes, int, Graph]]:
+    """Every free tree and connected unicyclic graph of order n, one per
+    isomorphism class, as (canonical code, diameter, graph) in code order.
+    Each is built once, its code and diameter read off its parts, from
+    rooted trees that are multisets of smaller ones (Wright, Richmond,
+    Odlyzko & McKay, 1986): a tree rooted at its centre, or at the centre
+    giving its code with the other as its tallest subtree; a cycle carrying
+    rooted trees whose ranks by code are the least of their rotations and
+    reflections. Centres and the cycle are numbered first, so rows come out
+    sorted as build_graph leaves them."""
+    pool = [_Rooted(b"()", 1, 0, 0, ())]
+    for size in range(2, n - 1):
+        pool += [_root(kids) for kids in _forests(size - 1, pool, len(pool))]
+    rows, members = {}, []
+    for t in map(_root, _forests(n - 1, pool, len(pool))):
+        if t.diam == 2 * t.height:
+            members.append((tree_code([[k.code for k in t.kids]]), t.diam, _hang(rows, [()], [t])))
+        elif t.diam == 2 * t.height - 1:
+            b = max(t.kids, key=lambda k: k.height)
+            a = tuple(k for k in t.kids if k is not b)
+            code = tree_code([[k.code for k in a], [k.code for k in b.kids]])
+            if code == b"T:" + t.code:
+                members.append((code, t.diam, _hang(rows, [(1,), (0,)], [_root(a), b])))
+    ranked = sorted(pool, key=lambda t: t.code)
+    ranks = [[r for r, t in enumerate(ranked) if t.size == size] for size in range(n)]
+    heads = [[tuple(sorted(((v - 1) % c, (v + 1) % c))) for v in range(c)] for c in range(n + 1)]
+    for first, t in enumerate(ranked):
+        # `first` is the least rank on the cycle; cuts split the order left among the others
+        left = n - t.size
+        for cuts in chain.from_iterable(combinations(range(1, left), k) for k in range(1, left)):
+            sizes = [b - a for a, b in zip((0, *cuts), (*cuts, left))]
+            for rest in product(*(ranks[s][bisect_left(ranks[s], first):] for s in sizes)):
+                seq, c = (first, *rest), len(cuts) + 2
+                if any(seq > s[i:] + s[:i] for s in (seq, seq[::-1])
+                       for i in range(c) if s[i] == first):
+                    continue
+                hang = [ranked[r] for r in seq]
+                h = [t.height for t in hang]
+                diam = max([t.diam for t in hang] + [h[i] + h[j] + min(j - i, c - j + i)
+                                                     for j in range(c) for i in range(j)])
+                members.append((unicyclic_code([t.code for t in hang]), diam,
+                                _hang(rows, heads[c], hang)))
+    return sorted(members)
+
+
 def free_trees(n: int) -> list[Graph]:
-    """All free trees of order n, one per isomorphism class, generated by
-    leaf addition with canonical deduplication."""
+    """All free trees of order n, one per isomorphism class, in code order."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if n == 1:
-        return [build_graph(1, [])]
-    return _leaf_extensions(free_trees(n - 1), {})
+    return [g for code, _, g in _sparse_members(n) if code.startswith(b"T:")]
 
 
-def _leaf_extensions(parents: list[Graph], seen: dict[bytes, Graph]) -> list[Graph]:
-    """One graph per isomorphism class among `seen` and every way to hang a
-    new leaf on a vertex of a parent, in canonical-code order. The first graph
-    found for a code is kept. Twins (vertices with the same neighbours, such
-    as leaves on one stem) are swapped by an automorphism, so only the first
-    of them gets a leaf."""
-    for g in parents:
-        rows = set()
-        for v in range(g.n):
-            if g.adj[v] in rows:
-                continue
-            rows.add(g.adj[v])
-            h = _append_leaf(g, v)
-            code = canonical_code(h)
-            if code not in seen:
-                seen[code] = h
-    return [seen[c] for c in sorted(seen)]
-
-
-def _append_leaf(g: Graph, v: int) -> Graph:
-    """g plus a new vertex g.n adjacent to v. The new label is the largest,
-    so every adjacency row stays sorted, as build_graph would leave it."""
-    adj = list(g.adj)
-    adj[v] += (g.n,)
-    adj.append((v,))
-    return Graph(g.n + 1, tuple(adj))
-
-
-def naive_free_tree_count(n: int) -> int:
-    """Independent free-tree count for small n: iterate labeled trees by
-    Pruefer sequence and deduplicate by canonical code."""
-    if n > 8:
-        raise BudgetError("naive count supported for n <= 8")
-    if n == 1 or n == 2:
-        return 1
-    seen = set()
-    for code in range(n ** (n - 2)):
-        seq = []
-        x = code
-        for _ in range(n - 2):
-            seq.append(x % n)
-            x //= n
-        seen.add(canonical_code(_tree_from_pruefer(n, seq)))
-    return len(seen)
-
-
-def _tree_from_pruefer(n: int, seq: list[int]) -> Graph:
-    degree = [1] * n
-    for v in seq:
-        degree[v] += 1
-    edges = []
-    import heapq
-
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    for v in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, v))
-        degree[v] -= 1
-        if degree[v] == 1:
-            heapq.heappush(leaves, v)
-    u, w = heapq.heappop(leaves), heapq.heappop(leaves)
-    edges.append((u, w))
-    return build_graph(n, edges)
-
-
-def counted_free_trees(n: int) -> int:
-    """Free-tree count by the rooted-tree counting recurrence (independent of
-    any generator): r(n) via divisor convolution, then free counts by removing
-    root symmetries."""
-    # rooted trees: r(1)=1, n*r(n+1) = sum_{k=1..n} (sum_{d|k} d*r(d)) r(n-k+1)
-    r = [0, 1]
-    for size in range(2, n + 1):
-        acc = 0
-        for k in range(1, size):
-            s = sum(d * r[d] for d in range(1, k + 1) if k % d == 0)
-            acc += s * r[size - k]
-        r.append(acc // (size - 1))
-    # free trees by the dissimilarity identity:
-    # t(n) = r(n) - (sum_{i+j=n} r(i)r(j) - [n even] r(n/2)) / 2
-    conv = sum(r[i] * r[n - i] for i in range(1, n))
-    if n % 2 == 0:
-        conv -= r[n // 2]
-    return r[n] - conv // 2
-
-
-@functools.cache
 def unicyclic_graphs(n: int) -> list[Graph]:
-    """All connected unicyclic graphs of order n up to isomorphism, by leaf
-    addition starting from each cycle length."""
-    if n < 3:
-        return []
-    cycle = cycle_graph(n)
-    return _leaf_extensions(unicyclic_graphs(n - 1), {canonical_code(cycle): cycle})
-
-
-@functools.cache
-def _sparse_members(n: int) -> list[tuple[int, Graph]]:
-    """Every tree and unicyclic graph of order n with its diameter."""
-    return [(diameter(g), g) for g in free_trees(n) + unicyclic_graphs(n)]
+    """All connected unicyclic graphs of order n, one per isomorphism class, in code order."""
+    return [g for code, _, g in _sparse_members(n) if code.startswith(b"U:")]
 
 
 def brute_force_sparse(n: int, d: int) -> MinimizerReport:
@@ -358,7 +349,7 @@ def brute_force_sparse(n: int, d: int) -> MinimizerReport:
     if not 1 <= n <= 14:
         raise BudgetError("brute_force_sparse supports 1 <= n <= 14")
     cands = _sparse_members(n)
-    matched = [g for diam, g in cands if diam == d]
+    matched = [g for _, diam, g in cands if diam == d]
     if not matched:
         return MinimizerReport(n, d, None, [], "sparse", len(cands), sound=False)
     graphs = [matched[i] for i in _screen_batches(_perron_batches(matched))[0]]

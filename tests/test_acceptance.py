@@ -28,10 +28,8 @@ from rhomin.graphs import canonical_code, path_graph
 from rhomin.search import (
     brute_force_all_graphs,
     brute_force_sparse,
-    counted_free_trees,
     free_trees,
     minimize_over_quipus,
-    naive_free_tree_count,
     rho_k,
     verify_exceptions,
     verify_theorem,
@@ -44,6 +42,7 @@ from rhomin.suites import (
     suite_rooted_ratio,
 )
 from rhomin.transfer import RootedGraph, t_compose
+from tree_oracles import counted_free_trees, naive_free_tree_count
 
 
 _CAPTURE = None

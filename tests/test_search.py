@@ -18,31 +18,34 @@ from rhomin.families import (
 from rhomin.graphs import (
     build_graph,
     canonical_code,
+    cycle_graph,
     diameter,
     graph6_decode,
     path_graph,
 )
 from rhomin.search import (
     BudgetError,
+    _sparse_members,
     brute_force_all_graphs,
     brute_force_sparse,
-    counted_free_trees,
     exception_specs,
     free_trees,
     minimize_over_quipus,
-    naive_free_tree_count,
     rho_k,
     unicyclic_graphs,
     verify_exceptions,
     verify_theorem,
 )
+from tree_oracles import counted_free_trees, naive_free_tree_count
 
 
 def test_free_tree_counts_match_independent_formula():
-    for n in range(1, 14):
+    for n in range(1, 15):
         assert len(free_trees(n)) == counted_free_trees(n)
     assert counted_free_trees(10) == 106
     assert len(free_trees(13)) == 1301
+    # OEIS A000055
+    assert len(free_trees(14)) == counted_free_trees(14) == 3159
 
 
 def test_free_tree_counts_match_naive_generator():
@@ -51,22 +54,39 @@ def test_free_tree_counts_match_naive_generator():
 
 
 def test_unicyclic_counts():
-    # connected unicyclic graphs per isomorphism class, n = 3..13 (OEIS A001429)
-    assert [len(unicyclic_graphs(n)) for n in range(3, 14)] == [
-        1, 2, 5, 13, 33, 89, 240, 657, 1806, 5026, 13999,
+    # connected unicyclic graphs per isomorphism class, n = 3..14 (OEIS A001429)
+    assert [len(unicyclic_graphs(n)) for n in range(3, 15)] == [
+        1, 2, 5, 13, 33, 89, 240, 657, 1806, 5026, 13999, 39260,
     ]
 
 
 def test_generated_graphs_are_in_normal_form():
     # Graph values key the root cache, so a generated graph must equal (and
-    # hash like) the one build_graph makes from the same edges.
-    for n in range(1, 11):
-        for graphs in (free_trees(n), unicyclic_graphs(n)):
-            codes = [canonical_code(g) for g in graphs]
-            assert all(a < b for a, b in zip(codes, codes[1:])), n
-            for g in graphs:
-                ref = build_graph(g.n, g.edges())
-                assert g == ref and hash(g) == hash(ref)
+    # hash like) the one build_graph makes from the same edges. The codes and
+    # diameters read off the construction are checked against the
+    # leaf-peeling canonical code and one BFS per vertex.
+    for n in range(1, 12):
+        members = _sparse_members(n)
+        codes = [code for code, _, _ in members]
+        assert all(a < b for a, b in zip(codes, codes[1:])), n
+        for code, diam, g in members:
+            ref = build_graph(g.n, g.edges())
+            assert g == ref and hash(g) == hash(ref)
+            assert code == canonical_code(g) and diam == diameter(g)
+
+
+def test_generator_edge_cases():
+    assert free_trees(1) == [build_graph(1, [])]
+    assert free_trees(2) == [path_graph(2)]
+    assert all(unicyclic_graphs(n) == [] for n in range(-1, 3))
+    assert unicyclic_graphs(3) == [cycle_graph(3)]
+    with pytest.raises(ValueError):
+        free_trees(0)
+    for n in range(1, 5):
+        for d in range(-1, n + 1):
+            sparse, every = brute_force_sparse(n, d), brute_force_all_graphs(n, d)
+            if sparse.sound and every.sound and sparse.winners and every.winners:
+                assert sparse.winner_codes() == every.winner_codes(), (n, d)
 
 
 def test_budget_guards():
