@@ -23,11 +23,9 @@ from .exactpoly import (
     IntPoly,
     Ordering,
     below_3_over_sqrt2,
-    certified_screen,
     charpoly,
     compare_rho,
     equal_rho_certificate,
-    perron_vector,
     rho_certified,
     rho_certified_graph,
 )
@@ -59,6 +57,7 @@ from .search import (
     MinimizerReport,
     brute_force_all_graphs,
     brute_force_sparse,
+    certified_screen,
     free_trees,
     minimize_over_quipus,
     rho_k,

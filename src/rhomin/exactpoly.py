@@ -18,8 +18,9 @@ where V counts the sign variations of the Sturm chain. lo may itself be a
 smaller root, so refinement keys its bisection on the sign at hi, which is
 never 0. Comparisons between two radii are decided by interval refinement
 plus an integer polynomial gcd certificate for equality, never by floating
-point. The only caches are two bounded lru_caches: the root of each graph at
-DEFAULT_TOL and the root of each threshold den*x^2 - num.
+point. The one cache is a bounded lru_cache holding the root of each graph
+at DEFAULT_TOL; the threshold 3/sqrt(2) is isolated once, at import. The
+module imports no numpy; its one float is CertifiedRoot.as_float, for display.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .graphs import (
     Graph,
@@ -152,10 +151,6 @@ X = IntPoly((0, 1))
 def poly_to_json(p: IntPoly) -> list[str]:
     """Decimal coefficient strings, lowest degree first."""
     return [str(c) for c in p.coeffs]
-
-
-def poly_from_json(items) -> IntPoly:
-    return IntPoly(tuple(int(s) for s in items))
 
 
 def _prem_positive(f: IntPoly, g: IntPoly) -> IntPoly:
@@ -465,75 +460,6 @@ def charpoly_dense(g: Graph) -> IntPoly:
     return IntPoly(tuple(coeffs))
 
 
-def eval_at(p: IntPoly, x: Rational) -> Rational:
-    return p.eval_at(Fraction(x))
-
-
-# ---------------------------------------------------------------------------
-# exact Collatz-Wielandt screen
-
-# perron_vector's entries lie in [1, 2^26], so A v has entries at most
-# deg * 2^26 and every cross-product certified_screen forms is at most
-# deg * 2^52: below 2^63 for any maximum degree under 2^11, and so for every
-# quipu (degree <= 3) whatever its order.
-PERRON_SCALE = 1 << 26
-
-
-def adjacency_matrix(g: Graph) -> np.ndarray:
-    """The int64 adjacency matrix of g."""
-    a = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v in g.edges():
-        a[u, v] = a[v, u] = 1
-    return a
-
-
-def perron_vector(a: np.ndarray) -> np.ndarray:
-    """A positive int64 vector near the Perron vector of the adjacency matrix
-    a: the float eigenvector of the largest eigenvalue, scaled by
-    PERRON_SCALE, rounded and clamped to at least 1. The float only steers
-    the vector; certified_screen's bounds hold for any positive vector."""
-    _, vecs = np.linalg.eigh(a)
-    return np.maximum(np.rint(np.abs(vecs[:, -1]) * PERRON_SCALE), 1).astype(np.int64)
-
-
-def _least_ratio(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The least p[i]/q[i] over the first axis, as its (numerator,
-    denominator) pair, for positive q. Exact: pairs of ratios are compared
-    by integer cross-multiplication, halving the rows each round."""
-    while len(p) > 1:
-        half = len(p) // 2
-        a, b = slice(0, half), slice(half, 2 * half)
-        take = p[b] * q[a] < p[a] * q[b]
-        p_min, q_min = np.where(take, p[b], p[a]), np.where(take, q[b], q[a])
-        p, q = np.concatenate([p_min, p[2 * half:]]), np.concatenate([q_min, q[2 * half:]])
-    return p[0], q[0]
-
-
-def certified_screen(av: np.ndarray, v: np.ndarray):
-    """Exact Collatz-Wielandt screen over candidate graphs of one order.
-
-    Column j of the int64 (n, candidates) array `v` is a positive vector for
-    candidate j, and column j of `av` is A_j v_j. For any positive vector,
-    L_j = min_i (A_j v_j)_i / (v_j)_i <= rho_j <= max_i (...)_i / (v_j)_i = U_j
-    (Horn & Johnson, Matrix Analysis, 8.1). With U* the least U_j, candidate
-    j is kept exactly when L_j <= U*: a dropped one has rho_j >= L_j > U* >=
-    the least rho among the candidates. A poor vector only widens its own
-    bracket. Every comparison is an integer cross-multiplication; a vector
-    that is not positive raises ValueError, a cross-product beyond int64
-    OverflowError. Returns the keep mask, L and U, the last two as
-    (numerators, denominators) pairs of arrays.
-    """
-    if (v < 1).any():
-        raise ValueError("Collatz-Wielandt vectors must be positive")
-    if int(av.max(initial=0)) * int(v.max()) >= 1 << 63:
-        raise OverflowError("Collatz-Wielandt cross-products exceed int64")
-    lo_p, lo_q = _least_ratio(av, v)
-    neg_hi_p, hi_q = _least_ratio(-av, v)
-    hi_p = -neg_hi_p
-    best_p, best_q = _least_ratio(hi_p, hi_q)
-    return lo_p * best_q <= best_p * lo_q, (lo_p, lo_q), (hi_p, hi_q)
-
-
 # ---------------------------------------------------------------------------
 # exact comparison of spectral radii
 
@@ -625,20 +551,11 @@ def equal_rho_certificate(g1: Graph, g2: Graph):
     return order is Ordering.EQUAL, witness
 
 
-@functools.lru_cache(maxsize=20000)
-def _threshold_root(num: int, den: int) -> CertifiedRoot:
-    return rho_certified(IntPoly((-num, 0, den)))
-
-
-def below_squared_threshold(root: CertifiedRoot, num: int, den: int) -> bool:
-    """Decide root < sqrt(num/den) exactly, for num, den > 0.
-
-    sqrt(num/den) is the largest root of den*x^2 - num, isolated once per
-    (num, den); compare_roots decides equality by its gcd witness.
-    """
-    return compare_roots(root, _threshold_root(num, den))[0] is Ordering.LESS
+# 3/sqrt(2), the largest root of 2x^2 - 9
+_THREE_OVER_SQRT2 = rho_certified(IntPoly((-9, 0, 2)))
 
 
 def below_3_over_sqrt2(root: CertifiedRoot) -> bool:
-    """Exact decision of root < 3/sqrt(2) (never equal for graph radii)."""
-    return below_squared_threshold(root, 9, 2)
+    """Exact decision of root < 3/sqrt(2). A root equal to it is not below;
+    compare_roots decides equality by its gcd witness."""
+    return compare_roots(root, _THREE_OVER_SQRT2)[0] is Ordering.LESS

@@ -165,14 +165,6 @@ def _closed_canonical(ks: tuple[int, ...], ms: tuple[int, ...]) -> ClosedQuipu:
     return ClosedQuipu(bk, bm)
 
 
-def canonicalize(spec: QuipuSpec) -> QuipuSpec:
-    """Canonical parameter tuple of the isomorphism class of realize(spec)."""
-    out = classify(realize(spec))
-    if out is None:
-        raise ValueError(f"realization of {spec!r} did not classify")
-    return out
-
-
 def classify(g: Graph):
     """Parse a connected graph into a canonical family spec, or None.
 

@@ -100,11 +100,6 @@ def delete_vertex(g: Graph, v: int) -> Graph:
     return delete_vertices(g, [v])
 
 
-def relabel(g: Graph, perm) -> Graph:
-    """Apply the permutation old-label -> new-label."""
-    return build_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
-
-
 def add_pendant_path(g: Graph, v: int, length: int) -> tuple[Graph, int]:
     """Attach a path of `length` new vertices at v; return (graph, tip).
 
@@ -129,11 +124,6 @@ def subdivide_edge(g: Graph, u: int, v: int) -> Graph:
     edges = [e for e in g.edges() if set(e) != {u, v}]
     edges += [(u, w), (w, v)]
     return build_graph(g.n + 1, edges)
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    edges = g.edges() + [(u + g.n, v + g.n) for u, v in h.edges()]
-    return build_graph(g.n + h.n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +187,6 @@ def diameter(g: Graph):
             return None
         best = max(best, m)
     return best
-
-
-def is_tree(g: Graph) -> bool:
-    return g.edge_count == g.n - 1 and is_connected(g)
-
-def is_unicyclic(g: Graph) -> bool:
-    return g.edge_count == g.n and is_connected(g)
 
 
 def _code(child_codes: list[bytes]) -> bytes:

@@ -3,10 +3,13 @@
 Three search spaces of increasing restriction, each with an exact final
 tournament: all labeled graphs (tiny orders), all trees and unicyclic graphs,
 and the quipu/dagger families. The family search is the production path; the
-other two are independent oracles against which it is cross-validated. The
-module also packages the end-to-end verification that the minimum spectral
-radius at order 3k+1 and diameter 2k is attained exactly by the tied family
-of open quipus with parameters (i, i+j-1, j) over i+j=k.
+other two are independent oracles against which it is cross-validated. All
+three discard only through this module's exact Collatz-Wielandt screen,
+certified_screen, fed integer vectors from one stacked float eigh per batch
+(or, for all labeled graphs, from powers of A + I). The module also packages
+the end-to-end verification that the minimum spectral radius at order 3k+1
+and diameter 2k is attained exactly by the tied family of open quipus with
+parameters (i, i+j-1, j) over i+j=k.
 """
 
 from __future__ import annotations
@@ -22,13 +25,10 @@ import numpy as np
 from .exactpoly import (
     CertifiedRoot,
     Ordering,
-    adjacency_matrix,
     below_3_over_sqrt2,
-    certified_screen,
     compare_rho,
     compare_roots,
     equal_rho_certificate,
-    perron_vector,
     rho_certified_graph,
 )
 from .families import (
@@ -51,13 +51,6 @@ from .graphs import (
     tree_code,
     unicyclic_code,
 )
-
-# brute_force_all_graphs screens with v = (A + I)^POWER_STEPS 1. Its entries
-# are largest for K_7, where v = 7^10 * 1 and A v = 6 * 7^10, so every
-# cross-product certified_screen forms is at most 6 * 7^20 < 2^63. For every
-# n <= 7 and d, ten steps keep the same labelled graphs as twelve; eight keep
-# three times as many at (7, 5).
-POWER_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -127,6 +120,47 @@ def _exact_tournament(graphs: list[Graph], specs) -> tuple[CertifiedRoot, list[W
     return best, winners
 
 
+# ---------------------------------------------------------------------------
+# exact Collatz-Wielandt screen shared by all search paths
+
+def _least_ratio(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The least p[i]/q[i] over the first axis, as its (numerator,
+    denominator) pair, for positive q. Exact: pairs of ratios are compared
+    by integer cross-multiplication, halving the rows each round."""
+    while len(p) > 1:
+        half = len(p) // 2
+        a, b = slice(0, half), slice(half, 2 * half)
+        take = p[b] * q[a] < p[a] * q[b]
+        p_min, q_min = np.where(take, p[b], p[a]), np.where(take, q[b], q[a])
+        p, q = np.concatenate([p_min, p[2 * half:]]), np.concatenate([q_min, q[2 * half:]])
+    return p[0], q[0]
+
+
+def certified_screen(av: np.ndarray, v: np.ndarray):
+    """Exact Collatz-Wielandt screen over candidate graphs of one order.
+
+    Column j of the int64 (n, candidates) array `v` is a positive vector for
+    candidate j, and column j of `av` is A_j v_j. For any positive vector,
+    L_j = min_i (A_j v_j)_i / (v_j)_i <= rho_j <= max_i (...)_i / (v_j)_i = U_j
+    (Horn & Johnson, Matrix Analysis, 8.1). With U* the least U_j, candidate
+    j is kept exactly when L_j <= U*: a dropped one has rho_j >= L_j > U* >=
+    the least rho among the candidates. A poor vector only widens its own
+    bracket. Every comparison is an integer cross-multiplication; a vector
+    that is not positive raises ValueError, a cross-product beyond int64
+    OverflowError. Returns the keep mask, L and U, the last two as
+    (numerators, denominators) pairs of arrays.
+    """
+    if (v < 1).any():
+        raise ValueError("Collatz-Wielandt vectors must be positive")
+    if int(av.max(initial=0)) * int(v.max()) >= 1 << 63:
+        raise OverflowError("Collatz-Wielandt cross-products exceed int64")
+    lo_p, lo_q = _least_ratio(av, v)
+    neg_hi_p, hi_q = _least_ratio(-av, v)
+    hi_p = -neg_hi_p
+    best_p, best_q = _least_ratio(hi_p, hi_q)
+    return lo_p * best_q <= best_p * lo_q, (lo_p, lo_q), (hi_p, hi_q)
+
+
 def _screen_batches(batches) -> tuple[np.ndarray, int]:
     """The ids certified_screen keeps from batches of (ids, A v, v), and how
     many there were. Each batch is screened alone, then what the batches keep
@@ -142,18 +176,41 @@ def _screen_batches(batches) -> tuple[np.ndarray, int]:
     return ids[certified_screen(av, v)[0]], total
 
 
+# _perron_batches' entries lie in [1, 2^26], so A v has entries at most
+# deg * 2^26 and every cross-product certified_screen forms is at most
+# deg * 2^52: below 2^63 for any maximum degree under 2^11, and so for every
+# quipu (degree <= 3) whatever its order.
+PERRON_SCALE = 1 << 26
+# Graphs per stacked eigh. Batches of 1,024 gave the theorem benchmark 6 MB
+# more peak RSS than batches of 256 and saved about 2 % of its time. What the
+# screen keeps does not depend on it: _screen_batches rescreens the union.
+PERRON_BATCH = 256
+
+# brute_force_all_graphs screens with v = (A + I)^POWER_STEPS 1. Its entries
+# are largest for K_7, where v = 7^10 * 1 and A v = 6 * 7^10, so every
+# cross-product certified_screen forms is at most 6 * 7^20 < 2^63. For every
+# n <= 7 and d, ten steps keep the same labelled graphs as twelve; eight keep
+# three times as many at (7, 5).
+POWER_STEPS = 10
+
+
 def _perron_batches(graphs: list[Graph]):
-    """(positions, A v, v) for graphs of one order, v being each graph's
-    rounded Perron vector, a batch of graphs at a time to bound memory."""
-    size = 1024
-    for start in range(0, len(graphs), size):
-        part = graphs[start:start + size]
-        v, av = np.empty((2, part[0].n, len(part)), dtype=np.int64)
-        for j, g in enumerate(part):
-            a = adjacency_matrix(g)
-            v[:, j] = perron_vector(a)
-            av[:, j] = a @ v[:, j]
-        yield np.arange(start, start + len(part)), av, v
+    """(positions, A v, v) for graphs of one order, PERRON_BATCH at a time.
+    v is each graph's float Perron vector, from one stacked eigh per batch,
+    scaled by PERRON_SCALE, rounded and clamped to at least 1. The float only
+    steers the vector; certified_screen's bounds hold for any positive one."""
+    for start in range(0, len(graphs), PERRON_BATCH):
+        part = graphs[start:start + PERRON_BATCH]
+        n = part[0].n
+        rows = [row for g in part for row in g.adj]
+        degrees = [len(row) for row in rows]
+        a = np.zeros((len(part), n, n), dtype=np.int8)
+        a.reshape(-1, n)[np.repeat(np.arange(len(rows)), degrees),
+                         np.fromiter(chain.from_iterable(rows), np.intp, sum(degrees))] = 1
+        vecs = np.abs(np.linalg.eigh(a)[1][:, :, -1])
+        v = np.maximum(np.rint(vecs * PERRON_SCALE), 1).astype(np.int64)
+        av = np.einsum("kuw,kw->uk", a, v, dtype=np.int64)
+        yield np.arange(start, start + len(part)), av, v.T
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +224,10 @@ def _matched_batches(n: int, d: int, pairs: list[tuple[int, int]]):
     per vertex, since n <= 7). Reachability grows as bitsets: one step ORs
     into reach[v] the neighbourhood of every u already in reach[v], so after
     t steps reach[v] is the ball of radius t around v. A graph has diameter d
-    when every ball is full after d steps and not after d - 1."""
+    when every ball is full after d steps and not after d - 1; none has a
+    negative diameter, though a one-vertex ball is full after 0 steps."""
+    if d < 0:
+        return
     total = 1 << len(pairs)
     # 2^14 masks make each int64 temporary 128 KB. At 2^17 the 1 MB
     # temporaries were no faster, and depending on heap layout up to 5 MB of
@@ -214,14 +274,6 @@ def brute_force_all_graphs(n: int, d: int) -> MinimizerReport:
     pairs = list(combinations(range(n), 2))
     m = len(pairs)
     total = 1 << m
-    if n == 1:
-        g = build_graph(1, [])
-        if d != 0:
-            return MinimizerReport(n, d, None, [], "all-graphs", total,
-                                   stats={"matched": 0})
-        root = rho_certified_graph(g)
-        return MinimizerReport(n, d, root, [Winner(canonical_code(g), g, None)],
-                               "all-graphs", total, stats={"matched": 1})
     pool_masks, matched = _screen_batches(_matched_batches(n, d, pairs))
     if not matched:
         return MinimizerReport(n, d, None, [], "all-graphs", total,

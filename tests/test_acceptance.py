@@ -14,7 +14,6 @@ from rhomin.exactpoly import (
     below_3_over_sqrt2,
     compare_roots,
     equal_rho_certificate,
-    eval_at,
     rho_certified_graph,
 )
 from rhomin.families import (
@@ -74,7 +73,7 @@ def test_criterion_1_exhaustive_order7_diameter4():
     equal, witness = equal_rho_certificate(report.winners[0].graph,
                                            report.winners[1].graph)
     ok = ok and equal and witness is not None
-    ok = ok and eval_at(witness.factor, Fraction(2)) == 0
+    ok = ok and witness.factor.eval_at(Fraction(2)) == 0
     _report(1, ok, f"{len(report.winners)} winners at (7,4), min rho = 2 "
                    "with a shared root-2 factor")
 

@@ -1,4 +1,5 @@
-"""Integer polynomials, Sturm root certification, and exact comparisons."""
+"""Integer polynomials, Sturm root certification, exact comparisons, and the
+exact Collatz-Wielandt screen that the searches run before them."""
 
 import math
 from dataclasses import FrozenInstanceError
@@ -11,25 +12,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhomin.exactpoly import (
-    PERRON_SCALE,
     CertifiedRoot,
     IntPoly,
     Ordering,
-    adjacency_matrix,
     below_3_over_sqrt2,
-    below_squared_threshold,
     cauchy_root_bound,
-    certified_screen,
     charpoly,
     charpoly_dense,
     compare_rho,
     compare_roots,
     count_roots_halfopen,
     equal_rho_certificate,
-    poly_from_json,
     poly_div_exact,
     poly_gcd,
-    perron_vector,
     poly_to_json,
     rho_certified,
     rho_certified_graph,
@@ -37,14 +32,9 @@ from rhomin.exactpoly import (
     sturm_chain,
 )
 from rhomin.families import realize, spider, theorem_family
-from rhomin.graphs import (
-    build_graph,
-    cycle_graph,
-    disjoint_union,
-    path_graph,
-    relabel,
-    star_graph,
-)
+from rhomin.graphs import build_graph, cycle_graph, path_graph, star_graph
+from rhomin.search import PERRON_SCALE, POWER_STEPS, _perron_batches, certified_screen
+from graph_helpers import adjacency, disjoint_union, relabel
 
 
 def test_poly_arithmetic():
@@ -62,7 +52,7 @@ def test_poly_arithmetic():
 
 def test_poly_json_round_trip():
     p = IntPoly((-3, 0, 1))
-    assert poly_from_json(poly_to_json(p)).coeffs == p.coeffs
+    assert IntPoly(tuple(map(int, poly_to_json(p)))) == p
     assert poly_to_json(p) == ["-3", "0", "1"]
 
 
@@ -181,7 +171,7 @@ def test_isolation_evaluates_the_sturm_chain_once_per_halving(monkeypatch):
     # log2(width / gap) times; V is also read once at each starting bound.
     bound = cauchy_root_bound(square_free_part(p))
     width = float(max(p.degree, bound) + bound)
-    eig = np.unique(np.round(np.linalg.eigvalsh(adjacency_matrix(g)), 9))
+    eig = np.unique(np.round(np.linalg.eigvalsh(adjacency(g)), 9))
     halvings = math.ceil(math.log2(width / (eig[-1] - eig[-2])))
     assert len(calls) <= halvings + 2
 
@@ -204,7 +194,7 @@ def test_isolation_skips_the_halvings_below_the_degree_bound(monkeypatch):
     # that only raise lo from minus the Cauchy bound to -deg need no
     # evaluation, so V is read once at deg, once at -deg and once for each
     # halving of (-deg, deg] down to the gap between the two largest roots.
-    eig = np.unique(np.round(np.linalg.eigvalsh(adjacency_matrix(g)), 9))
+    eig = np.unique(np.round(np.linalg.eigvalsh(adjacency(g)), 9))
     halvings = math.ceil(math.log2(2 * p.degree / (eig[-1] - eig[-2])))
     assert halvings + 2 == 11
     assert len(calls) <= halvings + 2
@@ -261,7 +251,7 @@ def test_charpoly_routes_agree_on_mixed_components(data):
     g = disjoint_union(disjoint_union(_connected(data, t, 0, 0), _connected(data, u, 1, 1)),
                        _connected(data, m, 2, m * m))
     g = relabel(g, data.draw(st.permutations(range(g.n))))
-    expected = tuple(int(c) for c in np.rint(np.poly(adjacency_matrix(g)))[::-1])
+    expected = tuple(int(c) for c in np.rint(np.poly(adjacency(g)))[::-1])
     assert charpoly(g).coeffs == charpoly_dense(g).coeffs == expected
 
 
@@ -306,7 +296,7 @@ def _bracket(screen, j):
 
 
 def _screen_graphs(graphs, vectors):
-    mats = [adjacency_matrix(g) for g in graphs]
+    mats = [adjacency(g) for g in graphs]
     v = np.stack(vectors, axis=1).astype(np.int64)
     av = np.stack([a @ v[:, j] for j, a in enumerate(mats)], axis=1)
     return certified_screen(av, v)
@@ -314,8 +304,8 @@ def _screen_graphs(graphs, vectors):
 
 def test_perron_vector_brackets_truth():
     for g, rho in ((cycle_graph(8), 2), (star_graph(5), 2)):
-        v = perron_vector(adjacency_matrix(g))
-        lo, hi = _bracket(_screen_graphs([g], [v]), 0)
+        [(_, av, v)] = _perron_batches([g])
+        lo, hi = _bracket(certified_screen(av, v), 0)
         assert lo <= rho <= hi and hi - lo < Fraction(1, 10**6)
 
 
@@ -356,17 +346,16 @@ def test_certified_screen_brackets_contain_rho(data):
     else:
         # a nudged Perron vector, for a tight bracket
         nudge = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
-        v = perron_vector(adjacency_matrix(g)) + np.array(nudge)
+        [(_, _, v)] = _perron_batches([g])
+        v = v[:, 0] + np.array(nudge)
     lo, hi = _bracket(_screen_graphs([g], [v]), 0)
     root = rho_certified_graph(g)
     assert lo <= root.hi and root.lo <= hi
 
 
 def test_certified_screen_products_fit_int64_at_the_largest_entries():
-    from rhomin.search import POWER_STEPS
-
     # the all-graphs oracle's largest vector: K_7 after every power step
-    k7 = adjacency_matrix(build_graph(7, list(combinations(range(7), 2))))
+    k7 = adjacency(build_graph(7, list(combinations(range(7), 2))))
     v = np.ones(7, dtype=np.int64)
     for _ in range(POWER_STEPS):
         v = v + k7 @ v
@@ -380,7 +369,7 @@ def test_certified_screen_products_fit_int64_at_the_largest_entries():
     # the quipu search's largest entries: PERRON_SCALE on a degree-3 quipu,
     # beside a 1 for the most lopsided ratios
     g = realize(theorem_family(8)[1])
-    a = adjacency_matrix(g)
+    a = adjacency(g)
     v = np.full(g.n, PERRON_SCALE, dtype=np.int64)
     v[0] = 1
     ratios = [Fraction(int(x), int(y)) for x, y in zip(a @ v, v)]
@@ -433,16 +422,17 @@ def test_compare_roots_leaves_its_arguments_unchanged():
 def test_threshold_decisions():
     assert below_3_over_sqrt2(rho_certified_graph(cycle_graph(6)))  # 2 < 2.121
     assert not below_3_over_sqrt2(rho_certified_graph(star_graph(6)))  # sqrt(5)
-    root = rho_certified(IntPoly((-3, 0, 1)))
-    assert below_squared_threshold(root, 2, 1) is False
-    assert below_squared_threshold(root, 4, 1) is True
-    # a root equal to the threshold is not below it; the gcd witness decides
-    assert below_squared_threshold(rho_certified(IntPoly((-2, 0, 1))), 2, 1) is False
-    assert below_squared_threshold(rho_certified(IntPoly((-3, 0, 1))), 3, 1) is False
+    # sqrt(4.49) and sqrt(4.51) lie 0.0023 either side of 3/sqrt(2) = sqrt(4.5)
+    assert below_3_over_sqrt2(rho_certified(IntPoly((-449, 0, 100)))) is True
+    assert below_3_over_sqrt2(rho_certified(IntPoly((-451, 0, 100)))) is False
     two = rho_certified(IntPoly((-2, 1)))
     assert two.exact and two.lo == 2
-    assert below_squared_threshold(two, 4, 1) is False
-    assert below_squared_threshold(rho_certified(IntPoly((-9, 0, 2))), 9, 2) is False
+    assert below_3_over_sqrt2(two) is True
+    assert below_3_over_sqrt2(rho_certified(IntPoly((-3, 1)))) is False
+    # a root equal to the threshold is not below it; the gcd witness decides,
+    # also for a multiple of 2x^2 - 9 with a further factor
+    assert below_3_over_sqrt2(rho_certified(IntPoly((-9, 0, 2)))) is False
+    assert below_3_over_sqrt2(rho_certified(IntPoly((-9, 0, 2)) * IntPoly((-1, 1)))) is False
 
 
 def test_certified_root_refine_tightens_only():

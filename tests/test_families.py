@@ -13,7 +13,6 @@ from rhomin.families import (
     ClosedQuipu,
     Dagger,
     OpenQuipu,
-    canonicalize,
     classify,
     enumerate_quipus,
     parse_spec_literal,
@@ -29,9 +28,9 @@ from rhomin.graphs import (
     cycle_graph,
     diameter,
     path_graph,
-    relabel,
     star_graph,
 )
+from graph_helpers import canonicalize, relabel
 
 
 def test_spec_invariants():

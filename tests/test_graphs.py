@@ -23,19 +23,16 @@ from rhomin.graphs import (
     delete_vertex,
     delete_vertices,
     diameter,
-    disjoint_union,
     distances,
     graph6_decode,
     graph6_encode,
     is_connected,
-    is_tree,
-    is_unicyclic,
     path_graph,
-    relabel,
     star_graph,
     subdivide_edge,
     two_core_cycle,
 )
+from graph_helpers import disjoint_union, is_tree, is_unicyclic, relabel
 
 
 def test_build_rejects_bad_edges():

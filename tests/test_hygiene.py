@@ -1,5 +1,6 @@
 """Source hygiene: every imported name in the package and the tests is read,
-and so is every module-level private name of the package."""
+and so is every module-level private name of the package; the exact layer
+imports no numpy."""
 
 import ast
 from pathlib import Path
@@ -76,3 +77,20 @@ def test_no_unread_private_names():
     unread = [f"{name}: {n}" for name, src in sources.items()
               for n in private_definitions(src) if n not in read]
     assert unread == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules that `source` imports absolutely."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.split(".")[0])
+    return out
+
+
+def test_exact_layer_imports_no_numpy():
+    assert imported_modules("import numpy.linalg\nfrom .x import y\n") == {"numpy"}
+    source = (ROOT / "src" / "rhomin" / "exactpoly.py").read_text()
+    assert "numpy" not in imported_modules(source)

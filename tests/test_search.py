@@ -24,10 +24,13 @@ from rhomin.graphs import (
     path_graph,
 )
 from rhomin.search import (
+    PERRON_BATCH,
     BudgetError,
+    _perron_batches,
     _sparse_members,
     brute_force_all_graphs,
     brute_force_sparse,
+    certified_screen,
     exception_specs,
     free_trees,
     minimize_over_quipus,
@@ -36,6 +39,7 @@ from rhomin.search import (
     verify_exceptions,
     verify_theorem,
 )
+from graph_helpers import adjacency
 from tree_oracles import counted_free_trees, naive_free_tree_count
 
 
@@ -137,7 +141,6 @@ def test_brute_force_all_complete_graph_at_the_largest_power_entries():
 
 def test_wrong_vector_moves_loser_into_tournament(monkeypatch):
     import rhomin.search
-    from rhomin.exactpoly import adjacency_matrix, certified_screen, perron_vector
 
     pools = []
     tournament = rhomin.search._exact_tournament
@@ -152,25 +155,54 @@ def test_wrong_vector_moves_loser_into_tournament(monkeypatch):
     losers = [g for g in matched if canonical_code(g) not in pools[0]]
     assert losers and base.stats["screened_out"] == len(losers)
     loser = losers[0]
-    target = adjacency_matrix(loser)
-    wrong = perron_vector(target)[::-1].copy()
+    [(_, _, v)] = _perron_batches([loser])
+    wrong = v[::-1, 0].copy()
+    wrong_av = adjacency(loser) @ wrong
 
     # the reversed vector widens the loser's bracket to reach U*
-    winner = base.winners[0].graph
-    a = adjacency_matrix(winner)
-    v = np.stack([wrong, perron_vector(a)], axis=1)
-    av = np.stack([target @ wrong, a @ v[:, 1]], axis=1)
-    assert certified_screen(av, v)[0].all()
+    [(_, av, v)] = _perron_batches([base.winners[0].graph])
+    assert certified_screen(np.stack([wrong_av, av[:, 0]], axis=1),
+                            np.stack([wrong, v[:, 0]], axis=1))[0].all()
 
-    def patched(a):
-        return wrong if np.array_equal(a, target) else perron_vector(a)
+    def patched(graphs):
+        for ids, av, v in _perron_batches(graphs):
+            for j, i in enumerate(ids):
+                if graphs[i] is loser:
+                    av[:, j], v[:, j] = wrong_av, wrong
+            yield ids, av, v
 
-    monkeypatch.setattr(rhomin.search, "perron_vector", patched)
+    monkeypatch.setattr(rhomin.search, "_perron_batches", patched)
     rep = brute_force_sparse(8, 5)
     assert pools[1] == pools[0] | {canonical_code(loser)}
     assert rep.stats["screened_out"] == base.stats["screened_out"] - 1
     assert [(w.code, w.spec) for w in rep.winners] == [(w.code, w.spec) for w in base.winners]
     assert rep.sound and compare_roots(rep.min_rho, base.min_rho)[0] is Ordering.EQUAL
+
+
+def test_perron_batches_bracket_rho_across_batches():
+    graphs = free_trees(12)
+    assert len(graphs) == 551 > 2 * PERRON_BATCH
+    batches = list(_perron_batches(graphs))
+    assert len(batches) == 3
+    ids, av, v = (np.concatenate(part, axis=-1) for part in zip(*batches))
+    assert ids.tolist() == list(range(len(graphs))) and (v >= 1).all()
+    _, (lo_p, lo_q), (hi_p, hi_q) = certified_screen(av, v)
+    for j, g in enumerate(graphs):
+        rho = np.linalg.eigvalsh(adjacency(g))[-1]
+        assert lo_p[j] / lo_q[j] - 1e-9 <= rho <= hi_p[j] / hi_q[j] + 1e-9
+
+
+@pytest.mark.parametrize("d", range(-1, 3))
+def test_oracles_agree_at_order_one(d):
+    every, sparse = brute_force_all_graphs(1, d), brute_force_sparse(1, d)
+    assert [(w.code, w.spec) for w in every.winners] == [(w.code, w.spec) for w in sparse.winners]
+    if d == 0:
+        assert every.min_rho == sparse.min_rho and every.min_rho.lo == 0
+        assert every.stats == {"matched": 1, "pool": 1}
+        assert every.to_json()["winners"][0]["spec"] == "open:ks=0,0;ms=0"
+    else:
+        assert every.min_rho is sparse.min_rho is None
+        assert every.stats == {"matched": 0}
 
 
 def test_sparse_known_minimizers():
