@@ -32,7 +32,6 @@ from .families import (
 )
 from .graphs import GRAPH6_MAX_N, Graph6Error, graph6_decode, graph6_encode
 from .search import (
-    BudgetError,
     brute_force_all_graphs,
     brute_force_sparse,
     minimize_over_quipus,
@@ -299,7 +298,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except (ValueError, BudgetError, Graph6Error) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

@@ -6,7 +6,8 @@ polynomials: it multiplies over connected components and takes two routes.
 A tree or unicyclic component goes through Schwenk's bridge recursion: one
 post-order pass carries (phi(T_v), phi(T_v - v)) for each rooted subtree and
 maps it across the edge to each child c by (a, b) -> (a*a_c - b*b_c, b*a_c);
-a unicyclic component is first cut at an edge of its cycle. Any other
+a unicyclic component starts that pass from its whole cycle and closes the
+cycle by Schwenk's cycle rule, a trace of 2x2 matrix products. Any other
 component goes through the Faddeev-LeVerrier recurrence of charpoly_dense,
 which sums neighbours' rows in place of a matrix product.
 
@@ -14,7 +15,9 @@ The spectral radius of a graph is delivered as an immutable isolating
 interval with exact sign evidence; refining it yields a narrower copy. One
 Sturm bisection isolates every largest root. Its invariant: no root lies
 above hi, and V(lo) - V(+inf) roots of the square-free part lie in (lo, hi],
-where V counts the sign variations of the Sturm chain. lo may itself be a
+where V counts the sign variations of the Sturm chain. One remainder
+sequence, of p and p', yields g = gcd(p, p') as its last entry and, divided
+by g, that chain, whose first entry is the square-free part. lo may be a
 smaller root, so refinement keys its bisection on the sign at hi, which is
 never 0. Comparisons between two radii are decided by interval refinement
 plus an integer polynomial gcd certificate for equality, never by floating
@@ -31,13 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import (
-    Graph,
-    connected_components,
-    delete_edge,
-    delete_vertices,
-    two_core_cycle,
-)
+from .graphs import Graph, connected_components, delete_vertices, two_core_cycle
 
 Rational = Fraction
 
@@ -133,7 +130,7 @@ class IntPoly:
         return (acc > 0) - (acc < 0)
 
     def content(self) -> int:
-        return math.gcd(*(abs(c) for c in self.coeffs)) if self.coeffs else 0
+        return math.gcd(*self.coeffs)
 
     def primitive(self) -> "IntPoly":
         """Divide by the content; sign is preserved."""
@@ -155,12 +152,15 @@ def poly_to_json(p: IntPoly) -> list[str]:
 
 def _prem_positive(f: IntPoly, g: IntPoly) -> IntPoly:
     """Pseudo-remainder of f by g, scaled so it equals a *positive* rational
-    multiple of the true remainder, reduced to primitive form."""
+    multiple of the true remainder, reduced to primitive form. Each step
+    scales by |lead(g)|, dividing by -g when lead(g) < 0: the remainder is
+    the same."""
+    if g.lead < 0:
+        g = -g
     r = list(f.coeffs)
     dg = g.degree
     gl = g.lead
-    flips = 0
-    while len(r) - 1 >= dg and any(r):
+    while True:
         while r and r[-1] == 0:
             r.pop()
         if len(r) - 1 < dg:
@@ -168,24 +168,33 @@ def _prem_positive(f: IntPoly, g: IntPoly) -> IntPoly:
         shift = len(r) - 1 - dg
         top = r[-1]
         r = [c * gl for c in r]
-        flips += 1
         for i, c in enumerate(g.coeffs):
             r[i + shift] -= top * c
         r.pop()
-    p = IntPoly(tuple(r))
-    if gl < 0 and flips % 2 == 1:
-        p = -p
-    return p.primitive() if not p.is_zero else ZERO
+    return IntPoly(tuple(r)).primitive()
+
+
+def _remainders(a: IntPoly, b: IntPoly) -> list[IntPoly]:
+    """The signed remainder sequence a, b, -rem(a, b), ... up to its last
+    nonzero entry, each entry a positive multiple of the Euclidean one."""
+    seq = [a, b] if not b.is_zero else [a]
+    while len(seq) > 1 and seq[-1].degree > 0:
+        nxt = -_prem_positive(seq[-2], seq[-1])
+        if nxt.is_zero:
+            break
+        seq.append(nxt)
+    return seq
+
+
+def _normal(p: IntPoly) -> IntPoly:
+    """p divided by its content, with a positive leading coefficient."""
+    p = p.primitive()
+    return -p if not p.is_zero and p.lead < 0 else p
 
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
     """Primitive gcd over the integers, positive leading coefficient."""
-    a, b = a.primitive() if not a.is_zero else ZERO, b.primitive() if not b.is_zero else ZERO
-    while not b.is_zero:
-        a, b = b, _prem_positive(a, b)
-    if a.is_zero:
-        return ZERO
-    return a if a.lead > 0 else -a
+    return _normal(_remainders(a, b)[-1])
 
 
 def poly_div_exact(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -208,28 +217,18 @@ def poly_div_exact(a: IntPoly, b: IntPoly) -> IntPoly:
     return IntPoly(tuple(q))
 
 
-def square_free_part(p: IntPoly) -> IntPoly:
-    if p.is_zero:
-        raise ValueError("zero polynomial")
-    if p.degree == 0:
-        return ONE
-    g = poly_gcd(p, p.derivative())
-    sf = poly_div_exact(p.primitive(), g)
-    return sf if sf.lead > 0 else -sf
-
-
 # ---------------------------------------------------------------------------
 # Sturm chains
 
 def sturm_chain(p: IntPoly) -> tuple[IntPoly, ...]:
-    """Sturm chain of a square-free polynomial (positive rescaling allowed)."""
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        nxt = -_prem_positive(chain[-2], chain[-1])
-        if nxt.is_zero:
-            break
-        chain.append(nxt)
-    return tuple(chain)
+    """Sturm chain of the square-free part of a nonzero p: the remainder
+    sequence of p and p', each entry divided by its last, g = gcd(p, p')
+    (Basu, Pollack & Roy, section 2.2). The first entry is the square-free
+    part, primitive with a positive leading coefficient."""
+    p = _normal(p)
+    seq = _remainders(p, p.derivative())
+    g = _normal(seq[-1])
+    return tuple(poly_div_exact(q, g) for q in seq)
 
 
 def _variations(signs) -> int:
@@ -283,11 +282,6 @@ class CertifiedRoot:
 
     def as_float(self) -> float:
         return float(self.midpoint())
-
-    def contains(self, x: Rational) -> bool:
-        if self.exact:
-            return x == self.lo
-        return self.lo < x <= self.hi
 
     def refine(self, tol: Rational) -> "CertifiedRoot":
         """This root with its interval shrunk to width <= tol: self when it
@@ -348,8 +342,8 @@ def rho_certified(p: IntPoly, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
         raise ValueError("zero polynomial has no roots")
     if p.degree == 0:
         raise ValueError("constant polynomial has no roots")
-    sf = square_free_part(p)
-    chain = sturm_chain(sf)
+    chain = sturm_chain(p)
+    sf = chain[0]
     vinf = _var_at_inf(chain)
     upper = Fraction(max(1, p.degree))
     if _var_at(chain, upper) != vinf:
@@ -388,32 +382,36 @@ def charpoly(g: Graph) -> IntPoly:
     """Exact characteristic polynomial det(xI - A), the product over the
     connected components. Each component takes one of two routes, chosen by
     its edge count. A tree or unicyclic component takes Schwenk's bridge
-    recursion: _tree_phi maps (phi(T_v), phi(T_v - v)) across the edge to
-    each child c by (a, b) -> (a*a_c - b*b_c, b*a_c), and _unicyclic_phi
-    first cuts an edge of the cycle. A component with two or more
-    independent cycles takes charpoly_dense."""
+    rule in one pass of _bridge_phi: from its root for a tree, from every
+    vertex of its cycle at once for a unicyclic component. A component with
+    two or more independent cycles takes charpoly_dense."""
     result = ONE
     for comp in connected_components(g):
         edges = sum(g.degree(v) for v in comp) // 2
         if edges == len(comp) - 1:
-            phi = _tree_phi(g, comp[0])
+            phi = _bridge_phi(g, [comp[0]])
         else:
             sub = g if len(comp) == g.n else delete_vertices(g, set(range(g.n)).difference(comp))
-            phi = _unicyclic_phi(sub) if edges == len(comp) else charpoly_dense(sub)
+            phi = (_bridge_phi(sub, two_core_cycle(sub)) if edges == len(comp)
+                   else charpoly_dense(sub))
         result = result * phi
     return result
 
 
-def _tree_phi(g: Graph, root: int) -> IntPoly:
-    """Characteristic polynomial of the tree component of g holding root.
+def _bridge_phi(g: Graph, core: list[int]) -> IntPoly:
+    """Characteristic polynomial of the tree or unicyclic component of g
+    holding core: one vertex of a tree, or its cycle in cyclic order.
 
-    One post-order pass carries (a, b) = (phi(T_v), phi(T_v - v)) for the
-    subtree T_v below each vertex v, starting from (x, 1). Schwenk's bridge
-    rule phi(G) = phi(G - uv) - phi(G - u - v) adds each child c's subtree
-    across the edge vc: (a, b) -> (a*a_c - b*b_c, b*a_c).
+    One post-order pass from all of core carries (a, b) = (phi(T_v),
+    phi(T_v - v)) for the tree T_v hanging below each vertex v, from (x, 1).
+    Schwenk's bridge rule phi(G) = phi(G - uv) - phi(G - u - v) adds each
+    child c's tree across the edge vc: (a, b) -> (a*a_c - b*b_c, b*a_c). A
+    tree's polynomial is its root's a. Schwenk's cycle rule makes a cycle
+    v_1 ... v_c give tr(M_1 ... M_c) - 2 prod b_v, where M_v = [[a_v, b_v],
+    [-b_v, 0]] appends v's tree to a path of hanging trees.
     """
-    parent = {root: root}
-    order = [root]
+    parent = {v: v for v in core}
+    order = list(core)
     for v in order:
         for w in g.adj[v]:
             if w not in parent:
@@ -424,21 +422,17 @@ def _tree_phi(g: Graph, root: int) -> IntPoly:
     for v in reversed(order):
         av, bv = X, ONE
         for c in g.adj[v]:
-            if c != parent[v]:
+            if parent[c] == v:
                 av, bv = av * a[c] - bv * b[c], bv * a[c]
         a[v], b[v] = av, bv
-    return a[root]
-
-
-def _unicyclic_phi(g: Graph) -> IntPoly:
-    """Characteristic polynomial of a connected unicyclic graph, through an
-    edge uv of its cycle C: phi(G - uv) - phi(G - u - v) - 2 phi(G - C)."""
-    cycle = two_core_cycle(g)
-    u, v = cycle[0], cycle[1]
-    phi_tree = _tree_phi(delete_edge(g, u, v), u)
-    phi_uv = charpoly(delete_vertices(g, [u, v]))
-    phi_rest = charpoly(delete_vertices(g, cycle))
-    return phi_tree - phi_uv - phi_rest.scale(2)
+    if len(core) == 1:
+        return a[core[0]]
+    m11, m12, m21, m22, prod_b = ONE, ZERO, ZERO, ONE, ONE
+    for v in core:
+        av, bv = a[v], b[v]
+        m11, m12, m21, m22 = m11 * av - m12 * bv, m11 * bv, m21 * av - m22 * bv, m21 * bv
+        prod_b = prod_b * bv
+    return m11 + m22 - prod_b.scale(2)
 
 
 def charpoly_dense(g: Graph) -> IntPoly:
@@ -496,41 +490,32 @@ _EQUAL_GATE = Fraction(1, 10**4)
 def compare_roots(r1: CertifiedRoot, r2: CertifiedRoot):
     """Exact ordering of two certified largest roots.
 
-    Returns (Ordering, EqualityWitness | None). Intervals are refined until
-    disjoint; overlap triggers a gcd certificate for provable equality.
+    Returns (Ordering, EqualityWitness | None). Each radius lies in its
+    isolating set, {lo} when exact and (lo, hi] otherwise; disjoint sets
+    give the order. Otherwise the radii are equal exactly when gcd(p1, p2)
+    has a root in the intersection of the sets: a gcd root there is a root
+    of each square-free part inside its isolating set, so it is both radii.
+    A point intersection takes one sign test, any other a Sturm count. Equal
+    radii return on the first pass; distinct ones are separated once
+    refinement makes both widths less than half their distance.
     """
     r1, r2 = r1.refine(_EQUAL_GATE), r2.refine(_EQUAL_GATE)
-    gcd = None
-    # Terminates. Equal radii are a root of the gcd lying in both intervals,
-    # hence in their overlap, and the loop returns EQUAL on the first pass.
-    # Conversely a gcd root in the overlap is a root of each square-free part
-    # inside that part's isolating interval, so it is both radii: EQUAL is
-    # never returned for distinct radii. Distinct radii are separated once
-    # refinement makes both widths less than half their distance.
+    gcd = chain = None
     while True:
-        if r1.hi < r2.lo or (r1.exact and not r2.exact and r1.hi <= r2.lo):
+        if r1.hi < r2.lo or (r1.hi == r2.lo and not r2.exact):
             return Ordering.LESS, None
-        if r2.hi < r1.lo or (r2.exact and not r1.exact and r2.hi <= r1.lo):
+        if r2.hi < r1.lo or (r2.hi == r1.lo and not r1.exact):
             return Ordering.GREATER, None
-        if r1.exact and r2.exact:
-            if r1.lo == r2.lo:
-                w = EqualityWitness(poly_gcd(r1.poly, r2.poly), r1.lo, r1.hi)
-                return Ordering.EQUAL, w
-            return (Ordering.LESS, None) if r1.lo < r2.lo else (Ordering.GREATER, None)
-        if r1.exact or r2.exact:
-            a, b = (r1, r2) if r1.exact else (r2, r1)
-            if b.square_free.sign_at(a.lo) == 0 and b.contains(a.lo):
-                w = EqualityWitness(poly_gcd(r1.poly, r2.poly), a.lo, a.lo)
-                return Ordering.EQUAL, w
+        if gcd is None:
+            gcd = poly_gcd(r1.poly, r2.poly)
+        lo, hi = max(r1.lo, r2.lo), min(r1.hi, r2.hi)
+        if lo == hi:
+            shared = gcd.sign_at(lo) == 0
         else:
-            if gcd is None:
-                gcd = poly_gcd(r1.poly, r2.poly)
-            if gcd.degree >= 1:
-                lo = max(r1.lo, r2.lo)
-                hi = min(r1.hi, r2.hi)
-                chain = sturm_chain(square_free_part(gcd))
-                if lo < hi and count_roots_halfopen(chain, lo, hi) >= 1:
-                    return Ordering.EQUAL, EqualityWitness(gcd, lo, hi)
+            chain = chain or sturm_chain(gcd)
+            shared = count_roots_halfopen(chain, lo, hi) >= 1
+        if shared:
+            return Ordering.EQUAL, EqualityWitness(gcd, lo, hi)
         r1 = r1 if r1.exact else r1.refine(r1.width / 256)
         r2 = r2 if r2.exact else r2.refine(r2.width / 256)
 

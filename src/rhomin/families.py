@@ -325,7 +325,9 @@ def _enumerate_open_r(n: int, d: int, r: int):
                 continue
             pos = list(accumulate((k + 1 for k in ks[1:-1]), initial=ks[0]))
             for ms in _open_pendants(ks, pos, s + r, budget - s, d):
-                if ks + ms == min(v[0] for v in _open_variants(ks, ms)):
+                # ms[0] >= ks[0] and ms[-1] >= ks[-1] already, so no end-arm
+                # swap is below (ks, ms); only the reversal can be
+                if ks[0] < ks[-1] or ks + ms <= ks[::-1] + ms[::-1]:
                     yield OpenQuipu(ks, ms)
 
 

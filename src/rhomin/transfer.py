@@ -12,7 +12,7 @@ comparator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
@@ -169,12 +169,19 @@ def root_pair(lam: Rational) -> tuple[QuadNum, QuadNum]:
 
 @dataclass(frozen=True)
 class RootedGraph:
+    """A graph G with a root vertex v. Every transfer quantity of (G, v) is
+    read off phi = phi_G and phi_minus_root = phi_{G-v}, computed once here."""
+
     graph: Graph
     root: int
+    phi: IntPoly = field(init=False, compare=False)
+    phi_minus_root: IntPoly = field(init=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.root < self.graph.n:
             raise ValueError("root out of range")
+        object.__setattr__(self, "phi", charpoly(self.graph))
+        object.__setattr__(self, "phi_minus_root", charpoly(delete_vertex(self.graph, self.root)))
 
 
 @dataclass(frozen=True)
@@ -200,8 +207,8 @@ def pq_decompose(rg: RootedGraph, lam: Rational) -> PQPair:
     """Invert the defining 2x2 system for (p, q) at rational lambda > 2."""
     lam = Fraction(lam)
     x1, x2 = root_pair(lam)
-    phi_g = charpoly(rg.graph).eval_at(lam)
-    phi_gv = charpoly(delete_vertex(rg.graph, rg.root)).eval_at(lam)
+    phi_g = rg.phi.eval_at(lam)
+    phi_gv = rg.phi_minus_root.eval_at(lam)
     den = x2 - x1
     p = (-x1 * phi_g + phi_gv) / den
     q = (x2 * phi_g - phi_gv) / den
@@ -230,14 +237,10 @@ def extended_phi(rg: RootedGraph, i: int, lam: Rational) -> Fraction:
     """phi of the rooted graph with a length-i pendant path, by the linear
     recurrence phi_{i+1} = lambda*phi_i - phi_{i-1}."""
     lam = Fraction(lam)
-    cur = charpoly(rg.graph).eval_at(lam)
-    if i == 0:
-        return cur
-    prev_graph = charpoly(delete_vertex(rg.graph, rg.root)).eval_at(lam)
-    nxt = lam * cur - prev_graph
-    for _ in range(i - 1):
-        cur, nxt = nxt, lam * nxt - cur
-    return nxt
+    prev, cur = rg.phi_minus_root.eval_at(lam), rg.phi.eval_at(lam)
+    for _ in range(i):
+        prev, cur = cur, lam * cur - prev
+    return cur
 
 
 def alpha(rg: RootedGraph, i: int, lam: Rational) -> Fraction:
@@ -304,17 +307,12 @@ def t_compose(
     return build_graph(n, edges)
 
 
-def _extended_charpoly(rg: RootedGraph) -> IntPoly:
-    """Characteristic polynomial of rg.graph with one pendant vertex at
-    the root: x*phi_G - phi_{G-v}."""
-    return charpoly(rg.graph).shift(1) - charpoly(delete_vertex(rg.graph, rg.root))
-
-
 def compose_charpoly(g1: RootedGraph, g2: RootedGraph, g3: RootedGraph) -> IntPoly:
     """Characteristic polynomial of t_compose(g1, g2, g3) from the branch
-    polynomials: A*B1*C - A*B*C0 - A0*B*C with A = phi_{(G1,v1,1)} etc."""
-    A0, B, C0 = (charpoly(rg.graph) for rg in (g1, g2, g3))
-    A, B1, C = (_extended_charpoly(rg) for rg in (g1, g2, g3))
+    polynomials: A*B1*C - A*B*C0 - A0*B*C with A = phi_{(G1,v1,1)} etc.
+    A branch with one pendant vertex at its root has x*phi_G - phi_{G-v}."""
+    A0, B, C0 = (rg.phi for rg in (g1, g2, g3))
+    A, B1, C = (rg.phi.shift(1) - rg.phi_minus_root for rg in (g1, g2, g3))
     return A * B1 * C - A * B * C0 - A0 * B * C
 
 
@@ -336,13 +334,14 @@ def t_compose_rho(
 
 @dataclass(frozen=True)
 class EdgeTransferResult:
-    """Predicted (and optionally verified) comparison of the spectral radii
-    of G with pendant paths of lengths (k, l) versus (k+1, l-1) at u, v."""
+    """Predicted comparison of the spectral radii of G with pendant paths of
+    lengths (k, l) versus (k+1, l-1) at u, v, and whether the certified
+    comparison confirms it."""
 
     predicted: Ordering
     left: Graph
     right: Graph
-    verified: bool | None
+    verified: bool
 
 
 def attach_pendant_paths(g: Graph, u: int, v: int, k: int, l: int) -> Graph:
@@ -352,7 +351,7 @@ def attach_pendant_paths(g: Graph, u: int, v: int, k: int, l: int) -> Graph:
 
 
 def edge_transfer_compare(
-    g: Graph, u: int, v: int, j: int, k: int, l: int, verify: bool = False
+    g: Graph, u: int, v: int, j: int, k: int, l: int
 ) -> EdgeTransferResult:
     """Compare rho of g with pendant paths (k at u, l at v) against the
     transferred pair (k+1 at u, l-1 at v).
@@ -360,7 +359,7 @@ def edge_transfer_compare(
     Preconditions: u and v have degree >= 2 in g and are at distance j
     (u == v exactly when j == 0), l > 0, and k - l >= j - 1. The predicted
     ordering is Equal when j == 0 and k == l - 1 (the two graphs are then
-    isomorphic) and Greater otherwise; verify=True certifies it exactly.
+    isomorphic) and Greater otherwise; compare_rho certifies it exactly.
     """
     if g.degree(u) < 2 or g.degree(v) < 2:
         raise ValueError("u and v must have degree >= 2")
@@ -375,7 +374,4 @@ def edge_transfer_compare(
     left = attach_pendant_paths(g, u, v, k, l)
     right = attach_pendant_paths(g, u, v, k + 1, l - 1)
     predicted = Ordering.EQUAL if (j == 0 and k == l - 1) else Ordering.GREATER
-    verified = None
-    if verify:
-        verified = compare_rho(left, right) is predicted
-    return EdgeTransferResult(predicted, left, right, verified)
+    return EdgeTransferResult(predicted, left, right, compare_rho(left, right) is predicted)

@@ -28,7 +28,6 @@ from rhomin.exactpoly import (
     poly_to_json,
     rho_certified,
     rho_certified_graph,
-    square_free_part,
     sturm_chain,
 )
 from rhomin.families import realize, spider, theorem_family
@@ -62,16 +61,21 @@ def test_gcd_and_square_free():
     b = IntPoly((-1, 1)) * IntPoly((-3, 1))
     g = poly_gcd(a, b)
     assert g.coeffs == (-1, 1)
-    sf = square_free_part(a)
+    sf = sturm_chain(a)[0]
     assert sf.coeffs == IntPoly((-1, 1)).__mul__(IntPoly((2, 1))).coeffs
 
 
 def test_sturm_counts():
-    p = IntPoly((0, -3, 0, 1))  # x(x^2 - 3)
-    chain = sturm_chain(square_free_part(p))
-    assert count_roots_halfopen(chain, Fraction(-2), Fraction(2)) == 3
-    assert count_roots_halfopen(chain, Fraction(1), Fraction(2)) == 1
-    assert cauchy_root_bound(p) >= 2
+    # x(x^2 - 3), and x^3 (x^2 - 3) with its triple root 0 at the midpoint
+    # of (-2, 2]: every count is of distinct roots, also with 0 as an end
+    counts = {(-2, 2): 3, (-2, 0): 2, (0, 2): 1, (-1, 0): 1, (0, 1): 0, (1, 2): 1}
+    for k in (1, 3):
+        p = IntPoly((0,) * k + (-3, 0, 1))
+        chain = sturm_chain(p)
+        assert chain[0] == IntPoly((0, -3, 0, 1))
+        for (a, b), n in counts.items():
+            assert count_roots_halfopen(chain, Fraction(a), Fraction(b)) == n
+        assert cauchy_root_bound(p) >= 2
 
 
 def test_rho_certified_irrational():
@@ -87,7 +91,7 @@ def test_rho_certified_rational_root_deflation():
     assert root.exact and root.lo == 2
     # largest root rational but not the bisection midpoint
     root = rho_certified(IntPoly((-6, 11, -6, 1)))  # (x-1)(x-2)(x-3)
-    assert root.contains(Fraction(3))
+    assert root.exact and root.lo == 3
 
 
 def _minus(root, q: Fraction) -> int:
@@ -147,7 +151,7 @@ def test_refine_converges_to_the_root_above_a_root_at_lo():
     p = IntPoly((3, -4, 1))  # (x - 1)(x - 3); lo = 1 is the smaller root
     root = CertifiedRoot(p, p, Fraction(1), Fraction(4), False)
     fine = root.refine(Fraction(1, 10**9))
-    assert fine.contains(Fraction(3))
+    assert fine.lo <= 3 <= fine.hi
     assert fine.width <= Fraction(1, 10**9)
 
 
@@ -169,7 +173,7 @@ def test_isolation_evaluates_the_sturm_chain_once_per_halving(monkeypatch):
     # the two largest distinct roots, so it halves the starting interval
     # (-C, U], C the Cauchy bound and U <= max(deg, C), at most
     # log2(width / gap) times; V is also read once at each starting bound.
-    bound = cauchy_root_bound(square_free_part(p))
+    bound = cauchy_root_bound(sturm_chain(p)[0])
     width = float(max(p.degree, bound) + bound)
     eig = np.unique(np.round(np.linalg.eigvalsh(adjacency(g)), 9))
     halvings = math.ceil(math.log2(width / (eig[-1] - eig[-2])))
@@ -244,10 +248,11 @@ def _connected(data, n, least_extra, most_extra):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_charpoly_routes_agree_on_mixed_components(data):
-    # one component per route of charpoly (tree, unicyclic, two or more
-    # cycles), interleaved by a random relabelling
-    t, u = data.draw(st.integers(1, 2)), data.draw(st.integers(3, 4))
-    m = data.draw(st.integers(4, 10 - t - u))
+    # one component per route of charpoly (tree, unicyclic with trees
+    # hanging off its cycle, two or more cycles), interleaved by a random
+    # relabelling
+    t, u = data.draw(st.integers(1, 2)), data.draw(st.integers(3, 12))
+    m = data.draw(st.integers(4, max(4, 10 - t - u)))
     g = disjoint_union(disjoint_union(_connected(data, t, 0, 0), _connected(data, u, 1, 1)),
                        _connected(data, m, 2, m * m))
     g = relabel(g, data.draw(st.permutations(range(g.n))))
@@ -417,6 +422,35 @@ def test_compare_roots_leaves_its_arguments_unchanged():
     before = (a.lo, a.hi, b.lo, b.hi)
     assert compare_roots(a, b)[0] is Ordering.LESS
     assert (a.lo, a.hi, b.lo, b.hi) == before
+
+
+def _around(p: IntPoly, lo: Fraction, hi: Fraction) -> CertifiedRoot:
+    return CertifiedRoot(p, sturm_chain(p)[0], lo, hi, False)
+
+
+def test_compare_roots_reads_the_isolating_sets():
+    x_minus_2 = IntPoly((-2, 1))
+    two = CertifiedRoot(x_minus_2, x_minus_2, Fraction(2), Fraction(2), True)
+    shared = _around(x_minus_2 * IntPoly((-1, 1)), Fraction(3, 2), Fraction(5, 2))
+    order, witness = compare_roots(two, shared)
+    assert order is Ordering.EQUAL
+    assert (witness.factor, witness.lo, witness.hi) == (x_minus_2, 2, 2)
+    # narrower than the refinement gate, so {2} meets (lo, hi] as given
+    # and one sign test of the gcd decides
+    eps = Fraction(1, 10**5)
+    near = _around(x_minus_2 * IntPoly((-1, 1)), 2 - eps, 2 + eps)
+    order, witness = compare_roots(near, two)
+    assert order is Ordering.EQUAL and (witness.lo, witness.hi) == (2, 2)
+    # sqrt(5) lies in (3/2, 5/2] too, but x^2 - 5 shares no root with x - 2
+    sqrt5 = _around(IntPoly((-5, 0, 1)), Fraction(3, 2), Fraction(5, 2))
+    assert compare_roots(two, sqrt5) == (Ordering.LESS, None)
+    assert compare_roots(sqrt5, two) == (Ordering.GREATER, None)
+    # (lo, m] and (m, hi] meet at m alone: disjoint sets, ordered as given
+    m = Fraction(17321, 10000)
+    sqrt3 = _around(IntPoly((-3, 0, 1)), m - Fraction(1, 10**4), m)
+    above = _around(IntPoly((-34643, 20000)), m, m + Fraction(1, 10**4))
+    assert compare_roots(sqrt3, above) == (Ordering.LESS, None)
+    assert compare_roots(above, sqrt3) == (Ordering.GREATER, None)
 
 
 def test_threshold_decisions():

@@ -267,9 +267,9 @@ def test_edge_transfer_preconditions():
 
 def test_edge_transfer_predictions():
     c4 = cycle_graph(4)
-    res = edge_transfer_compare(c4, 0, 0, 0, 2, 1, verify=True)
+    res = edge_transfer_compare(c4, 0, 0, 0, 2, 1)
     assert res.predicted is Ordering.GREATER and res.verified
-    res = edge_transfer_compare(c4, 0, 0, 0, 1, 2, verify=True)
+    res = edge_transfer_compare(c4, 0, 0, 0, 1, 2)
     assert res.predicted is Ordering.EQUAL and res.verified
     assert canonical_code(res.left) == canonical_code(res.right)
 
