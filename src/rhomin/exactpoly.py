@@ -283,6 +283,11 @@ class CertifiedRoot:
     def as_float(self) -> float:
         return float(self.midpoint())
 
+    def contains(self, x: Rational) -> bool:
+        if self.exact:
+            return x == self.lo
+        return self.lo < x <= self.hi
+
     def refine(self, tol: Rational) -> "CertifiedRoot":
         """This root with its interval shrunk to width <= tol: self when it
         is exact or already that narrow, a narrower copy otherwise.

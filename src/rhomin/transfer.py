@@ -12,8 +12,9 @@ comparator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt
 
 from .exactpoly import (
@@ -137,8 +138,7 @@ class QuadNum:
         lhs, rhs = self.a * self.a, self.b * self.b * self.D
         if lhs == rhs:
             return 0
-        dominant_rational = lhs > rhs
-        if dominant_rational:
+        if lhs > rhs:
             return 1 if self.a > 0 else -1
         return 1 if self.b > 0 else -1
 
@@ -170,18 +170,23 @@ def root_pair(lam: Rational) -> tuple[QuadNum, QuadNum]:
 @dataclass(frozen=True)
 class RootedGraph:
     """A graph G with a root vertex v. Every transfer quantity of (G, v) is
-    read off phi = phi_G and phi_minus_root = phi_{G-v}, computed once here."""
+    read off phi = phi_G and phi_minus_root = phi_{G-v}, each computed on
+    first read and at most once."""
 
     graph: Graph
     root: int
-    phi: IntPoly = field(init=False, compare=False)
-    phi_minus_root: IntPoly = field(init=False, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.root < self.graph.n:
             raise ValueError("root out of range")
-        object.__setattr__(self, "phi", charpoly(self.graph))
-        object.__setattr__(self, "phi_minus_root", charpoly(delete_vertex(self.graph, self.root)))
+
+    @cached_property
+    def phi(self) -> IntPoly:
+        return charpoly(self.graph)
+
+    @cached_property
+    def phi_minus_root(self) -> IntPoly:
+        return charpoly(delete_vertex(self.graph, self.root))
 
 
 @dataclass(frozen=True)
@@ -218,8 +223,7 @@ def pq_decompose(rg: RootedGraph, lam: Rational) -> PQPair:
 def t_value(rg: RootedGraph, lam: Rational) -> QuadNum:
     """t = q/p of a rooted graph; raises PoleError when p vanishes."""
     pair = pq_decompose(rg, lam)
-    zero = pair.p.a == 0 and pair.p.b == 0
-    if zero:
+    if pair.p.a == 0 and pair.p.b == 0:
         raise PoleError("p vanishes at this lambda")
     return pair.q / pair.p
 
@@ -287,24 +291,12 @@ def t_compose(
         if b is not None:
             edges.extend((u + n, v + n) for u, v in b.graph.edges())
             n += b.graph.n
-    w1 = None
-    if g1 is not None:
-        w1 = n
-        n += 1
-    c = n
-    n += 1
-    w3 = None
-    if g3 is not None:
-        w3 = n
-        n += 1
+    c = n + (g1 is not None)
     edges.append((c, offs[1] + g2.root))
-    if g1 is not None:
-        edges.append((c, w1))
-        edges.append((w1, offs[0] + g1.root))
-    if g3 is not None:
-        edges.append((c, w3))
-        edges.append((w3, offs[2] + g3.root))
-    return build_graph(n, edges)
+    for b, off, w in ((g1, offs[0], c - 1), (g3, offs[2], c + 1)):
+        if b is not None:
+            edges += [(c, w), (w, off + b.root)]
+    return build_graph(c + 1 + (g3 is not None), edges)
 
 
 def compose_charpoly(g1: RootedGraph, g2: RootedGraph, g3: RootedGraph) -> IntPoly:

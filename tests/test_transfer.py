@@ -86,6 +86,24 @@ def test_pq_defining_system_random_trees():
             assert pq.phi_minus_root == charpoly(delete_vertex(g, rg.root)).eval_at(lam)
 
 
+def test_rooted_graph_polynomials_are_read_once_and_stay_out_of_equality(monkeypatch):
+    import rhomin.transfer as transfer
+
+    calls = []
+    monkeypatch.setattr(transfer, "charpoly", lambda g: calls.append(g.n) or charpoly(g))
+    g = path_graph(4)
+    rg, twin = RootedGraph(g, 1), RootedGraph(g, 1)
+    t_compose(rg, rg, None)
+    assert calls == []  # placing a branch reads no polynomial
+    for lam in LAMBDAS:
+        pq_decompose(rg, lam)
+        extended_phi(rg, 2, lam)
+    assert calls == [4, 3]
+    assert (rg.phi, rg.phi_minus_root) == (charpoly(g), charpoly(delete_vertex(g, 1)))
+    assert rg == twin and hash(rg) == hash(twin)
+    assert rg != RootedGraph(g, 2)
+
+
 def test_single_vertex_pq():
     pq = pq_decompose(RootedGraph(path_graph(1), 0), Fraction(3))
     assert pq.phi == 3
