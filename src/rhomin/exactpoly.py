@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, connected_components, delete_vertices, two_core_cycle
+from .graphs import Graph, connected_components, delete_vertices, peel_leaves
 
 Rational = Fraction
 
@@ -387,54 +387,45 @@ def charpoly(g: Graph) -> IntPoly:
     """Exact characteristic polynomial det(xI - A), the product over the
     connected components. Each component takes one of two routes, chosen by
     its edge count. A tree or unicyclic component takes Schwenk's bridge
-    rule in one pass of _bridge_phi: from its root for a tree, from every
-    vertex of its cycle at once for a unicyclic component. A component with
+    rule in one pass of _bridge_phi over its leaf peel. A component with
     two or more independent cycles takes charpoly_dense."""
     result = ONE
     for comp in connected_components(g):
         edges = sum(g.degree(v) for v in comp) // 2
-        if edges == len(comp) - 1:
-            phi = _bridge_phi(g, [comp[0]])
+        if edges <= len(comp):
+            phi = _bridge_phi(*peel_leaves(g, comp))
         else:
             sub = g if len(comp) == g.n else delete_vertices(g, set(range(g.n)).difference(comp))
-            phi = (_bridge_phi(sub, two_core_cycle(sub)) if edges == len(comp)
-                   else charpoly_dense(sub))
+            phi = charpoly_dense(sub)
         result = result * phi
     return result
 
 
-def _bridge_phi(g: Graph, core: list[int]) -> IntPoly:
-    """Characteristic polynomial of the tree or unicyclic component of g
-    holding core: one vertex of a tree, or its cycle in cyclic order.
+def _bridge_phi(order: list[int], parent: list[int], core: list[int]) -> IntPoly:
+    """Characteristic polynomial of a tree or unicyclic component from its
+    leaf peel (graphs.peel_leaves): the peeled vertices in order, their
+    parents, and the tree's last vertex or the cycle in cyclic order.
 
-    One post-order pass from all of core carries (a, b) = (phi(T_v),
-    phi(T_v - v)) for the tree T_v hanging below each vertex v, from (x, 1).
-    Schwenk's bridge rule phi(G) = phi(G - uv) - phi(G - u - v) adds each
-    child c's tree across the edge vc: (a, b) -> (a*a_c - b*b_c, b*a_c). A
-    tree's polynomial is its root's a. Schwenk's cycle rule makes a cycle
-    v_1 ... v_c give tr(M_1 ... M_c) - 2 prod b_v, where M_v = [[a_v, b_v],
-    [-b_v, 0]] appends v's tree to a path of hanging trees.
+    One pass over the peel carries (a, b) = (phi(T_v), phi(T_v - v)) for
+    the tree T_v hanging below each vertex v, from (x, 1). Schwenk's bridge
+    rule phi(G) = phi(G - uv) - phi(G - u - v) adds each peeled vertex's
+    tree to its parent's across the edge: (a, b) -> (a*a_c - b*b_c, b*a_c).
+    A tree's polynomial is its last vertex's a. Schwenk's cycle rule makes a
+    cycle v_1 ... v_c give tr(M_1 ... M_c) - 2 prod b_v, where M_v = [[a_v,
+    b_v], [-b_v, 0]] appends v's tree to a path of hanging trees.
     """
-    parent = {v: v for v in core}
-    order = list(core)
-    for v in order:
-        for w in g.adj[v]:
-            if w not in parent:
-                parent[w] = v
-                order.append(w)
     a: dict[int, IntPoly] = {}
     b: dict[int, IntPoly] = {}
-    for v in reversed(order):
-        av, bv = X, ONE
-        for c in g.adj[v]:
-            if parent[c] == v:
-                av, bv = av * a[c] - bv * b[c], bv * a[c]
-        a[v], b[v] = av, bv
+    for v in order:
+        av, bv = a.pop(v, X), b.pop(v, ONE)
+        w = parent[v]
+        aw, bw = a.get(w, X), b.get(w, ONE)
+        a[w], b[w] = aw * av - bw * bv, bw * av
     if len(core) == 1:
-        return a[core[0]]
+        return a.get(core[0], X)
     m11, m12, m21, m22, prod_b = ONE, ZERO, ZERO, ONE, ONE
     for v in core:
-        av, bv = a[v], b[v]
+        av, bv = a.get(v, X), b.get(v, ONE)
         m11, m12, m21, m22 = m11 * av - m12 * bv, m11 * bv, m21 * av - m22 * bv, m21 * bv
         prod_b = prod_b * bv
     return m11 + m22 - prod_b.scale(2)
@@ -539,6 +530,67 @@ def equal_rho_certificate(g1: Graph, g2: Graph):
     """
     order, witness = compare_roots(rho_certified_graph(g1), rho_certified_graph(g2))
     return order is Ordering.EQUAL, witness
+
+
+# ---------------------------------------------------------------------------
+# exact location of a spectral radius against a rational
+
+def compare_rho_to(g: Graph, lam: Rational) -> Ordering:
+    """Exact ordering of rho(g) against a rational lam, for a connected tree
+    or unicyclic graph; any other graph raises ValueError.
+
+    Gaussian elimination of lam*I - A from the leaves inward (Jacobs &
+    Trevisan, LAA 434, 2011), then around the cycle, reading only the signs
+    of the pivots: no float and no polynomial. By Sylvester's law of
+    inertia, rho > lam exactly when lam*I - A is not positive semidefinite.
+    So the first pivot that is negative, or zero while its vertex still has
+    a nonzero entry to a vertex not yet eliminated, means GREATER: in the
+    second case what is left keeps the 2-by-2 block [[0, t], [t, s]] there,
+    of determinant -t^2 < 0. A peeled vertex has its parent, at -1, and
+    each cycle vertex but the last has its successor, at -1, or, for the
+    second-to-last, the last, at -1 - 1/P with P > 0 the minor before.
+    Positive pivots throughout mean LESS; positive ones and a zero last
+    pivot mean lam*I - A is semidefinite and singular, so rho = lam, EQUAL.
+    """
+    lam = Fraction(lam)
+    order, parent, core = peel_leaves(g, range(g.n))
+    if core is None:
+        raise ValueError("compare_rho_to needs a connected tree or unicyclic graph")
+    # each vertex's diagonal entry of what is left to eliminate, as a pair
+    # (num, den > 0); lam at first
+    num, den = [lam.numerator] * g.n, [lam.denominator] * g.n
+    # leaves inward: a peeled vertex's pivot is lam - sum 1/pivot over its
+    # children, and 1/pivot comes off its parent's diagonal
+    for v in order:
+        if num[v] <= 0:
+            return Ordering.GREATER
+        k = math.gcd(num[v], den[v])
+        p, q = num[v] // k, den[v] // k
+        w = parent[v]
+        num[w], den[w] = num[w] * p - den[w] * q, den[w] * p
+    if len(core) == 1:
+        last = num[core[0]]
+    else:
+        # around the cycle v_1 ... v_c, whose diagonal entries are D_v and
+        # whose other entries are -1 between neighbours: with K_v = [[D_v,
+        # -1], [1, 0]], the leading i-by-i minor is (K_1 ... K_i)[0][0] for
+        # i < c, and the determinant is tr(K_1 ... K_c) - 2 (Schwenk's cycle
+        # rule). Each pivot is the ratio of its minor to the one before. r
+        # is the product of the integer matrices den_v * K_v, and scale the
+        # product of the den_v, so r[0][0] has the sign of the minor.
+        r00, r01, r10, r11, scale = 1, 0, 0, 1, 1
+        for v in core[:-1]:
+            k = math.gcd(num[v], den[v])
+            p, q = num[v] // k, den[v] // k
+            r00, r01, r10, r11 = r00 * p + r01 * q, -r00 * q, r10 * p + r11 * q, -r10 * q
+            scale *= q
+            if r00 <= 0:
+                return Ordering.GREATER
+        p, q = num[core[-1]], den[core[-1]]
+        last = r00 * p + r01 * q - r10 * q - 2 * scale * q
+    if last < 0:
+        return Ordering.GREATER
+    return Ordering.EQUAL if last == 0 else Ordering.LESS
 
 
 # 3/sqrt(2), the largest root of 2x^2 - 9

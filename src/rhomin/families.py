@@ -255,13 +255,28 @@ def spider(k: int) -> OpenQuipu:
 ALL_KINDS = frozenset({"open", "closed", "dagger"})
 
 
-def enumerate_quipus(n: int, d: int, kinds=ALL_KINDS):
+def enumerate_quipus(n: int, d: int, kinds=ALL_KINDS, cut=None):
     """Yield every canonical family spec of order n and diameter exactly d.
 
     Branch-and-prune over parameter tuples. The diameter is computed from the
     parameters while the tuple is built, and prefixes that cannot be
     canonical or cannot reach diameter d are cut, so no graph is built or
     searched. Each isomorphism class appears exactly once.
+
+    `cut`, when given, is asked at the inner nodes of the walk over the
+    pendant lengths ms of open quipus with two or more branch vertices and
+    of closed quipus: once the segments ks are fixed, and again after each
+    pendant length but the last two. It gets the node's floor, a spec whose
+    graph is a subgraph of every member below the node, and a true answer
+    drops them all. An open floor keeps the pendants chosen so far (before
+    any is, ms[0] at its least value, ks[0]), then takes 1 for each inner
+    one left and max(1, ks[-1]) for the last. A closed floor fills the rest
+    with ms[0], which canonical form makes the least pendant (1 before it
+    is chosen). A floor grows with the pendant just chosen, so
+    the walk skips the longer siblings of a cut node: `cut` must hold for
+    every spec containing one it holds for, as rho(floor) > lam does for a
+    lam that only falls. The path, spiders, cycle and dagger are leaves
+    only. cut=None walks everything.
     """
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
@@ -269,9 +284,9 @@ def enumerate_quipus(n: int, d: int, kinds=ALL_KINDS):
     if not kinds <= ALL_KINDS:
         raise ValueError(f"unknown kinds: {kinds - ALL_KINDS}")
     if "open" in kinds:
-        yield from _enumerate_open(n, d)
+        yield from _enumerate_open(n, d, cut)
     if "closed" in kinds:
-        yield from _enumerate_closed(n, d)
+        yield from _enumerate_closed(n, d, cut)
     if "dagger" in kinds:
         yield from _enumerate_dagger(n, d)
 
@@ -283,7 +298,7 @@ def _enumerate_dagger(n: int, d: int):
         yield Dagger(n - 4)
 
 
-def _enumerate_open(n: int, d: int):
+def _enumerate_open(n: int, d: int, cut):
     # degenerate path
     if d == n - 1 and (n >= 2 or d == 0):
         yield OpenQuipu((0, 0), (n - 1,))
@@ -300,7 +315,7 @@ def _enumerate_open(n: int, d: int):
     # meets at most two of them, so it misses >= r+1 vertices and
     # d <= n - r - 2
     for r in range(1, min((n - 4) // 2, n - d - 2) + 1):
-        yield from _enumerate_open_r(n, d, r)
+        yield from _enumerate_open_r(n, d, r, cut)
 
 
 def _compositions(total: int, parts: int, minima):
@@ -314,7 +329,7 @@ def _compositions(total: int, parts: int, minima):
             yield (first,) + rest
 
 
-def _enumerate_open_r(n: int, d: int, r: int):
+def _enumerate_open_r(n: int, d: int, r: int, cut):
     # segment sum s: backbone length s + r must not exceed the diameter
     budget = n - r - 1  # vertices left for segments + pendants
     for s in range(2, min(d - r, budget - (r + 1)) + 1):
@@ -324,14 +339,19 @@ def _enumerate_open_r(n: int, d: int, r: int):
             if ks[0] > ks[-1]:
                 continue
             pos = list(accumulate((k + 1 for k in ks[1:-1]), initial=ks[0]))
-            for ms in _open_pendants(ks, pos, s + r, budget - s, d):
+            for ms in _open_pendants(ks, pos, s + r, budget - s, d, cut):
                 # ms[0] >= ks[0] and ms[-1] >= ks[-1] already, so no end-arm
                 # swap is below (ks, ms); only the reversal can be
                 if ks[0] < ks[-1] or ks + ms <= ks[::-1] + ms[::-1]:
                     yield OpenQuipu(ks, ms)
 
 
-def _open_pendants(ks, pos, backbone, total, d):
+def _open_floor(ks, head) -> OpenQuipu:
+    """The floor of the open quipus with segments ks and first pendants head."""
+    return OpenQuipu(ks, (*head, *(1,) * (len(ks) - 2 - len(head)), max(1, ks[-1])))
+
+
+def _open_pendants(ks, pos, backbone, total, d, cut):
     """Pendant length tuples ms (each >= 1, summing to `total`) that give the
     open quipu (ks, ms) diameter exactly d, with ms[0] >= ks[0] and
     ms[-1] >= ks[-1] as canonical form requires.
@@ -339,11 +359,14 @@ def _open_pendants(ks, pos, backbone, total, d):
     The farthest pair is backbone end to end, end to pendant tip, or tip to
     tip; every such distance is capped at d on the way down and the largest
     one is carried along, so a leaf is kept exactly when it reaches d.
+    Each inner node that can still reach a leaf asks `cut` about its floor,
+    unless that floor is its parent's (its last pendant is the least), and
+    returns True when cut; its parent then skips its longer siblings.
     """
     last = len(pos) - 1
     last_min = max(1, ks[-1])
 
-    def rec(i, remaining, runmax, best, acc):
+    def rec(i, remaining, runmax, best, acc, ask):
         # runmax >= 0 is the largest ms[j] - pos[j] so far, so the tip-to-tip
         # term m + p + runmax also covers the left end to this tip
         p = pos[i]
@@ -353,18 +376,27 @@ def _open_pendants(ks, pos, backbone, total, d):
                 best, remaining + p + runmax, remaining + backbone - p
             ) == d:
                 yield (*acc, remaining)
-            return
+            return False
         cap = min(cap, remaining - (last - 1 - i) - last_min)
-        for m in range(ks[0] if i == 0 else 1, cap + 1):
+        low = ks[0] if i == 0 else 1
+        if cap < low:
+            return False
+        if ask and cut(_open_floor(ks, acc or ks[:1])):
+            return True
+        for m in range(low, cap + 1):
             acc.append(m)
-            yield from rec(i + 1, remaining - m, max(runmax, m - p),
-                           max(best, m + p + runmax, m + backbone - p), acc)
+            if (yield from rec(i + 1, remaining - m, max(runmax, m - p),
+                               max(best, m + p + runmax, m + backbone - p), acc,
+                               cut and m > low)):
+                acc.pop()
+                break
             acc.pop()
+        return False
 
-    yield from rec(0, total, 0, backbone, [])
+    yield from rec(0, total, 0, backbone, [], cut)
 
 
-def _enumerate_closed(n: int, d: int):
+def _enumerate_closed(n: int, d: int, cut):
     if n >= 3 and d == n // 2:
         yield ClosedQuipu((n - 1,), (0,))
     for c in range(3, n):  # cycle length; at least one pendant vertex remains
@@ -381,12 +413,12 @@ def _enumerate_closed(n: int, d: int):
                 if ks[0] > ks[-1]:
                     continue
                 pos = list(accumulate((k + 1 for k in ks[:-1]), initial=0))
-                for ms in _cycle_pendants(pos, c, n - c, d, mcap):
+                for ms in _cycle_pendants(ks, pos, c, n - c, d, mcap, cut):
                     if tuple(zip(ms, ks)) == min(_closed_pair_candidates(ks, ms)):
                         yield ClosedQuipu(ks, ms)
 
 
-def _cycle_pendants(pos, c, total, d, mcap):
+def _cycle_pendants(ks, pos, c, total, d, mcap, cut):
     """Pendant length tuples ms (each >= 1, summing to `total`) that give the
     closed quipu with branch positions `pos` on a c-cycle diameter exactly d,
     with ms[0] <= every later entry as canonical form requires.
@@ -394,13 +426,13 @@ def _cycle_pendants(pos, c, total, d, mcap):
     The farthest pair is the cycle antipode, a tip to its antipode, or two
     tips through the shorter arc. Every distance is capped at d on the way
     down and the largest one is carried along; a prefix is cut as soon as no
-    completion can reach d.
+    completion can reach d. `cut` is asked as in _open_pendants.
     """
     r = len(pos)
     half = c // 2
     arc = [[min(abs(a - b), c - abs(a - b)) for b in pos] for a in pos]
 
-    def rec(i, remaining, best, top, acc):
+    def rec(i, remaining, best, top, acc, ask):
         # later pendants are each >= ms[0], so none of the remaining ones
         # exceeds cap; two tips are at most their lengths plus half apart
         low = acc[0] if i else 1
@@ -408,7 +440,7 @@ def _cycle_pendants(pos, c, total, d, mcap):
         cap = min(mcap, remaining - left * low)
         partner = max(top, cap if left else 0)
         if max(best, half + cap + partner) < d:
-            return
+            return False
         row = arc[i]
         for j in range(i):
             cap = min(cap, d - acc[j] - row[j])
@@ -418,18 +450,25 @@ def _cycle_pendants(pos, c, total, d, mcap):
                 max((acc[j] + remaining + row[j] for j in range(i)), default=0),
             ) == d:
                 yield (*acc, remaining)
-            return
+            return False
         if i == 0:  # ms[0] is the least of r pendants
             cap = min(cap, remaining // r)
+        if cap < low:
+            return False
+        if ask and cut(ClosedQuipu(ks, (*acc, *(low,) * (r - i)))):
+            return True
         for m in range(low, cap + 1):
             acc.append(m)
-            yield from rec(i + 1, remaining - m, max(
+            if (yield from rec(i + 1, remaining - m, max(
                 best, half + m,
                 max((acc[j] + m + row[j] for j in range(i)), default=0),
-            ), max(top, m), acc)
+            ), max(top, m), acc, cut and m > low)):
+                acc.pop()
+                break
             acc.pop()
+        return False
 
-    yield from rec(0, total, half, 0, [])
+    yield from rec(0, total, half, 0, [], cut)
 
 
 # ---------------------------------------------------------------------------

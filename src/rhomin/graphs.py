@@ -4,8 +4,9 @@ Vertices are labelled 0..n-1 with no gaps. Graph values are immutable and
 hashable; every operation returns a new value. Besides construction and BFS
 metrics the module provides canonical codes (isomorphism keys for trees,
 unicyclic graphs and small graphs) and the graph6 interchange format. Tree
-and unicyclic codes, a tree's centres and a unicyclic graph's cycle all come
-from one leaf-peeling pass.
+and unicyclic codes and a tree's centres come from one leaf-peeling pass
+by layers; a tree's elimination order and a unicyclic graph's cycle come
+from a plainer one that keeps no codes.
 """
 
 from __future__ import annotations
@@ -250,10 +251,41 @@ def _cycle(g: Graph, core: list[int]) -> list[int] | None:
     return order if len(order) == len(core) else None
 
 
+def peel_leaves(g: Graph, vertices) -> tuple[list[int], list[int], list[int] | None]:
+    """Strip the leaves of the subgraph on `vertices`, a union of connected
+    components of g, one at a time until none is left.
+
+    Returns the peeled vertices in the order they went; a list whose entry
+    at each peeled vertex is its parent, its last neighbour when it went;
+    and what is left: a tree's last vertex as a one-element list, a
+    unicyclic graph's cycle in cyclic order as two_core_cycle gives it, or
+    None for anything else. Every vertex comes after all of its children,
+    so one pass over the order can fold each subtree into its parent.
+    """
+    deg = [len(a) for a in g.adj]
+    # the sum of each vertex's neighbours not yet peeled: a leaf's parent
+    link = [sum(a) for a in g.adj]
+    order = []
+    stack = [v for v in vertices if deg[v] == 1]
+    while stack:
+        v = stack.pop()
+        if deg[v] != 1:  # a tree's last vertex, its neighbour peeled first
+            continue
+        deg[v] = -1
+        order.append(v)
+        w = link[v]
+        link[w] -= v
+        deg[w] -= 1
+        if deg[w] == 1:
+            stack.append(w)
+    left = [v for v in vertices if deg[v] >= 0]
+    return order, link, left if len(left) == 1 else _cycle(g, left)
+
+
 def two_core_cycle(g: Graph) -> list[int]:
     """The unique cycle of a connected unicyclic graph, in cyclic order from
     its least vertex toward the lesser of that vertex's cycle neighbours."""
-    cycle = _cycle(g, _peel(g)[0]) if g.edge_count == g.n else None
+    cycle = peel_leaves(g, range(g.n))[2] if g.edge_count == g.n else None
     if cycle is None:
         raise GraphError("graph is not connected and unicyclic")
     return cycle

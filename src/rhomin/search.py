@@ -3,10 +3,14 @@
 Three search spaces of increasing restriction, each with an exact final
 tournament: all labeled graphs (tiny orders), all trees and unicyclic graphs,
 and the quipu/dagger families. The family search is the production path; the
-other two are independent oracles against which it is cross-validated. All
-three discard only through this module's exact Collatz-Wielandt screen,
+other two are independent oracles against which it is cross-validated. The
+oracles discard only through this module's exact Collatz-Wielandt screen,
 certified_screen, fed integer vectors from one stacked float eigh per batch
-(or, for all labeled graphs, from powers of A + I). The module also packages
+(or, for all labeled graphs, from powers of A + I). The family search
+discards by another exact mechanism, so the oracles check it through a
+different one: a branch-and-bound over the enumeration walk that drops a
+prefix or a member when exactpoly.compare_rho_to's inertia test puts its
+radius above an incumbent, with no float at all. The module also packages
 the end-to-end verification that the minimum spectral radius at order 3k+1
 and diameter 2k is attained exactly by the tied family of open quipus with
 parameters (i, i+j-1, j) over i+j=k.
@@ -15,9 +19,11 @@ parameters (i, i+j-1, j) over i+j=k.
 from __future__ import annotations
 
 import functools
+import math
 from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import chain, combinations, product
 
 import numpy as np
@@ -27,6 +33,7 @@ from .exactpoly import (
     Ordering,
     below_3_over_sqrt2,
     compare_rho,
+    compare_rho_to,
     compare_roots,
     equal_rho_certificate,
     rho_certified_graph,
@@ -179,7 +186,7 @@ def _screen_batches(batches) -> tuple[np.ndarray, int]:
 # _perron_batches' entries lie in [1, 2^26], so A v has entries at most
 # deg * 2^26 and every cross-product certified_screen forms is at most
 # deg * 2^52: below 2^63 for any maximum degree under 2^11, and so for every
-# quipu (degree <= 3) whatever its order.
+# graph of the sparse oracle (order <= 14).
 PERRON_SCALE = 1 << 26
 # Graphs per stacked eigh. Batches of 1,024 gave the theorem benchmark 6 MB
 # more peak RSS than batches of 256 and saved about 2 % of its time. What the
@@ -415,30 +422,66 @@ def brute_force_sparse(n: int, d: int) -> MinimizerReport:
 # ---------------------------------------------------------------------------
 # production path: quipu/dagger family search
 
+# The incumbent lam is the best kept member's certified upper end, rounded up
+# to a multiple of 2^-16. The unrounded end has a denominator near 2^40 that
+# the pivots compare_rho_to carries along the backbone multiply up: on a
+# 2-core host the search at (3k+1, 2k) took 1.3 times as long with it at
+# k = 6 and 1.5 times at k = 7.
+_INCUMBENT_GRID = 1 << 16
+
+
 def minimize_over_quipus(n: int, d: int) -> MinimizerReport:
     """Exact minimum over all open quipus, closed quipus and daggers of order
     n and diameter d.
 
-    Pipeline: enumerate family members; screen them all with the exact
-    Collatz-Wielandt certificate; certify the minimum and all ties exactly
-    among the kept members. The report is sound when that minimum is
-    certified below 3/sqrt(2). Enumeration computes diameters from
-    parameters; each winner's diameter is confirmed by BFS on its graph, and
-    a mismatch marks the report unsound. `screened_out` counts the members
-    dropped by the exact screen, `exactly_compared` the kept ones.
+    Branch-and-bound over the enumeration walk against an incumbent lam, the
+    certified upper end of the best member kept so far, rounded up to a
+    multiple of 2^-16. A prefix of the walk is cut when compare_rho_to puts
+    the radius of its floor, a subgraph of every member below it, above lam:
+    each of those members then has rho >= rho(floor) > lam >= the minimum.
+    A member the walk reaches is dropped by the same test, or else certified
+    and kept, and lam tightens. The kept members are tested once more against
+    the final lam, and the exact tournament certifies the minimum and all
+    ties among the rest. The report is sound when that minimum is certified
+    below 3/sqrt(2). Enumeration computes diameters from parameters; each
+    winner's diameter is confirmed by BFS on its graph, and a mismatch marks
+    the report unsound. `candidates_examined` counts the members the walk
+    reached, `screened_out` those the exact test dropped, `exactly_compared`
+    the ones kept, and `prefixes_cut` the prefixes cut.
     """
-    specs = list(enumerate_quipus(n, d))
-    if not specs:
+    lam = None
+    prefixes_cut = 0
+
+    def above(g: Graph) -> bool:
+        return compare_rho_to(g, lam) is Ordering.GREATER
+
+    def cut(floor: QuipuSpec) -> bool:
+        nonlocal prefixes_cut
+        if lam is None or not above(realize(floor)):
+            return False
+        prefixes_cut += 1
+        return True
+
+    reached = 0
+    kept: list[tuple[QuipuSpec, Graph]] = []
+    for spec in enumerate_quipus(n, d, cut=cut):
+        reached += 1
+        g = realize(spec)
+        if lam is not None and above(g):
+            continue
+        kept.append((spec, g))
+        top = Fraction(math.ceil(rho_certified_graph(g).hi * _INCUMBENT_GRID), _INCUMBENT_GRID)
+        lam = top if lam is None else min(lam, top)
+    if not kept:
         return MinimizerReport(n, d, None, [], "quipu-family", 0, sound=False)
-    graphs = [realize(s) for s in specs]
-    kept = _screen_batches(_perron_batches(graphs))[0].tolist()
-    min_rho, winners = _exact_tournament([graphs[i] for i in kept], [specs[i] for i in kept])
+    kept = [(spec, g) for spec, g in kept if not above(g)]
+    min_rho, winners = _exact_tournament([g for _, g in kept], [spec for spec, _ in kept])
     diameter_mismatches = sum(spec_diameter(w.spec) != d for w in winners)
     sound = below_3_over_sqrt2(min_rho) and not diameter_mismatches
     return MinimizerReport(
-        n, d, min_rho, winners, "quipu-family", len(specs), sound=sound,
-        stats={"screened_out": len(specs) - len(kept), "exactly_compared": len(kept),
-               "diameter_mismatches": diameter_mismatches},
+        n, d, min_rho, winners, "quipu-family", reached, sound=sound,
+        stats={"screened_out": reached - len(kept), "exactly_compared": len(kept),
+               "prefixes_cut": prefixes_cut, "diameter_mismatches": diameter_mismatches},
     )
 
 

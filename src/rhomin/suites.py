@@ -4,6 +4,7 @@ a SuiteResult; the test suite and the command line both run them."""
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -13,6 +14,7 @@ from .exactpoly import (
     below_3_over_sqrt2,
     charpoly,
     compare_rho,
+    compare_rho_to,
     compare_roots,
     equal_rho_certificate,
     rho_certified,
@@ -173,10 +175,22 @@ def suite_edge_transfer(seed: int = DEFAULT_SEED, trials: int = 200) -> SuiteRes
     return SuiteResult("edge-transfer", not failures and checks >= trials, checks, failures)
 
 
+# lo < 3/sqrt(2) < hi with hi - lo = 2^-40: 2^80 * 9/2 = 9 * 2^79 is no
+# square, so lo^2 < 9/2 < hi^2
+_THRESHOLD_LO = Fraction(math.isqrt(9 << 79), 1 << 40)
+_THRESHOLD_HI = _THRESHOLD_LO + Fraction(1, 1 << 40)
+
+
 def _below_threshold(spec) -> bool:
-    """rho(realize(spec)) < 3/sqrt(2), decided from a root isolated only to
-    the width compare_roots starts at; the suite reads each root once."""
-    return below_3_over_sqrt2(rho_certified(charpoly(realize(spec)), Fraction(1, 10**4)))
+    """rho(realize(spec)) < 3/sqrt(2), decided by compare_rho_to at hi, then
+    at lo. Only a radius between them takes a root, isolated to the width
+    compare_roots starts at."""
+    g = realize(spec)
+    if compare_rho_to(g, _THRESHOLD_HI) is not Ordering.LESS:
+        return False
+    if compare_rho_to(g, _THRESHOLD_LO) is not Ordering.GREATER:
+        return True
+    return below_3_over_sqrt2(rho_certified(charpoly(g), Fraction(1, 10**4)))
 
 
 def suite_diameter_bounds(n: int = 16) -> SuiteResult:

@@ -20,6 +20,7 @@ from rhomin.exactpoly import (
     charpoly,
     charpoly_dense,
     compare_rho,
+    compare_rho_to,
     compare_roots,
     count_roots_halfopen,
     equal_rho_certificate,
@@ -371,8 +372,8 @@ def test_certified_screen_products_fit_int64_at_the_largest_entries():
     with pytest.raises(OverflowError):
         certified_screen((k7 @ v)[:, None], v[:, None])
 
-    # the quipu search's largest entries: PERRON_SCALE on a degree-3 quipu,
-    # beside a 1 for the most lopsided ratios
+    # PERRON_SCALE on a degree-3 quipu, beside a 1 for the most lopsided
+    # ratios
     g = realize(theorem_family(8)[1])
     a = adjacency(g)
     v = np.full(g.n, PERRON_SCALE, dtype=np.int64)
@@ -516,3 +517,77 @@ def test_nonpositive_tolerance_is_rejected():
     # an exact root rejects it too
     with pytest.raises(ValueError):
         rho_certified_graph(star_graph(5)).refine(0)
+
+
+# ---------------------------------------------------------------------------
+# compare_rho_to: the radius against a rational by inertia
+
+@st.composite
+def _trees_and_unicyclic(draw):
+    """A random tree or connected unicyclic graph on at most 30 vertices."""
+    n = draw(st.integers(1, 30))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    others = sorted(set(combinations(range(n), 2)) - {(u, v) for u, v in edges})
+    if others and draw(st.booleans()):
+        edges.append(draw(st.sampled_from(others)))
+    return build_graph(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees_and_unicyclic(), st.data())
+def test_compare_rho_to_agrees_with_certified_roots_and_inertia(g, data):
+    rho = float(np.linalg.eigvalsh(adjacency(g))[-1]) if g.n > 1 else 0.0
+    if data.draw(st.booleans()):
+        # small integers and halves put zero pivots in the elimination
+        lam = Fraction(data.draw(st.integers(-2, 8)), data.draw(st.sampled_from([1, 2])))
+    else:
+        bits = data.draw(st.sampled_from([4, 16, 40]))
+        lam = Fraction(round(rho * 2**bits) + data.draw(st.integers(-2, 2)), 2**bits)
+    got = compare_rho_to(g, lam)
+    point = rho_certified(IntPoly((-lam.numerator, lam.denominator)))
+    assert got is compare_roots(rho_certified_graph(g), point)[0]
+    # numpy's inertia of lam*I - A, where its least eigenvalue is clear of 0
+    least = float(np.linalg.eigvalsh(float(lam) * np.eye(g.n) - adjacency(g))[0])
+    if abs(least) > 1e-9:
+        assert got is (Ordering.LESS if least > 0 else Ordering.GREATER)
+
+
+def test_compare_rho_to_at_an_eigenvalue():
+    for c in range(3, 13):
+        cycle = cycle_graph(c)
+        assert compare_rho_to(cycle, 2) is Ordering.EQUAL
+        assert compare_rho_to(cycle, 2 + Fraction(1, 2**30)) is Ordering.LESS
+        assert compare_rho_to(cycle, 2 - Fraction(1, 2**30)) is Ordering.GREATER
+    assert compare_rho_to(path_graph(2), 1) is Ordering.EQUAL
+    assert compare_rho_to(build_graph(1, []), 0) is Ordering.EQUAL
+    assert compare_rho_to(star_graph(5), 2) is Ordering.EQUAL
+    # zero pivots below the top eigenvalue: P_5 has eigenvalue 1 < sqrt(3),
+    # and the triangle's leading 2-by-2 minor vanishes at 1 < 2
+    assert compare_rho_to(path_graph(5), 1) is Ordering.GREATER
+    assert compare_rho_to(cycle_graph(3), 1) is Ordering.GREATER
+    assert compare_rho_to(cycle_graph(3), -1) is Ordering.GREATER
+
+
+def test_compare_rho_to_builds_no_polynomial(monkeypatch):
+    import rhomin.exactpoly
+
+    def refuse(*args):
+        raise AssertionError("compare_rho_to built a polynomial")
+
+    monkeypatch.setattr(rhomin.exactpoly, "charpoly", refuse)
+    monkeypatch.setattr(rhomin.exactpoly, "IntPoly", refuse)
+    for g in (cycle_graph(6), path_graph(5), star_graph(5), realize(spider(4))):
+        for lam in (0, 1, 2, Fraction(21, 10)):
+            compare_rho_to(g, lam)
+
+
+@pytest.mark.parametrize("g", [
+    build_graph(0, []),
+    build_graph(4, list(combinations(range(4), 2))),
+    disjoint_union(cycle_graph(3), cycle_graph(3)),
+    disjoint_union(path_graph(2), path_graph(3)),
+    disjoint_union(cycle_graph(4), path_graph(1)),
+], ids=["empty", "K4", "two-triangles", "two-paths", "cycle-and-vertex"])
+def test_compare_rho_to_refuses_other_graphs(g):
+    with pytest.raises(ValueError):
+        compare_rho_to(g, 2)

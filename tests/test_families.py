@@ -253,6 +253,50 @@ def test_classify_returns_every_enumerated_spec(nd):
         assert classify(realize(s)) == s, spec_literal(s)
 
 
+def _below(floor, spec) -> bool:
+    """Whether spec has floor's kind and segments and pendants at least
+    floor's, so that realize(floor) is a subgraph of realize(spec)."""
+    return (type(floor) is type(spec) and floor.ks == spec.ks
+            and all(f <= m for f, m in zip(floor.ms, spec.ms)))
+
+
+def test_cut_drops_only_members_above_a_cut_floor():
+    # an arbitrary, non-monotone cut: each member the walk drops lies above
+    # some floor that was cut (that floor, or a shorter sibling's)
+    for n in range(1, 14):
+        for d in range(n + 1):
+            asked, cut = [], []
+
+            def oracle(floor):
+                asked.append(floor)
+                if (7 * sum(floor.ks) + sum(floor.ms)) % 3 == 0:
+                    cut.append(floor)
+                    return True
+                return False
+
+            every = list(enumerate_quipus(n, d))
+            walked = list(enumerate_quipus(n, d, cut=oracle))
+            assert walked == [s for s in every if s in set(walked)], (n, d)
+            for s in set(every) - set(walked):
+                assert any(_below(f, s) for f in cut), (n, d, s)
+            assert all(realize(f).n == f.order <= n for f in asked)
+
+
+def test_cut_floors_lie_below_the_members_they_stand_for():
+    # a cut that never cuts walks everything, and each member lies above
+    # every floor asked on its way: the last floor asked of its kind and
+    # segments before it is yielded is one of its ancestors'
+    for n, d in ((13, 8), (16, 10), (19, 12), (16, 5)):
+        asked = []
+        walked = []
+        for s in enumerate_quipus(n, d, cut=lambda f: asked.append(f) or False):
+            walked.append(s)
+            mine = [f for f in asked if type(f) is type(s) and f.ks == s.ks]
+            if isinstance(s, (OpenQuipu, ClosedQuipu)) and len(s.ms) >= 2:
+                assert mine and _below(mine[-1], s), s
+        assert walked == list(enumerate_quipus(n, d))
+
+
 def test_enumerate_at_large_diameter_ends_promptly():
     # a quipu with many branch vertices has many disjoint arms, and a
     # longest path meets at most two, so at d close to n the enumeration is

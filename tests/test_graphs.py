@@ -28,6 +28,7 @@ from rhomin.graphs import (
     graph6_encode,
     is_connected,
     path_graph,
+    peel_leaves,
     star_graph,
     subdivide_edge,
     two_core_cycle,
@@ -212,3 +213,31 @@ def test_graph6_round_trip_random(data):
     keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     g = build_graph(n, [e for e, k in zip(pairs, keep) if k])
     assert graph6_decode(graph6_encode(g)) == g
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_graphs())
+def test_peel_leaves_orders_children_before_parents(g):
+    order, parent, core = peel_leaves(g, range(g.n))
+    assert core is not None and sorted(order + core) == list(range(g.n))
+    if is_tree(g):
+        assert len(core) == 1
+    else:
+        assert core == two_core_cycle(g)
+    # each peeled vertex is adjacent to its parent, which goes later or
+    # stays, and has no neighbour left but its parent when it goes
+    rank = {v: i for i, v in enumerate(order + core)}
+    for v in order:
+        assert g.has_edge(v, parent[v]) and rank[parent[v]] > rank[v]
+        assert all(rank[w] < rank[v] or w == parent[v] for w in g.adj[v])
+
+
+def test_peel_leaves_per_component_and_refusals():
+    g = disjoint_union(cycle_graph(4), path_graph(3))
+    order, _, core = peel_leaves(g, [0, 1, 2, 3])
+    assert order == [] and core == [0, 1, 2, 3]
+    order, parent, core = peel_leaves(g, [4, 5, 6])
+    assert sorted(order + core) == [4, 5, 6] and len(core) == 1
+    assert all(g.has_edge(v, parent[v]) for v in order)
+    assert peel_leaves(g, range(g.n))[2] is None
+    assert peel_leaves(build_graph(4, list(combinations(range(4), 2))), range(4))[2] is None

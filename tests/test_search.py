@@ -2,16 +2,26 @@
 
 import json
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from rhomin.exactpoly import Ordering, compare_roots
+from rhomin.exactpoly import (
+    Ordering,
+    below_3_over_sqrt2,
+    charpoly,
+    compare_roots,
+    rho_certified,
+)
 from rhomin.families import (
+    ALL_KINDS,
     OpenQuipu,
     classify,
+    enumerate_quipus,
     realize,
+    spec_diameter,
     spider,
     theorem_family,
 )
@@ -26,7 +36,9 @@ from rhomin.graphs import (
 from rhomin.search import (
     PERRON_BATCH,
     BudgetError,
+    _exact_tournament,
     _perron_batches,
+    _screen_batches,
     _sparse_members,
     brute_force_all_graphs,
     brute_force_sparse,
@@ -318,3 +330,55 @@ def test_winner_diameter_mismatch_marks_report_unsound(monkeypatch):
     rep = minimize_over_quipus(10, 6)
     assert rep.sound is False
     assert rep.stats["diameter_mismatches"] == len(rep.winners) == 2
+
+
+def _screened_quipu_search(n, d):
+    """The quipu search as it was before branch-and-bound: every member
+    realized, screened by certified_screen, then the exact tournament."""
+    specs = list(enumerate_quipus(n, d))
+    if not specs:
+        return None, [], False
+    graphs = [realize(s) for s in specs]
+    kept = _screen_batches(_perron_batches(graphs))[0].tolist()
+    min_rho, winners = _exact_tournament([graphs[i] for i in kept], [specs[i] for i in kept])
+    sound = below_3_over_sqrt2(min_rho) and all(spec_diameter(w.spec) == d for w in winners)
+    return min_rho, winners, sound
+
+
+def test_pruned_quipu_search_matches_the_screened_one():
+    for n in range(1, 17):
+        for d in range(n + 1):
+            rep = minimize_over_quipus(n, d)
+            min_rho, winners, sound = _screened_quipu_search(n, d)
+            assert rep.min_rho == min_rho, (n, d)
+            assert [(w.code, w.spec) for w in rep.winners] == [(w.code, w.spec) for w in winners]
+            assert rep.sound == sound, (n, d)
+
+
+def test_every_member_the_pruned_search_drops_is_above_the_minimum(monkeypatch):
+    import rhomin.search
+
+    reached = []
+
+    def spy(n, d, kinds=ALL_KINDS, cut=None):
+        for spec in enumerate_quipus(n, d, kinds, cut):
+            reached.append(spec)
+            yield spec
+
+    monkeypatch.setattr(rhomin.search, "enumerate_quipus", spy)
+    cut_members = 0
+    for n in range(1, 15):
+        for d in range(n + 1):
+            reached.clear()
+            rep = minimize_over_quipus(n, d)
+            assert rep.candidates_examined == len(reached)
+            stats = rep.stats
+            if reached:
+                assert stats["screened_out"] + stats["exactly_compared"] == len(reached)
+            winners = {w.spec for w in rep.winners}
+            for spec in set(enumerate_quipus(n, d)) - winners:
+                # a coarse root of its own, refined by compare_roots as needed
+                root = rho_certified(charpoly(realize(spec)), Fraction(1, 2**10))
+                assert compare_roots(root, rep.min_rho)[0] is Ordering.GREATER, (n, d, spec)
+                cut_members += spec not in reached
+    assert cut_members > 0
