@@ -17,6 +17,7 @@ from rhomin.exactpoly import (
 )
 from rhomin.families import (
     ALL_KINDS,
+    ClosedQuipu,
     OpenQuipu,
     classify,
     enumerate_quipus,
@@ -382,3 +383,19 @@ def test_every_member_the_pruned_search_drops_is_above_the_minimum(monkeypatch):
                 assert compare_roots(root, rep.min_rho)[0] is Ordering.GREATER, (n, d, spec)
                 cut_members += spec not in reached
     assert cut_members > 0
+
+
+def test_quipu_search_uses_no_float_screen(monkeypatch):
+    import rhomin.search
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the quipu search reached the float screen")
+
+    monkeypatch.setattr(rhomin.search.np.linalg, "eigh", refuse)
+    monkeypatch.setattr(rhomin.search, "_perron_batches", refuse)
+    monkeypatch.setattr(rhomin.search, "certified_screen", refuse)
+    for k in (2, 3, 4, 5):
+        assert verify_theorem(k).passed
+    rep = minimize_over_quipus(16, 9)
+    assert rep.sound and rep.stats["prefixes_cut"] > 0
+    assert [w.spec for w in rep.winners] == [ClosedQuipu((6, 6), (1, 1))]
