@@ -1,18 +1,19 @@
 """Minimizer searches over graphs of fixed order and diameter.
 
-Three search spaces of increasing restriction, each with an exact final
-tournament: all labeled graphs (tiny orders), all trees and unicyclic graphs,
-and the quipu/dagger families. The family search is the production path; the
-other two are independent oracles against which it is cross-validated. The
-oracles discard only through this module's exact Collatz-Wielandt screen,
-certified_screen, fed integer vectors from one stacked float eigh per batch
-(or, for all labeled graphs, from powers of A + I). The family search
-discards by another exact mechanism, so the oracles check it through a
-different one: a branch-and-bound over the enumeration walk that drops a
-prefix or a member when exactpoly.compare_rho_to's inertia test puts its
-radius above an incumbent, with no float at all. The module also packages
-the end-to-end verification that the minimum spectral radius at order 3k+1
-and diameter 2k is attained exactly by the tied family of open quipus with
+Three search spaces of increasing restriction: all labeled graphs (tiny
+orders), all trees and unicyclic graphs, and the quipu/dagger families. The
+family search is the production path; the other two are independent oracles
+against which it is cross-validated. All three feed one streaming exact
+tournament, which certifies each graph offered to it and keeps the minimum
+and every tie. Over trees and unicyclic graphs a graph is offered only if
+exactpoly.compare_rho_to's inertia test does not put its radius above the
+incumbent, the best certified radius so far, rounded up; the family search
+also cuts whole prefixes of its enumeration walk by that test. Neither uses
+any float. The all-labeled-graphs oracle offers only the graphs that this
+module's exact Collatz-Wielandt screen, certified_screen, keeps with the
+integer vectors (A + I)^POWER_STEPS 1. The module also packages the
+end-to-end verification that the minimum spectral radius at order 3k+1 and
+diameter 2k is attained exactly by the tied family of open quipus with
 parameters (i, i+j-1, j) over i+j=k.
 """
 
@@ -108,23 +109,47 @@ class BudgetError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# exact confirmation shared by all search paths
+# the exact tournament that every search feeds
 
-def _exact_tournament(graphs: list[Graph], specs) -> tuple[CertifiedRoot, list[Winner]]:
-    """Certify the exact minimum and every tie among candidate graphs, each
-    compared once against the running best: LESS starts a new best, EQUAL
-    (backed by compare_roots' common-factor witness) adds a tie."""
-    best = None
-    winners: list[Winner] = []
-    for g, spec in zip(graphs, specs):
+# The incumbent lam is the best radius's certified upper end, rounded up to a
+# multiple of 2^-16. The unrounded end has a denominator near 2^40 that the
+# pivots compare_rho_to carries along the backbone multiply up: on a 2-core
+# host the search at (3k+1, 2k) took 1.3 times as long with it at k = 6 and
+# 1.5 times at k = 7.
+_INCUMBENT_GRID = 1 << 16
+
+
+class _Tournament:
+    """The exact minimum and every tie among the graphs offered to it. Each
+    is certified and compared once against the running best: LESS starts a
+    new best and tightens the incumbent lam, EQUAL (backed by compare_roots'
+    common-factor witness) adds a tie, and GREATER drops it. above(g) is
+    compare_rho_to's inertia test against lam, for a tree or unicyclic g: a
+    graph above lam has rho > lam >= the best radius, so need not be
+    offered. `offered` counts the graphs offered."""
+
+    def __init__(self):
+        self.best: CertifiedRoot | None = None
+        self.winners: list[Winner] = []
+        self.lam: Fraction | None = None
+        self.offered = 0
+
+    def above(self, g: Graph) -> bool:
+        return self.lam is not None and compare_rho_to(g, self.lam) is Ordering.GREATER
+
+    def offer(self, g: Graph, spec: QuipuSpec | None) -> None:
+        self.offered += 1
         root = rho_certified_graph(g)
-        order = Ordering.LESS if best is None else compare_roots(root, best)[0]
+        order = Ordering.LESS if self.best is None else compare_roots(root, self.best)[0]
         if order is Ordering.LESS:
-            best, winners = root, []
+            self.best, self.winners = root, []
+            self.lam = Fraction(math.ceil(root.hi * _INCUMBENT_GRID), _INCUMBENT_GRID)
         if order is not Ordering.GREATER:
-            winners.append(Winner(canonical_code(g), g, spec))
-    winners.sort(key=lambda w: w.code)
-    return best, winners
+            self.winners.append(Winner(canonical_code(g), g, spec))
+
+    def result(self) -> tuple[CertifiedRoot | None, list[Winner]]:
+        """The best radius and its winners, in code order."""
+        return self.best, sorted(self.winners, key=lambda w: w.code)
 
 
 # ---------------------------------------------------------------------------
@@ -183,41 +208,12 @@ def _screen_batches(batches) -> tuple[np.ndarray, int]:
     return ids[certified_screen(av, v)[0]], total
 
 
-# _perron_batches' entries lie in [1, 2^26], so A v has entries at most
-# deg * 2^26 and every cross-product certified_screen forms is at most
-# deg * 2^52: below 2^63 for any maximum degree under 2^11, and so for every
-# graph of the sparse oracle (order <= 14).
-PERRON_SCALE = 1 << 26
-# Graphs per stacked eigh. Batches of 1,024 gave the theorem benchmark 6 MB
-# more peak RSS than batches of 256 and saved about 2 % of its time. What the
-# screen keeps does not depend on it: _screen_batches rescreens the union.
-PERRON_BATCH = 256
-
 # brute_force_all_graphs screens with v = (A + I)^POWER_STEPS 1. Its entries
 # are largest for K_7, where v = 7^10 * 1 and A v = 6 * 7^10, so every
 # cross-product certified_screen forms is at most 6 * 7^20 < 2^63. For every
 # n <= 7 and d, ten steps keep the same labelled graphs as twelve; eight keep
 # three times as many at (7, 5).
 POWER_STEPS = 10
-
-
-def _perron_batches(graphs: list[Graph]):
-    """(positions, A v, v) for graphs of one order, PERRON_BATCH at a time.
-    v is each graph's float Perron vector, from one stacked eigh per batch,
-    scaled by PERRON_SCALE, rounded and clamped to at least 1. The float only
-    steers the vector; certified_screen's bounds hold for any positive one."""
-    for start in range(0, len(graphs), PERRON_BATCH):
-        part = graphs[start:start + PERRON_BATCH]
-        n = part[0].n
-        rows = [row for g in part for row in g.adj]
-        degrees = [len(row) for row in rows]
-        a = np.zeros((len(part), n, n), dtype=np.int8)
-        a.reshape(-1, n)[np.repeat(np.arange(len(rows)), degrees),
-                         np.fromiter(chain.from_iterable(rows), np.intp, sum(degrees))] = 1
-        vecs = np.abs(np.linalg.eigh(a)[1][:, :, -1])
-        v = np.maximum(np.rint(vecs * PERRON_SCALE), 1).astype(np.int64)
-        av = np.einsum("kuw,kw->uk", a, v, dtype=np.int64)
-        yield np.arange(start, start + len(part)), av, v.T
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +285,12 @@ def brute_force_all_graphs(n: int, d: int) -> MinimizerReport:
     for mk in pool_masks.tolist():
         g = build_graph(n, [pairs[i] for i in range(m) if mk >> i & 1])
         seen.setdefault(canonical_code(g), g)
-    graphs = [seen[c] for c in sorted(seen)]
-    min_rho, winners = _exact_tournament(graphs, [classify(g) for g in graphs])
+    tournament = _Tournament()
+    for code in sorted(seen):
+        tournament.offer(seen[code], classify(seen[code]))
+    min_rho, winners = tournament.result()
     return MinimizerReport(n, d, min_rho, winners, "all-graphs", total,
-                           stats={"matched": matched, "pool": len(graphs)})
+                           stats={"matched": matched, "pool": len(seen)})
 
 
 # ---------------------------------------------------------------------------
@@ -403,84 +401,71 @@ def brute_force_sparse(n: int, d: int) -> MinimizerReport:
     """Exact minimum over all trees and unicyclic graphs of order n and
     diameter d. Sound as a minimum over all graphs exactly when the result
     has certified spectral radius below 3/sqrt(2) (the structural reduction
-    to sparse graphs needs that bound); the report carries the flag.
-    `screened_out` counts the graphs dropped by the exact screen."""
+    to sparse graphs needs that bound); the report carries the flag. The
+    graphs are walked in code order, and each is offered to the exact
+    tournament unless the inertia test puts it above the incumbent;
+    `screened_out` counts the graphs that test dropped."""
     if not 1 <= n <= 14:
         raise BudgetError("brute_force_sparse supports 1 <= n <= 14")
     cands = _sparse_members(n)
     matched = [g for _, diam, g in cands if diam == d]
     if not matched:
         return MinimizerReport(n, d, None, [], "sparse", len(cands), sound=False)
-    graphs = [matched[i] for i in _screen_batches(_perron_batches(matched))[0]]
-    min_rho, winners = _exact_tournament(graphs, [classify(g) for g in graphs])
+    tournament = _Tournament()
+    for g in matched:
+        if not tournament.above(g):
+            tournament.offer(g, classify(g))
+    min_rho, winners = tournament.result()
     return MinimizerReport(
         n, d, min_rho, winners, "sparse", len(cands), sound=below_3_over_sqrt2(min_rho),
-        stats={"matched": len(matched), "screened_out": len(matched) - len(graphs)},
+        stats={"matched": len(matched), "screened_out": len(matched) - tournament.offered},
     )
 
 
 # ---------------------------------------------------------------------------
 # production path: quipu/dagger family search
 
-# The incumbent lam is the best kept member's certified upper end, rounded up
-# to a multiple of 2^-16. The unrounded end has a denominator near 2^40 that
-# the pivots compare_rho_to carries along the backbone multiply up: on a
-# 2-core host the search at (3k+1, 2k) took 1.3 times as long with it at
-# k = 6 and 1.5 times at k = 7.
-_INCUMBENT_GRID = 1 << 16
-
-
 def minimize_over_quipus(n: int, d: int) -> MinimizerReport:
     """Exact minimum over all open quipus, closed quipus and daggers of order
     n and diameter d.
 
-    Branch-and-bound over the enumeration walk against an incumbent lam, the
-    certified upper end of the best member kept so far, rounded up to a
-    multiple of 2^-16. A prefix of the walk is cut when compare_rho_to puts
-    the radius of its floor, a subgraph of every member below it, above lam:
-    each of those members then has rho >= rho(floor) > lam >= the minimum.
-    A member the walk reaches is dropped by the same test, or else certified
-    and kept, and lam tightens. The kept members are tested once more against
-    the final lam, and the exact tournament certifies the minimum and all
-    ties among the rest. The report is sound when that minimum is certified
-    below 3/sqrt(2). Enumeration computes diameters from parameters; each
-    winner's diameter is confirmed by BFS on its graph, and a mismatch marks
-    the report unsound. `candidates_examined` counts the members the walk
-    reached, `screened_out` those the exact test dropped, `exactly_compared`
-    the ones kept, and `prefixes_cut` the prefixes cut.
+    Branch-and-bound over the enumeration walk against the exact
+    tournament's incumbent lam. A prefix of the walk is cut when
+    compare_rho_to puts the radius of its floor, a subgraph of every member
+    below it, above lam: each of those members then has rho >= rho(floor) >
+    lam >= the minimum. A member the walk reaches is dropped by the same
+    test, or else offered to the tournament, which may tighten lam. The
+    report is sound when the minimum is certified below 3/sqrt(2).
+    Enumeration computes diameters from parameters; each winner's diameter
+    is confirmed by BFS on its graph, and a mismatch marks the report
+    unsound. `candidates_examined` counts the members the walk reached,
+    `screened_out` those the inertia test dropped, `exactly_compared` the
+    ones offered, and `prefixes_cut` the prefixes cut.
     """
-    lam = None
-    prefixes_cut = 0
-
-    def above(g: Graph) -> bool:
-        return compare_rho_to(g, lam) is Ordering.GREATER
+    tournament = _Tournament()
+    prefixes_cut = reached = 0
 
     def cut(floor: QuipuSpec) -> bool:
         nonlocal prefixes_cut
-        if lam is None or not above(realize(floor)):
+        if tournament.lam is None or not tournament.above(realize(floor)):
             return False
         prefixes_cut += 1
         return True
 
-    reached = 0
-    kept: list[tuple[QuipuSpec, Graph]] = []
     for spec in enumerate_quipus(n, d, cut=cut):
         reached += 1
         g = realize(spec)
-        if lam is not None and above(g):
-            continue
-        kept.append((spec, g))
-        top = Fraction(math.ceil(rho_certified_graph(g).hi * _INCUMBENT_GRID), _INCUMBENT_GRID)
-        lam = top if lam is None else min(lam, top)
-    if not kept:
+        if not tournament.above(g):
+            tournament.offer(g, spec)
+    min_rho, winners = tournament.result()
+    if min_rho is None:
         return MinimizerReport(n, d, None, [], "quipu-family", 0, sound=False)
-    kept = [(spec, g) for spec, g in kept if not above(g)]
-    min_rho, winners = _exact_tournament([g for _, g in kept], [spec for spec, _ in kept])
     diameter_mismatches = sum(spec_diameter(w.spec) != d for w in winners)
     sound = below_3_over_sqrt2(min_rho) and not diameter_mismatches
     return MinimizerReport(
         n, d, min_rho, winners, "quipu-family", reached, sound=sound,
-        stats={"screened_out": reached - len(kept), "exactly_compared": len(kept),
+        stats={"screened_out": reached - tournament.offered,
+               "exactly_compared": tournament.offered,
                "prefixes_cut": prefixes_cut, "diameter_mismatches": diameter_mismatches},
     )
 

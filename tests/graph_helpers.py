@@ -1,6 +1,6 @@
 """Graph and spec helpers that only the tests need: relabelling, disjoint
 unions, tree and unicyclic predicates, the canonical spec of a spec's
-realization and adjacency matrices."""
+realization, adjacency matrices and scaled Perron vectors."""
 
 import numpy as np
 
@@ -40,3 +40,10 @@ def adjacency(g: Graph) -> np.ndarray:
     for u, v in g.edges():
         a[u, v] = a[v, u] = 1
     return a
+
+
+def perron_vector(g: Graph) -> np.ndarray:
+    """g's float Perron vector from eigh, scaled by 2^26, rounded and
+    clamped to at least 1: a positive int64 vector for certified_screen."""
+    v = np.abs(np.linalg.eigh(adjacency(g))[1][:, -1])
+    return np.maximum(np.rint(v * 2**26), 1).astype(np.int64)

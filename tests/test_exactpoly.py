@@ -31,10 +31,10 @@ from rhomin.exactpoly import (
     rho_certified_graph,
     sturm_chain,
 )
-from rhomin.families import realize, spider, theorem_family
+from rhomin.families import realize, spider
 from rhomin.graphs import build_graph, cycle_graph, path_graph, star_graph
-from rhomin.search import PERRON_SCALE, POWER_STEPS, _perron_batches, certified_screen
-from graph_helpers import adjacency, disjoint_union, relabel
+from rhomin.search import POWER_STEPS, certified_screen
+from graph_helpers import adjacency, disjoint_union, perron_vector, relabel
 
 
 def test_poly_arithmetic():
@@ -310,8 +310,7 @@ def _screen_graphs(graphs, vectors):
 
 def test_perron_vector_brackets_truth():
     for g, rho in ((cycle_graph(8), 2), (star_graph(5), 2)):
-        [(_, av, v)] = _perron_batches([g])
-        lo, hi = _bracket(certified_screen(av, v), 0)
+        lo, hi = _bracket(_screen_graphs([g], [perron_vector(g)]), 0)
         assert lo <= rho <= hi and hi - lo < Fraction(1, 10**6)
 
 
@@ -348,12 +347,11 @@ def test_certified_screen_brackets_contain_rho(data):
     g = _connected_graphs(data.draw)
     if data.draw(st.booleans()):
         # any positive vector
-        v = data.draw(st.lists(st.integers(1, PERRON_SCALE), min_size=g.n, max_size=g.n))
+        v = data.draw(st.lists(st.integers(1, 2**26), min_size=g.n, max_size=g.n))
     else:
         # a nudged Perron vector, for a tight bracket
         nudge = data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n))
-        [(_, _, v)] = _perron_batches([g])
-        v = v[:, 0] + np.array(nudge)
+        v = perron_vector(g) + np.array(nudge)
     lo, hi = _bracket(_screen_graphs([g], [v]), 0)
     root = rho_certified_graph(g)
     assert lo <= root.hi and root.lo <= hi
@@ -371,26 +369,6 @@ def test_certified_screen_products_fit_int64_at_the_largest_entries():
     v = v + k7 @ v
     with pytest.raises(OverflowError):
         certified_screen((k7 @ v)[:, None], v[:, None])
-
-    # PERRON_SCALE on a degree-3 quipu, beside a 1 for the most lopsided
-    # ratios
-    g = realize(theorem_family(8)[1])
-    a = adjacency(g)
-    v = np.full(g.n, PERRON_SCALE, dtype=np.int64)
-    v[0] = 1
-    ratios = [Fraction(int(x), int(y)) for x, y in zip(a @ v, v)]
-    assert _bracket(_screen_graphs([g], [v]), 0) == (min(ratios), max(ratios))
-    assert int((a @ v).max()) * int(v.max()) == 3 * PERRON_SCALE**2 < 2**63
-
-    # the bound beside PERRON_SCALE: maximum degree below 2^11
-    for degree, fits in ((2**11 - 1, True), (2**11, False)):
-        av = np.array([[degree * PERRON_SCALE], [PERRON_SCALE]], dtype=np.int64)
-        v = np.full((2, 1), PERRON_SCALE, dtype=np.int64)
-        if fits:
-            assert _bracket(certified_screen(av, v), 0) == (1, degree)
-        else:
-            with pytest.raises(OverflowError):
-                certified_screen(av, v)
 
 
 def test_compare_rho_orderings():

@@ -35,12 +35,10 @@ from rhomin.graphs import (
     path_graph,
 )
 from rhomin.search import (
-    PERRON_BATCH,
     BudgetError,
-    _exact_tournament,
-    _perron_batches,
-    _screen_batches,
+    _matched_batches,
     _sparse_members,
+    _Tournament,
     brute_force_all_graphs,
     brute_force_sparse,
     certified_screen,
@@ -52,7 +50,7 @@ from rhomin.search import (
     verify_exceptions,
     verify_theorem,
 )
-from graph_helpers import adjacency
+from graph_helpers import adjacency, perron_vector
 from tree_oracles import counted_free_trees, naive_free_tree_count
 
 
@@ -155,54 +153,43 @@ def test_brute_force_all_complete_graph_at_the_largest_power_entries():
 def test_wrong_vector_moves_loser_into_tournament(monkeypatch):
     import rhomin.search
 
+    n, d = 6, 3
+    pairs = list(combinations(range(n), 2))
+
+    def labelled(mask):
+        return build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
     pools = []
-    tournament = rhomin.search._exact_tournament
+    offer = rhomin.search._Tournament.offer
 
-    def spy(graphs, specs):
-        pools.append({canonical_code(g) for g in graphs})
-        return tournament(graphs, specs)
+    def spy(self, g, spec):
+        pools[-1].add(canonical_code(g))
+        offer(self, g, spec)
 
-    monkeypatch.setattr(rhomin.search, "_exact_tournament", spy)
-    base = brute_force_sparse(8, 5)
-    matched = [g for g in free_trees(8) + unicyclic_graphs(8) if diameter(g) == 5]
-    losers = [g for g in matched if canonical_code(g) not in pools[0]]
-    assert losers and base.stats["screened_out"] == len(losers)
-    loser = losers[0]
-    [(_, _, v)] = _perron_batches([loser])
-    wrong = v[::-1, 0].copy()
-    wrong_av = adjacency(loser) @ wrong
+    monkeypatch.setattr(rhomin.search._Tournament, "offer", spy)
+    pools.append(set())
+    base = brute_force_all_graphs(n, d)
+    # the first labelled graph whose class the screen keeps out of the pool
+    masks = [mk for batch, _, _ in _matched_batches(n, d, pairs) for mk in batch.tolist()]
+    loser = next(mk for mk in masks if canonical_code(labelled(mk)) not in pools[0])
+    degrees = adjacency(labelled(loser)).sum(axis=1)
+    batches = rhomin.search._matched_batches
 
-    # the reversed vector widens the loser's bracket to reach U*
-    [(_, av, v)] = _perron_batches([base.winners[0].graph])
-    assert certified_screen(np.stack([wrong_av, av[:, 0]], axis=1),
-                            np.stack([wrong, v[:, 0]], axis=1))[0].all()
+    def patched(*args):
+        # a flat vector widens the loser's bracket to [least, largest degree]
+        for batch, av, v in batches(*args):
+            for j in np.flatnonzero(batch == loser):
+                av[:, j], v[:, j] = degrees, 1
+            yield batch, av, v
 
-    def patched(graphs):
-        for ids, av, v in _perron_batches(graphs):
-            for j, i in enumerate(ids):
-                if graphs[i] is loser:
-                    av[:, j], v[:, j] = wrong_av, wrong
-            yield ids, av, v
-
-    monkeypatch.setattr(rhomin.search, "_perron_batches", patched)
-    rep = brute_force_sparse(8, 5)
-    assert pools[1] == pools[0] | {canonical_code(loser)}
-    assert rep.stats["screened_out"] == base.stats["screened_out"] - 1
+    monkeypatch.setattr(rhomin.search, "_matched_batches", patched)
+    pools.append(set())
+    rep = brute_force_all_graphs(n, d)
+    assert pools[1] == pools[0] | {canonical_code(labelled(loser))}
+    assert rep.stats["pool"] == base.stats["pool"] + 1
     assert [(w.code, w.spec) for w in rep.winners] == [(w.code, w.spec) for w in base.winners]
-    assert rep.sound and compare_roots(rep.min_rho, base.min_rho)[0] is Ordering.EQUAL
-
-
-def test_perron_batches_bracket_rho_across_batches():
-    graphs = free_trees(12)
-    assert len(graphs) == 551 > 2 * PERRON_BATCH
-    batches = list(_perron_batches(graphs))
-    assert len(batches) == 3
-    ids, av, v = (np.concatenate(part, axis=-1) for part in zip(*batches))
-    assert ids.tolist() == list(range(len(graphs))) and (v >= 1).all()
-    _, (lo_p, lo_q), (hi_p, hi_q) = certified_screen(av, v)
-    for j, g in enumerate(graphs):
-        rho = np.linalg.eigvalsh(adjacency(g))[-1]
-        assert lo_p[j] / lo_q[j] - 1e-9 <= rho <= hi_p[j] / hi_q[j] + 1e-9
+    assert rep.sound == base.sound
+    assert compare_roots(rep.min_rho, base.min_rho)[0] is Ordering.EQUAL
 
 
 @pytest.mark.parametrize("d", range(-1, 3))
@@ -335,13 +322,18 @@ def test_winner_diameter_mismatch_marks_report_unsound(monkeypatch):
 
 def _screened_quipu_search(n, d):
     """The quipu search as it was before branch-and-bound: every member
-    realized, screened by certified_screen, then the exact tournament."""
+    realized, screened by certified_screen with float Perron vectors, then
+    the exact tournament over what the screen keeps."""
     specs = list(enumerate_quipus(n, d))
     if not specs:
         return None, [], False
     graphs = [realize(s) for s in specs]
-    kept = _screen_batches(_perron_batches(graphs))[0].tolist()
-    min_rho, winners = _exact_tournament([graphs[i] for i in kept], [specs[i] for i in kept])
+    v = np.stack([perron_vector(g) for g in graphs], axis=1)
+    av = np.stack([adjacency(g) @ v[:, j] for j, g in enumerate(graphs)], axis=1)
+    tournament = _Tournament()
+    for i in np.flatnonzero(certified_screen(av, v)[0]):
+        tournament.offer(graphs[i], specs[i])
+    min_rho, winners = tournament.result()
     sound = below_3_over_sqrt2(min_rho) and all(spec_diameter(w.spec) == d for w in winners)
     return min_rho, winners, sound
 
@@ -385,17 +377,35 @@ def test_every_member_the_pruned_search_drops_is_above_the_minimum(monkeypatch):
     assert cut_members > 0
 
 
+def test_every_member_the_sparse_oracle_drops_is_above_the_minimum():
+    drops = 0
+    for n in range(1, 11):
+        for d in range(-1, n + 1):
+            rep = brute_force_sparse(n, d)
+            winners = rep.winner_codes()
+            for code, diam, g in _sparse_members(n):
+                if diam == d and code not in winners:
+                    # a coarse Sturm root of its own, refined by compare_roots as needed
+                    root = rho_certified(charpoly(g), Fraction(1, 2**10))
+                    assert compare_roots(root, rep.min_rho)[0] is Ordering.GREATER, (n, d, code)
+                    drops += 1
+    assert drops == 1197
+
+
 def test_quipu_search_uses_no_float_screen(monkeypatch):
+    # nor does the sparse oracle: both drop only by the inertia test
     import rhomin.search
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the quipu search reached the float screen")
+        raise AssertionError("a tree or unicyclic search reached the float screen")
 
     monkeypatch.setattr(rhomin.search.np.linalg, "eigh", refuse)
-    monkeypatch.setattr(rhomin.search, "_perron_batches", refuse)
     monkeypatch.setattr(rhomin.search, "certified_screen", refuse)
     for k in (2, 3, 4, 5):
         assert verify_theorem(k).passed
     rep = minimize_over_quipus(16, 9)
     assert rep.sound and rep.stats["prefixes_cut"] > 0
     assert [w.spec for w in rep.winners] == [ClosedQuipu((6, 6), (1, 1))]
+    for n, d in ((10, 6), (12, 5), (13, 8)):
+        rep = brute_force_sparse(n, d)
+        assert rep.winners and rep.stats["screened_out"] > 0, (n, d)
