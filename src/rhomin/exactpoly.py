@@ -593,6 +593,114 @@ def compare_rho_to(g: Graph, lam: Rational) -> Ordering:
     return Ordering.EQUAL if last == 0 else Ordering.LESS
 
 
+# ---------------------------------------------------------------------------
+# the same elimination, one backbone vertex at a time
+
+# These carry compare_rho_to's elimination along a path or a cycle whose
+# vertices carry pendant paths (arms), one vertex at a time, so that a walk
+# over a parametric family reads each sign as it goes
+# (families._PivotWalk). A pivot is an integer pair (num, den) with den > 0,
+# not reduced: its size grows by about that of lam's pair per vertex either
+# way, and on a 2-core host a gcd per step made the walk at (3k+1, 2k) take
+# 1.5 times as long at k = 10 and 2.2 times at k = 11. (1, 0) is +infinity, the pivot before a path's
+# first vertex, whose reciprocal is 0.
+#
+# The cut rule. Let a connected graph G contain as a proper subgraph a tree
+# or unicyclic graph H whose elimination has reached a vertex v with
+# positive pivots, p at v, and has t >= 1 bare vertices of a path left after
+# v (and, around a cycle, the closing edge). If lam*I - A(H) is not positive
+# definite, rho(H) >= lam, so rho(G) > lam: a connected graph's radius grows
+# strictly with each vertex or edge added (Perron-Frobenius). On a path,
+# the bare vertices eliminated first hand v the term -1/x_t of arm_pivots,
+# so this is the case when p <= 1/x_t or no x_t is positive; for t = 1,
+# when p <= 1/lam. Around a cycle, given p > 1/x_t, which keeps the bare
+# vertices' pivots positive, it is also the case when they close the cycle
+# (bare_paths, cycle_then) with a last pivot <= 0 by Schwenk's rule
+# (cycle_close). Pivots computed under a larger lam describe a matrix >=
+# lam*I - A(H), so the rule holds for them too.
+
+
+@functools.lru_cache(maxsize=16)
+def arm_pivots(lam: Rational, length: int) -> tuple[tuple[int, int], ...]:
+    """The pivots x_0, x_1, ... of lam*I - A at the top of an arm of j
+    vertices eliminated from its leaf: x_0 = +infinity, x_1 = lam and
+    x_j = lam - 1/x_{j-1}. x_{m+1} is also the diagonal left at a vertex
+    once its arm of m vertices is eliminated. The table stops at j = length
+    or at the first x_j <= 0; an arm of j or more vertices then has a pivot
+    <= 0 below its top, and the vertex it hangs at is eliminated later, so
+    rho > lam."""
+    lam = Fraction(lam)
+    l, m = lam.numerator, lam.denominator
+    xs = [(1, 0)]
+    while len(xs) <= length and xs[-1][0] > 0:
+        num, den = xs[-1]
+        a, b = l * num - m * den, m * num
+        k = math.gcd(a, b)
+        xs.append((a // k, b // k))
+    return tuple(xs)
+
+
+def pivot_after(x: tuple[int, int], p: tuple[int, int]) -> tuple[int, int]:
+    """x - 1/p: the pivot at a vertex whose diagonal is x once its arms are
+    eliminated, and whose one eliminated neighbour has pivot p > 0 (or p =
+    +infinity for none). The pair is not reduced."""
+    return x[0] * p[0] - x[1] * p[1], x[1] * p[0]
+
+
+def at_most_inverse(p: tuple[int, int], x: tuple[int, int]) -> bool:
+    """Whether the pivot p is <= 1/x, for a pair x > 0."""
+    return p[0] * x[0] <= p[1] * x[1]
+
+
+# Around a cycle v_1 ... v_c the state is compare_rho_to's product
+# (r00, r01, r10, r11, scale) of the integer matrices den_v * [[D_v, -1],
+# [1, 0]]: r00 / -r01 is the pivot at the last vertex taken, the ratio of
+# two leading minors, which ignore the closing edge (v_c, v_1).
+CYCLE_START = (1, 0, 0, 1, 1)
+
+
+def cycle_after(state: tuple, x: tuple[int, int]) -> tuple:
+    """The cycle state once the next vertex, of diagonal x, is taken."""
+    r00, r01, r10, r11, scale = state
+    a, b = x
+    return r00 * a + r01 * b, -r00 * b, r10 * a + r11 * b, -r10 * b, scale * b
+
+
+@functools.lru_cache(maxsize=16)
+def bare_paths(lam: Rational, length: int) -> tuple[tuple, ...]:
+    """The cycle states of j vertices of diagonal lam each, j = 0..length:
+    what cycle_after applies for j bare vertices in a row."""
+    x = (lam.numerator, lam.denominator)
+    out = [CYCLE_START]
+    for _ in range(length):
+        out.append(cycle_after(out[-1], x))
+    return tuple(out)
+
+
+def cycle_then(state: tuple, run: tuple) -> tuple:
+    """The state once a run of vertices, given by its own state from
+    CYCLE_START, follows `state`."""
+    r00, r01, r10, r11, scale = state
+    a00, a01, a10, a11, s = run
+    return (r00 * a00 + r01 * a10, r00 * a01 + r01 * a11,
+            r10 * a00 + r11 * a10, r10 * a01 + r11 * a11, scale * s)
+
+
+def cycle_pivot(state: tuple) -> tuple[int, int]:
+    """The pivot at the last vertex taken, as a pair (not reduced)."""
+    return state[0], -state[1]
+
+
+def cycle_close(state: tuple, x: tuple[int, int]) -> int:
+    """The sign of the last pivot, at a last vertex of diagonal x, given
+    positive pivots at all the others: Schwenk's cycle rule, as in
+    compare_rho_to."""
+    r00, r01, r10, _, scale = state
+    a, b = x
+    last = r00 * a + r01 * b - r10 * b - 2 * scale * b
+    return (last > 0) - (last < 0)
+
+
 # 3/sqrt(2), the largest root of 2x^2 - 9
 _THREE_OVER_SQRT2 = rho_certified(IntPoly((-9, 0, 2)))
 

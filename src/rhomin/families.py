@@ -10,15 +10,30 @@ All three are one shape: a backbone (a path, a cycle or a single centre)
 with pendant paths, the arms, hanging at branch positions. realize() builds
 the backbone and hangs the arms; classify() strips the arms from the leaves
 inward and reads the parameters off what is left. The module also
-enumerates all family members with a given order and diameter.
+enumerates all family members with a given order and diameter, either all
+of them or, given an incumbent lam, by the pivot walk: walking each
+backbone, it carries the elimination of lam*I - A one vertex at a time and
+cuts every prefix whose members it puts above lam, building no graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import accumulate
 
-from .graphs import Graph, build_graph, diameter, is_connected
+from .exactpoly import (
+    CYCLE_START,
+    arm_pivots,
+    at_most_inverse,
+    bare_paths,
+    cycle_after,
+    cycle_close,
+    cycle_pivot,
+    cycle_then,
+    pivot_after,
+)
+from .graphs import Graph, diameter, is_connected
 
 
 @dataclass(frozen=True)
@@ -102,7 +117,8 @@ def realize(spec: QuipuSpec) -> Graph:
     hangs at each branch position, numbered in branch order. The positions
     are ks[0] and then one past each inner gap on the path, 0 and then one
     past each gap on the cycle, and the centre four times, with lengths 1,
-    1, 1 and the tail, for a dagger.
+    1, 1 and the tail, for a dagger. The graph is simple by construction,
+    so its sorted neighbour rows are written directly.
     """
     if isinstance(spec, Dagger):
         n, edges, hubs, arms = 1, [], (0, 0, 0, 0), (1, 1, 1, spec.tail)
@@ -117,7 +133,11 @@ def realize(spec: QuipuSpec) -> Graph:
     for hub, m in zip(hubs, arms):
         edges += zip([hub, *range(n, n + m - 1)], range(n, n + m))
         n += m
-    return build_graph(n, edges)
+    rows = [[] for _ in range(n)]
+    for u, v in edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    return Graph(n, tuple(tuple(sorted(row)) for row in rows))
 
 
 def spec_diameter(spec: QuipuSpec) -> int:
@@ -255,7 +275,7 @@ def spider(k: int) -> OpenQuipu:
 ALL_KINDS = frozenset({"open", "closed", "dagger"})
 
 
-def enumerate_quipus(n: int, d: int, kinds=ALL_KINDS, cut=None):
+def enumerate_quipus(n: int, d: int, kinds=ALL_KINDS, incumbent=None, tally=None):
     """Yield every canonical family spec of order n and diameter exactly d.
 
     Branch-and-prune over parameter tuples. The diameter is computed from the
@@ -263,30 +283,24 @@ def enumerate_quipus(n: int, d: int, kinds=ALL_KINDS, cut=None):
     canonical or cannot reach diameter d are cut, so no graph is built or
     searched. Each isomorphism class appears exactly once.
 
-    `cut`, when given, is asked at the inner nodes of the walk over the
-    pendant lengths ms of open quipus with two or more branch vertices and
-    of closed quipus: once the segments ks are fixed, and again after each
-    pendant length but the last two. It gets the node's floor, a spec whose
-    graph is a subgraph of every member below the node, and a true answer
-    drops them all. An open floor keeps the pendants chosen so far (before
-    any is, ms[0] at its least value, ks[0]), then takes 1 for each inner
-    one left and max(1, ks[-1]) for the last. A closed floor fills the rest
-    with ms[0], which canonical form makes the least pendant (1 before it
-    is chosen). A floor grows with the pendant just chosen, so
-    the walk skips the longer siblings of a cut node: `cut` must hold for
-    every spec containing one it holds for, as rho(floor) > lam does for a
-    lam that only falls. The path, spiders, cycle and dagger are leaves
-    only. cut=None walks everything.
+    Given `incumbent`, a callable that gives the current bound lam (or None
+    while there is none), the members come from the pivot walk instead
+    (_PivotWalk): in another order, and only those whose radius the
+    elimination of lam*I - A does not put above lam. `tally`, a dict, then
+    receives the walk's counts as it goes.
     """
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
     kinds = frozenset(kinds)
     if not kinds <= ALL_KINDS:
         raise ValueError(f"unknown kinds: {kinds - ALL_KINDS}")
+    if incumbent is not None:
+        yield from _PivotWalk(n, d, kinds, incumbent, {} if tally is None else tally).walk()
+        return
     if "open" in kinds:
-        yield from _enumerate_open(n, d, cut)
+        yield from _enumerate_open(n, d)
     if "closed" in kinds:
-        yield from _enumerate_closed(n, d, cut)
+        yield from _enumerate_closed(n, d)
     if "dagger" in kinds:
         yield from _enumerate_dagger(n, d)
 
@@ -298,7 +312,14 @@ def _enumerate_dagger(n: int, d: int):
         yield Dagger(n - 4)
 
 
-def _enumerate_open(n: int, d: int, cut):
+def _enumerate_open(n: int, d: int):
+    yield from _open_leaves(n, d)
+    for r, s in _open_shapes(n, d):
+        yield from _enumerate_open_r(n, d, r, s)
+
+
+def _open_leaves(n: int, d: int):
+    """The open quipus of order n and diameter d with one branch vertex."""
     # degenerate path
     if d == n - 1 and (n >= 2 or d == 0):
         yield OpenQuipu((0, 0), (n - 1,))
@@ -310,12 +331,20 @@ def _enumerate_open(n: int, d: int, cut):
                 c = n - 1 - a - b
                 if c >= b and b + c == d:
                     yield OpenQuipu((a, b), (c,))
+
+
+def _open_shapes(n: int, d: int):
+    """(r, s): each number r + 1 >= 2 of branch vertices and segment sum s
+    an open quipu of order n and diameter d can have."""
     # r+1 >= 2 branch vertices carry r+3 disjoint arms of >= 1 vertex each
     # (two at either end, one at each inner branch vertex); a longest path
     # meets at most two of them, so it misses >= r+1 vertices and
     # d <= n - r - 2
     for r in range(1, min((n - 4) // 2, n - d - 2) + 1):
-        yield from _enumerate_open_r(n, d, r, cut)
+        # the backbone, of length s + r, must not exceed the diameter; the
+        # budget n - r - 1 holds the segments and r + 1 pendants
+        for s in range(2, min(d - r, n - 2 * r - 2) + 1):
+            yield r, s
 
 
 def _compositions(total: int, parts: int, minima):
@@ -329,29 +358,22 @@ def _compositions(total: int, parts: int, minima):
             yield (first,) + rest
 
 
-def _enumerate_open_r(n: int, d: int, r: int, cut):
-    # segment sum s: backbone length s + r must not exceed the diameter
+def _enumerate_open_r(n: int, d: int, r: int, s: int):
     budget = n - r - 1  # vertices left for segments + pendants
-    for s in range(2, min(d - r, budget - (r + 1)) + 1):
-        minima = (1,) + (0,) * r + (1,)
-        for ks in _compositions(s, r + 2, minima):
-            # a canonical tuple has the least first entry among its variants
-            if ks[0] > ks[-1]:
-                continue
-            pos = list(accumulate((k + 1 for k in ks[1:-1]), initial=ks[0]))
-            for ms in _open_pendants(ks, pos, s + r, budget - s, d, cut):
-                # ms[0] >= ks[0] and ms[-1] >= ks[-1] already, so no end-arm
-                # swap is below (ks, ms); only the reversal can be
-                if ks[0] < ks[-1] or ks + ms <= ks[::-1] + ms[::-1]:
-                    yield OpenQuipu(ks, ms)
+    minima = (1,) + (0,) * r + (1,)
+    for ks in _compositions(s, r + 2, minima):
+        # a canonical tuple has the least first entry among its variants
+        if ks[0] > ks[-1]:
+            continue
+        pos = list(accumulate((k + 1 for k in ks[1:-1]), initial=ks[0]))
+        for ms in _open_pendants(ks, pos, s + r, budget - s, d):
+            # ms[0] >= ks[0] and ms[-1] >= ks[-1] already, so no end-arm
+            # swap is below (ks, ms); only the reversal can be
+            if ks[0] < ks[-1] or ks + ms <= ks[::-1] + ms[::-1]:
+                yield OpenQuipu(ks, ms)
 
 
-def _open_floor(ks, head) -> OpenQuipu:
-    """The floor of the open quipus with segments ks and first pendants head."""
-    return OpenQuipu(ks, (*head, *(1,) * (len(ks) - 2 - len(head)), max(1, ks[-1])))
-
-
-def _open_pendants(ks, pos, backbone, total, d, cut):
+def _open_pendants(ks, pos, backbone, total, d):
     """Pendant length tuples ms (each >= 1, summing to `total`) that give the
     open quipu (ks, ms) diameter exactly d, with ms[0] >= ks[0] and
     ms[-1] >= ks[-1] as canonical form requires.
@@ -359,14 +381,11 @@ def _open_pendants(ks, pos, backbone, total, d, cut):
     The farthest pair is backbone end to end, end to pendant tip, or tip to
     tip; every such distance is capped at d on the way down and the largest
     one is carried along, so a leaf is kept exactly when it reaches d.
-    Each inner node that can still reach a leaf asks `cut` about its floor,
-    unless that floor is its parent's (its last pendant is the least), and
-    returns True when cut; its parent then skips its longer siblings.
     """
     last = len(pos) - 1
     last_min = max(1, ks[-1])
 
-    def rec(i, remaining, runmax, best, acc, ask):
+    def rec(i, remaining, runmax, best, acc):
         # runmax >= 0 is the largest ms[j] - pos[j] so far, so the tip-to-tip
         # term m + p + runmax also covers the left end to this tip
         p = pos[i]
@@ -376,29 +395,36 @@ def _open_pendants(ks, pos, backbone, total, d, cut):
                 best, remaining + p + runmax, remaining + backbone - p
             ) == d:
                 yield (*acc, remaining)
-            return False
+            return
         cap = min(cap, remaining - (last - 1 - i) - last_min)
-        low = ks[0] if i == 0 else 1
-        if cap < low:
-            return False
-        if ask and cut(_open_floor(ks, acc or ks[:1])):
-            return True
-        for m in range(low, cap + 1):
+        for m in range(ks[0] if i == 0 else 1, cap + 1):
             acc.append(m)
-            if (yield from rec(i + 1, remaining - m, max(runmax, m - p),
-                               max(best, m + p + runmax, m + backbone - p), acc,
-                               cut and m > low)):
-                acc.pop()
-                break
+            yield from rec(i + 1, remaining - m, max(runmax, m - p),
+                           max(best, m + p + runmax, m + backbone - p), acc)
             acc.pop()
-        return False
 
-    yield from rec(0, total, 0, backbone, [], cut)
+    yield from rec(0, total, 0, backbone, [])
 
 
-def _enumerate_closed(n: int, d: int, cut):
+def _enumerate_closed(n: int, d: int):
     if n >= 3 and d == n // 2:
         yield ClosedQuipu((n - 1,), (0,))
+    for c, r, mcap in _closed_shapes(n, d):
+        for ks in _compositions(c - r, r, (0,) * r):
+            # the reflection through the first branch vertex starts with
+            # (ms[0], ks[-1])
+            if ks[0] > ks[-1]:
+                continue
+            pos = list(accumulate((k + 1 for k in ks[:-1]), initial=0))
+            for ms in _cycle_pendants(ks, pos, c, n - c, d, mcap):
+                if tuple(zip(ms, ks)) == min(_closed_pair_candidates(ks, ms)):
+                    yield ClosedQuipu(ks, ms)
+
+
+def _closed_shapes(n: int, d: int):
+    """(c, r, mcap): each cycle length c and number r of branch vertices a
+    closed quipu of order n and diameter d can have, with mcap = d - c//2,
+    the longest pendant it allows."""
     for c in range(3, n):  # cycle length; at least one pendant vertex remains
         mcap = d - c // 2
         if mcap < 1:
@@ -407,18 +433,10 @@ def _enumerate_closed(n: int, d: int, cut):
         # and two whole pendants; each other pendant leaves >= 1 vertex off
         # it, so d <= c//2 + (n - c) - (r - 2)
         for r in range(1, min(c, n - c, max(1, c // 2 + n - c + 2 - d)) + 1):
-            for ks in _compositions(c - r, r, (0,) * r):
-                # the reflection through the first branch vertex starts
-                # with (ms[0], ks[-1])
-                if ks[0] > ks[-1]:
-                    continue
-                pos = list(accumulate((k + 1 for k in ks[:-1]), initial=0))
-                for ms in _cycle_pendants(ks, pos, c, n - c, d, mcap, cut):
-                    if tuple(zip(ms, ks)) == min(_closed_pair_candidates(ks, ms)):
-                        yield ClosedQuipu(ks, ms)
+            yield c, r, mcap
 
 
-def _cycle_pendants(ks, pos, c, total, d, mcap, cut):
+def _cycle_pendants(ks, pos, c, total, d, mcap):
     """Pendant length tuples ms (each >= 1, summing to `total`) that give the
     closed quipu with branch positions `pos` on a c-cycle diameter exactly d,
     with ms[0] <= every later entry as canonical form requires.
@@ -426,13 +444,13 @@ def _cycle_pendants(ks, pos, c, total, d, mcap, cut):
     The farthest pair is the cycle antipode, a tip to its antipode, or two
     tips through the shorter arc. Every distance is capped at d on the way
     down and the largest one is carried along; a prefix is cut as soon as no
-    completion can reach d. `cut` is asked as in _open_pendants.
+    completion can reach d.
     """
     r = len(pos)
     half = c // 2
     arc = [[min(abs(a - b), c - abs(a - b)) for b in pos] for a in pos]
 
-    def rec(i, remaining, best, top, acc, ask):
+    def rec(i, remaining, best, top, acc):
         # later pendants are each >= ms[0], so none of the remaining ones
         # exceeds cap; two tips are at most their lengths plus half apart
         low = acc[0] if i else 1
@@ -440,7 +458,7 @@ def _cycle_pendants(ks, pos, c, total, d, mcap, cut):
         cap = min(mcap, remaining - left * low)
         partner = max(top, cap if left else 0)
         if max(best, half + cap + partner) < d:
-            return False
+            return
         row = arc[i]
         for j in range(i):
             cap = min(cap, d - acc[j] - row[j])
@@ -450,25 +468,279 @@ def _cycle_pendants(ks, pos, c, total, d, mcap, cut):
                 max((acc[j] + remaining + row[j] for j in range(i)), default=0),
             ) == d:
                 yield (*acc, remaining)
-            return False
+            return
         if i == 0:  # ms[0] is the least of r pendants
             cap = min(cap, remaining // r)
-        if cap < low:
-            return False
-        if ask and cut(ClosedQuipu(ks, (*acc, *(low,) * (r - i)))):
-            return True
         for m in range(low, cap + 1):
             acc.append(m)
-            if (yield from rec(i + 1, remaining - m, max(
+            yield from rec(i + 1, remaining - m, max(
                 best, half + m,
                 max((acc[j] + m + row[j] for j in range(i)), default=0),
-            ), max(top, m), acc, cut and m > low)):
-                acc.pop()
-                break
+            ), max(top, m), acc)
             acc.pop()
+
+    yield from rec(0, total, half, 0, [])
+
+
+# ---------------------------------------------------------------------------
+# the pivot walk: enumeration that cuts by radius
+
+# Every member has maximum degree at most 4, so its radius is below 4 and
+# the walk drops nothing at lam = 4; it stands in for a missing incumbent.
+_NO_INCUMBENT = Fraction(4)
+
+
+class _PivotWalk:
+    """The members of order n and diameter d, of the given kinds, whose
+    spectral radius the elimination of lam*I - A does not put above lam =
+    incumbent(), each as a canonical spec. No graph is built.
+
+    The walk finds enumerate_quipus' members with the same diameter
+    bookkeeping but in another order: left to right along the backbone of
+    an open quipu with two or more branch vertices, and around the cycle
+    from the first branch vertex of a closed quipu, picking segments and
+    pendants in turn. Alongside, the walk carries compare_rho_to's
+    elimination one backbone vertex at a time: the pivot at the current
+    vertex (exactpoly.pivot_after), or around a cycle the product of
+    Schwenk's 2-by-2 matrices (exactpoly.cycle_after), with each arm's
+    pivot taken from the table exactpoly.arm_pivots(lam).
+
+    A prefix of the walk fixes the graph up to some backbone vertex v, with
+    t >= 1 backbone vertices still to come. Every member below it contains
+    H, the prefix with t bare vertices after v (and, around a cycle, the
+    closing edge), as a proper subgraph, since it has a pendant or the
+    closing edge that H lacks. The prefix is cut when exactpoly's cut rule
+    puts rho(H) >= lam: on a path when v's pivot is <= 1/x_t (<= 1/lam for
+    t = 1), and around a cycle also when the bare vertices close it with a
+    last pivot <= 0. Every member below then has rho > lam. With the
+    prefix go every longer segment or gap containing v and every longer
+    pendant at v, as their members contain this H too. A member reached in
+    full is yielded when its last pivot (by Schwenk's rule around a cycle)
+    is >= 0 after positive ones, that is when rho <= lam. The path,
+    spiders, cycle and dagger have no prefix to cut; they are reached at
+    once and get the same final test.
+
+    `incumbent` is read again after each yield, so the caller may lower
+    lam as members come in; while it gives None, lam is 4. lam only
+    falls, and a pivot computed under an older, larger lam is kept: the
+    matrix that elimination describes has diagonal entries >= the current
+    lam, so it is >= lam*I - A, and when it is not positive definite
+    neither is lam*I - A. A stale pivot only weakens a cut; every cut and
+    drop stays exact. The counts, added to those already in `counts`, are
+    "reached", the members reached in full; "screened_out", those of them
+    with a negative last pivot; and "prefixes_cut", the cuts.
+    """
+
+    def __init__(self, n, d, kinds, incumbent, counts):
+        self.n, self.d, self.kinds, self.incumbent = n, d, kinds, incumbent
+        self.counts = counts
+        for key in ("reached", "screened_out", "prefixes_cut"):
+            counts.setdefault(key, 0)
+        self.lam = None
+        self.refresh()
+
+    def refresh(self):
+        lam = self.incumbent() or _NO_INCUMBENT
+        if lam is not self.lam:
+            self.lam, self.xs, self.bare = lam, arm_pivots(lam, self.n), bare_paths(lam, self.n)
+
+    def arm(self, m):
+        """x_m, the pivot at the top of an arm of m vertices, or None when
+        the arm has a pivot <= 0."""
+        xs = self.xs
+        return xs[m] if m < len(xs) and xs[m][0] > 0 else None
+
+    def diagonal(self, m):
+        """x_{m+1}, the diagonal a vertex keeps once its arm of m vertices
+        is eliminated, or None (a cut) when that arm has a pivot <= 0."""
+        if m + 1 < len(self.xs):
+            return self.xs[m + 1]
+        self.counts["prefixes_cut"] += 1
+        return None
+
+    def above(self, p, t) -> bool:
+        """The path rule at a vertex of pivot p with t >= 1 bare vertices
+        after it: p <= 1/x_t, or no positive x_t."""
+        x = self.arm(t)
+        return x is None or at_most_inverse(p, x)
+
+    def cut(self, p, t) -> bool:
+        if self.above(p, t):
+            self.counts["prefixes_cut"] += 1
+            return True
         return False
 
-    yield from rec(0, total, half, 0, [], cut)
+    def cycle_cut(self, state, t) -> bool:
+        """The path rule, then the closed bare cycle, at a cycle vertex
+        with t >= 1 more after it."""
+        if self.cut(cycle_pivot(state), t):
+            return True
+        if cycle_close(cycle_then(state, self.bare[t - 1]), self.xs[1]) <= 0:
+            self.counts["prefixes_cut"] += 1
+            return True
+        return False
+
+    def finish(self, spec, sign):
+        """Count a member reached in full, and yield it unless its last
+        pivot, of the given sign, is negative. lam may have fallen by the
+        time the caller resumes the walk, so it is read again then."""
+        self.counts["reached"] += 1
+        if sign < 0:
+            self.counts["screened_out"] += 1
+            return
+        yield spec
+        self.refresh()
+
+    def hub_sign(self, p, arms) -> int:
+        """The sign of the last pivot, at a vertex with arms of the given
+        lengths after the pivot p: -1 also when an arm has a pivot <= 0."""
+        if arms[0] + 1 >= len(self.xs):
+            return -1
+        last = pivot_after(self.xs[arms[0] + 1], p)
+        for m in arms[1:]:
+            x = self.arm(m)
+            if x is None:
+                return -1
+            last = pivot_after(last, x)
+        return (last[0] > 0) - (last[0] < 0)
+
+    def cycle_sign(self, state, m, k) -> int:
+        """The sign of the last pivot around a cycle, from the state before
+        a branch vertex with a pendant of m vertices that the last gap, of k
+        vertices, follows; -1 also when a pivot before the last is cut."""
+        if m + 1 >= len(self.xs):
+            return -1
+        diagonals = [self.xs[m + 1]] + [self.xs[1]] * k
+        for t, x in enumerate(diagonals[:-1]):
+            state = cycle_after(state, x)
+            if self.above(cycle_pivot(state), k - t):
+                return -1
+        return cycle_close(state, diagonals[-1])
+
+    def walk(self):
+        n, d, kinds = self.n, self.d, self.kinds
+        if "open" in kinds:
+            for spec in _open_leaves(n, d):  # one branch vertex, three arms
+                yield from self.finish(spec, self.hub_sign((1, 0), (*spec.ms, *spec.ks)))
+            for r, s in _open_shapes(n, d):
+                yield from self.open_hub(0, r, s + r, (1, 0), -1, s, n - r - 1 - s, 0, s + r,
+                                         [], [])
+        if "closed" in kinds:
+            if n >= 3 and d == n // 2:
+                yield from self.finish(ClosedQuipu((n - 1,), (0,)),
+                                       self.cycle_sign(CYCLE_START, 0, n - 1))
+            for c, r, mcap in _closed_shapes(n, d):
+                yield from self.cycle_hub(0, c, r, mcap, CYCLE_START, -1, c - r, n - c, c // 2,
+                                          0, [], [], [])
+        if "dagger" in kinds:
+            for spec in _enumerate_dagger(n, d):  # the centre, with four arms
+                yield from self.finish(spec, self.hub_sign((1, 0), (spec.tail, 1, 1, 1)))
+
+    def open_hub(self, i, r, backbone, p, at, segs, pends, runmax, best, ks, ms):
+        """Pick the segment ks[i] before branch vertex i (the left end arm
+        for i = 0), then its pendant ms[i]; at the last branch vertex,
+        ks[r + 1] and ms[r] are what is left. p is the pivot at position
+        `at`, just before the segment; segs and pends count the segment and
+        pendant vertices left; runmax and best are _open_pendants'
+        diameter bookkeeping. The backbone has positions 0..backbone."""
+        d = self.d
+        # the right end arm ks[-1] is >= ks[0]
+        kmax = segs // 2 if i == 0 else segs - ks[0]
+        for k in range(kmax + 1):
+            if k:  # the segment vertex at position at + k
+                p = pivot_after(self.xs[1], p)
+                if self.cut(p, backbone - at - k):
+                    break
+            elif i == 0:
+                continue
+            pos = at + k + 1
+            low = k if i == 0 else 1
+            if d - pos - runmax < low:
+                break
+            cap = min(d - pos - runmax, d - backbone + pos)
+            if i == r:
+                m, end = pends, segs - k
+                kt, mt = (*ks, k, end), (*ms, m)
+                # ms[0] >= ks[0] and ms[-1] >= ks[-1], so no end-arm swap
+                # is below (ks, ms); only the reversal can be
+                if (ks[0] <= end <= m <= cap
+                        and max(best, m + pos + runmax, m + backbone - pos) == d
+                        and (ks[0] < end or kt + mt <= kt[::-1] + mt[::-1])):
+                    yield from self.finish(OpenQuipu(kt, mt), self.hub_sign(p, (m, end)))
+                continue
+            cap = min(cap, pends - (r - 1 - i) - (k if i == 0 else ks[0]))
+            for m in range(low, cap + 1):
+                x = self.diagonal(m)
+                if x is None:
+                    break
+                hub = pivot_after(x, p)
+                if self.cut(hub, backbone - pos):
+                    break
+                ks.append(k)
+                ms.append(m)
+                yield from self.open_hub(i + 1, r, backbone, hub, pos, segs - k, pends - m,
+                                         max(runmax, m - pos),
+                                         max(best, m + pos + runmax, m + backbone - pos), ks, ms)
+                ks.pop()
+                ms.pop()
+
+    def cycle_hub(self, i, c, r, mcap, state, at, gaps, remaining, best, top, ks, ms, pos):
+        """Pick the gap ks[i - 1] before branch vertex i, then its pendant
+        ms[i]; at the last branch vertex, ms[r - 1] and the last gap ks[r - 1]
+        are what is left. state is the cycle state at position `at`, just
+        before the gap (branch vertex i - 1); gaps and remaining count the gap
+        and pendant vertices left; pos holds the earlier branch vertices'
+        positions on the cycle 0..c-1; best and top are _cycle_pendants'
+        diameter bookkeeping."""
+        d, half = self.d, c // 2
+        # later pendants are each >= ms[0], so none of the remaining ones
+        # exceeds cap; two tips are at most their lengths plus half apart
+        low = ms[0] if i else 1
+        left = r - 1 - i
+        cap = min(mcap, remaining - left * low)
+        if max(best, half + cap + max(top, cap if left else 0)) < d:
+            return
+        if i == 0:  # ms[0] is the least of r pendants
+            cap = min(cap, remaining // r)
+        # the last gap ks[-1] is >= ks[0]
+        kmax = 0 if i == 0 else gaps // 2 if i == 1 else gaps - ks[0]
+        for k in range(kmax + 1):
+            if k:  # the gap vertex at position at + k
+                state = cycle_after(state, self.xs[1])
+                if self.cycle_cut(state, c - 1 - at - k):
+                    break
+            here = at + k + 1
+            row = [min(here - p, c - here + p) for p in pos]
+            hcap = cap
+            for j in range(i):
+                hcap = min(hcap, d - ms[j] - row[j])
+            if not left:
+                m, last = remaining, gaps - k
+                kt, mt = (*ks, k, last) if i else (last,), (*ms, m)
+                if (low <= m <= hcap and max(
+                        best, half + m, max((ms[j] + m + row[j] for j in range(i)), default=0)) == d
+                        and tuple(zip(mt, kt)) == min(_closed_pair_candidates(kt, mt))):
+                    yield from self.finish(ClosedQuipu(kt, mt), self.cycle_sign(state, m, last))
+                continue
+            if i:
+                ks.append(k)
+            for m in range(low, hcap + 1):
+                x = self.diagonal(m)
+                if x is None:
+                    break
+                hub = cycle_after(state, x)
+                if self.cycle_cut(hub, c - 1 - here):
+                    break
+                ms.append(m)
+                pos.append(here)
+                yield from self.cycle_hub(
+                    i + 1, c, r, mcap, hub, here, gaps - k, remaining - m,
+                    max(best, half + m, max((ms[j] + m + row[j] for j in range(i)), default=0)),
+                    max(top, m), ks, ms, pos)
+                ms.pop()
+                pos.pop()
+            if i:
+                ks.pop()
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,17 @@ family search is the production path; the other two are independent oracles
 against which it is cross-validated. All three feed one streaming exact
 tournament, which certifies each graph offered to it and keeps the minimum
 and every tie. Over trees and unicyclic graphs a graph is offered only if
-exactpoly.compare_rho_to's inertia test does not put its radius above the
-incumbent, the best certified radius so far, rounded up; the family search
-also cuts whole prefixes of its enumeration walk by that test. Neither uses
-any float. The all-labeled-graphs oracle offers only the graphs that this
-module's exact Collatz-Wielandt screen, certified_screen, keeps with the
-integer vectors (A + I)^POWER_STEPS 1. The module also packages the
-end-to-end verification that the minimum spectral radius at order 3k+1 and
-diameter 2k is attained exactly by the tied family of open quipus with
-parameters (i, i+j-1, j) over i+j=k.
+the inertia of lam*I - A does not put its radius above the incumbent lam,
+the best certified radius so far, rounded up: the sparse oracle asks
+exactpoly.compare_rho_to of each graph, and the family search runs the
+pivot walk of families.enumerate_quipus, which carries the same
+elimination along the walk, cuts whole prefixes by it and builds only the
+members it keeps. Neither uses any float. The all-labeled-graphs oracle
+offers only the graphs that this module's exact Collatz-Wielandt screen,
+certified_screen, keeps with the integer vectors (A + I)^POWER_STEPS 1.
+The module also packages the end-to-end verification that the minimum
+spectral radius at order 3k+1 and diameter 2k is attained exactly by the
+tied family of open quipus with parameters (i, i+j-1, j) over i+j=k.
 """
 
 from __future__ import annotations
@@ -429,44 +431,35 @@ def minimize_over_quipus(n: int, d: int) -> MinimizerReport:
     """Exact minimum over all open quipus, closed quipus and daggers of order
     n and diameter d.
 
-    Branch-and-bound over the enumeration walk against the exact
-    tournament's incumbent lam. A prefix of the walk is cut when
-    compare_rho_to puts the radius of its floor, a subgraph of every member
-    below it, above lam: each of those members then has rho >= rho(floor) >
-    lam >= the minimum. A member the walk reaches is dropped by the same
-    test, or else offered to the tournament, which may tighten lam. The
-    report is sound when the minimum is certified below 3/sqrt(2).
-    Enumeration computes diameters from parameters; each winner's diameter
-    is confirmed by BFS on its graph, and a mismatch marks the report
-    unsound. `candidates_examined` counts the members the walk reached,
-    `screened_out` those the inertia test dropped, `exactly_compared` the
-    ones offered, and `prefixes_cut` the prefixes cut.
+    Branch-and-bound against the exact tournament's incumbent lam: the
+    pivot walk of enumerate_quipus cuts each prefix of its walk whose
+    elimination pivots put every member below it above lam, so at least
+    the minimum. Each member it keeps, one whose last pivot is >= 0 and
+    so whose radius is at most the lam of the moment, is realized and
+    offered to the tournament, which may tighten lam for the rest of the
+    walk. The report is sound when the minimum is certified below
+    3/sqrt(2). Enumeration computes diameters from parameters; each
+    winner's diameter is confirmed by BFS on its graph, and a mismatch
+    marks the report unsound. `candidates_examined` counts the members the
+    walk reached in full, `screened_out` those of them whose last pivot
+    was negative, `exactly_compared` the ones offered, and `prefixes_cut`
+    the prefixes the pivots cut.
     """
     tournament = _Tournament()
-    prefixes_cut = reached = 0
-
-    def cut(floor: QuipuSpec) -> bool:
-        nonlocal prefixes_cut
-        if tournament.lam is None or not tournament.above(realize(floor)):
-            return False
-        prefixes_cut += 1
-        return True
-
-    for spec in enumerate_quipus(n, d, cut=cut):
-        reached += 1
-        g = realize(spec)
-        if not tournament.above(g):
-            tournament.offer(g, spec)
+    tally = {}
+    for spec in enumerate_quipus(n, d, incumbent=lambda: tournament.lam, tally=tally):
+        tournament.offer(realize(spec), spec)
     min_rho, winners = tournament.result()
     if min_rho is None:
         return MinimizerReport(n, d, None, [], "quipu-family", 0, sound=False)
     diameter_mismatches = sum(spec_diameter(w.spec) != d for w in winners)
     sound = below_3_over_sqrt2(min_rho) and not diameter_mismatches
     return MinimizerReport(
-        n, d, min_rho, winners, "quipu-family", reached, sound=sound,
-        stats={"screened_out": reached - tournament.offered,
+        n, d, min_rho, winners, "quipu-family", tally["reached"], sound=sound,
+        stats={"screened_out": tally["screened_out"],
                "exactly_compared": tournament.offered,
-               "prefixes_cut": prefixes_cut, "diameter_mismatches": diameter_mismatches},
+               "prefixes_cut": tally["prefixes_cut"],
+               "diameter_mismatches": diameter_mismatches},
     )
 
 

@@ -1,9 +1,14 @@
 """Graph and spec helpers that only the tests need: relabelling, disjoint
 unions, tree and unicyclic predicates, the canonical spec of a spec's
-realization, adjacency matrices and scaled Perron vectors."""
+realization, adjacency matrices, scaled Perron vectors and dyadic points
+next to a spectral radius."""
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
+from rhomin.exactpoly import Ordering, compare_rho_to
 from rhomin.families import QuipuSpec, classify, realize
 from rhomin.graphs import Graph, build_graph, is_connected
 
@@ -47,3 +52,13 @@ def perron_vector(g: Graph) -> np.ndarray:
     clamped to at least 1: a positive int64 vector for certified_screen."""
     v = np.abs(np.linalg.eigh(adjacency(g))[1][:, -1])
     return np.maximum(np.rint(v * 2**26), 1).astype(np.int64)
+
+
+def lams_around(g: Graph) -> tuple[Fraction, Fraction]:
+    """Dyadic lam just below and just above rho(g), within 2^-29 of a float
+    radius, for a tree or unicyclic g; compare_rho_to confirms each side."""
+    rho = float(np.linalg.eigvalsh(adjacency(g).astype(float))[-1])
+    below, above = (Fraction(math.floor(rho * 2**30) + k, 2**30) for k in (-1, 2))
+    assert compare_rho_to(g, below) is Ordering.GREATER
+    assert compare_rho_to(g, above) is Ordering.LESS
+    return below, above

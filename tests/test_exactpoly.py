@@ -4,7 +4,7 @@ exact Collatz-Wielandt screen that the searches run before them."""
 import math
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -12,9 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhomin.exactpoly import (
+    CYCLE_START,
     CertifiedRoot,
     IntPoly,
     Ordering,
+    arm_pivots,
+    at_most_inverse,
+    bare_paths,
     below_3_over_sqrt2,
     cauchy_root_bound,
     charpoly,
@@ -23,18 +27,23 @@ from rhomin.exactpoly import (
     compare_rho_to,
     compare_roots,
     count_roots_halfopen,
+    cycle_after,
+    cycle_close,
+    cycle_pivot,
+    cycle_then,
     equal_rho_certificate,
     poly_div_exact,
     poly_gcd,
+    pivot_after,
     poly_to_json,
     rho_certified,
     rho_certified_graph,
     sturm_chain,
 )
-from rhomin.families import realize, spider
+from rhomin.families import ClosedQuipu, OpenQuipu, realize, spider
 from rhomin.graphs import build_graph, cycle_graph, path_graph, star_graph
 from rhomin.search import POWER_STEPS, certified_screen
-from graph_helpers import adjacency, disjoint_union, perron_vector, relabel
+from graph_helpers import adjacency, disjoint_union, lams_around, perron_vector, relabel
 
 
 def test_poly_arithmetic():
@@ -569,3 +578,35 @@ def test_compare_rho_to_builds_no_polynomial(monkeypatch):
 def test_compare_rho_to_refuses_other_graphs(g):
     with pytest.raises(ValueError):
         compare_rho_to(g, 2)
+
+
+def test_cut_rule_decides_the_subgraph_it_stands_for():
+    # the walk's prefix: a left arm of a vertices, a branch vertex with a
+    # pendant of m, j segment (or gap) vertices, then t bare vertices to
+    # come. The cut rule must fire exactly when rho(H) >= lam, for the H
+    # it stands for, at lam 2^-30 on either side of rho(H).
+    checks = 0
+    for a, m, j, t in product(range(4), range(4), range(4), range(1, 5)):
+        h = realize(OpenQuipu((a, j + t), (m,)))
+        for lam, fires in zip(lams_around(h), (True, False)):
+            xs = arm_pivots(lam, h.n)
+            p = pivot_after(xs[m + 1], xs[a])
+            for _ in range(j):
+                p = pivot_after(xs[1], p)
+            bare_end = t >= len(xs) or xs[t][0] <= 0  # no positive x_t
+            assert (bare_end or at_most_inverse(p, xs[t])) is fires, (a, m, j, t, lam)
+            checks += 1
+        if a or j + t < 2:
+            continue
+        # the same around a cycle of 1 + j + t vertices, from the branch vertex
+        h = realize(ClosedQuipu((j + t,), (m,)))
+        for lam, fires in zip(lams_around(h), (True, False)):
+            xs, bare = arm_pivots(lam, h.n), bare_paths(lam, h.n)
+            state = cycle_after(CYCLE_START, xs[m + 1])
+            for _ in range(j):
+                state = cycle_after(state, xs[1])
+            cut = (t >= len(xs) or xs[t][0] <= 0 or at_most_inverse(cycle_pivot(state), xs[t])
+                   or cycle_close(cycle_then(state, bare[t - 1]), xs[1]) <= 0)
+            assert cut is fires, (m, j, t, lam)
+            checks += 1
+    assert checks == 2 * 4**4 + 2 * 4 * 15

@@ -3,12 +3,15 @@
 import os
 import subprocess
 import sys
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rhomin.exactpoly import Ordering, compare_rho_to
 from rhomin.families import (
     ClosedQuipu,
     Dagger,
@@ -30,7 +33,7 @@ from rhomin.graphs import (
     path_graph,
     star_graph,
 )
-from graph_helpers import canonicalize, relabel
+from graph_helpers import canonicalize, lams_around, relabel
 
 
 def test_spec_invariants():
@@ -253,48 +256,87 @@ def test_classify_returns_every_enumerated_spec(nd):
         assert classify(realize(s)) == s, spec_literal(s)
 
 
-def _below(floor, spec) -> bool:
-    """Whether spec has floor's kind and segments and pendants at least
-    floor's, so that realize(floor) is a subgraph of realize(spec)."""
-    return (type(floor) is type(spec) and floor.ks == spec.ks
-            and all(f <= m for f, m in zip(floor.ms, spec.ms)))
+def _spec_edges(spec):
+    """The order and edge list of a spec as realize() documents them: the
+    backbone first, then each pendant path, numbered in branch order."""
+    if isinstance(spec, Dagger):
+        n, edges, hubs, arms = 1, [], [0, 0, 0, 0], [1, 1, 1, spec.tail]
+    elif isinstance(spec, ClosedQuipu):
+        n = spec.cycle_length
+        edges = [(v, (v + 1) % n) for v in range(n)]
+        hubs = [sum(spec.ks[:i]) + i for i in range(spec.r)]
+        arms = spec.ms
+    else:
+        n = sum(spec.ks) + len(spec.ms)
+        edges = [(v, v + 1) for v in range(n - 1)]
+        hubs = [spec.ks[0] + sum(spec.ks[1:i + 1]) + i for i in range(len(spec.ms))]
+        arms = spec.ms
+    for hub, m in zip(hubs, arms):
+        for v in range(n, n + m):
+            edges.append((v - 1 if v > n else hub, v))
+        n += m
+    return n, edges
 
 
-def test_cut_drops_only_members_above_a_cut_floor():
-    # an arbitrary, non-monotone cut: each member the walk drops lies above
-    # some floor that was cut (that floor, or a shorter sibling's)
-    for n in range(1, 14):
+def test_realize_equals_build_graph_on_every_enumerated_spec():
+    specs = 0
+    for n in range(1, 15):
         for d in range(n + 1):
-            asked, cut = [], []
-
-            def oracle(floor):
-                asked.append(floor)
-                if (7 * sum(floor.ks) + sum(floor.ms)) % 3 == 0:
-                    cut.append(floor)
-                    return True
-                return False
-
-            every = list(enumerate_quipus(n, d))
-            walked = list(enumerate_quipus(n, d, cut=oracle))
-            assert walked == [s for s in every if s in set(walked)], (n, d)
-            for s in set(every) - set(walked):
-                assert any(_below(f, s) for f in cut), (n, d, s)
-            assert all(realize(f).n == f.order <= n for f in asked)
+            for s in enumerate_quipus(n, d):
+                assert realize(s) == build_graph(*_spec_edges(s)), spec_literal(s)
+                specs += 1
+    assert specs > 1000
 
 
-def test_cut_floors_lie_below_the_members_they_stand_for():
-    # a cut that never cuts walks everything, and each member lies above
-    # every floor asked on its way: the last floor asked of its kind and
-    # segments before it is yielded is one of its ancestors'
-    for n, d in ((13, 8), (16, 10), (19, 12), (16, 5)):
-        asked = []
-        walked = []
-        for s in enumerate_quipus(n, d, cut=lambda f: asked.append(f) or False):
-            walked.append(s)
-            mine = [f for f in asked if type(f) is type(s) and f.ks == s.ks]
-            if isinstance(s, (OpenQuipu, ClosedQuipu)) and len(s.ms) >= 2:
-                assert mine and _below(mine[-1], s), s
-        assert walked == list(enumerate_quipus(n, d))
+@settings(max_examples=200, deadline=None)
+@given(_specs().filter(lambda s: 0 in ((s.tail,) if isinstance(s, Dagger) else s.ks + s.ms)))
+def test_realize_equals_build_graph_with_zero_parameters(spec):
+    assert realize(spec) == build_graph(*_spec_edges(spec))
+
+
+# ---------------------------------------------------------------------------
+# the pivot walk: enumerate_quipus given an incumbent
+
+def test_pivot_walk_without_incumbent_yields_every_member():
+    for n in range(1, 19):
+        for d in range(n + 1):
+            tally = {}
+            walked = Counter(enumerate_quipus(n, d, incumbent=lambda: None, tally=tally))
+            assert walked == Counter(enumerate_quipus(n, d)), (n, d)
+            assert tally == {"reached": sum(walked.values()), "screened_out": 0,
+                             "prefixes_cut": 0}
+
+
+@pytest.mark.parametrize("lam", [Fraction(61, 32), Fraction(2), Fraction(131, 64),
+                                 Fraction(17, 8)])
+def test_pivot_walk_drops_exactly_the_members_above_lam(lam):
+    # every member the walk drops, by a cut prefix or its last pivot, has
+    # rho > lam, and every member it keeps has rho <= lam
+    kept = dropped = 0
+    for n in range(1, 17):
+        for d in range(n + 1):
+            walked = set(enumerate_quipus(n, d, incumbent=lambda: lam))
+            for s in enumerate_quipus(n, d):
+                above = compare_rho_to(realize(s), lam) is Ordering.GREATER
+                assert (s in walked) is not above, (n, d, spec_literal(s))
+                kept += not above
+                dropped += above
+    assert kept >= 10 and dropped > 1000
+
+
+def test_pivot_walk_decides_each_member_at_lam_next_to_its_radius():
+    # the sharpest lam for each member: 2^-30 below its radius the walk
+    # must drop it, 2^-30 above keep it; an over-strong cut anywhere on its
+    # way would show as a drop above
+    members = 0
+    for n in range(1, 13):
+        for d in range(n + 1):
+            for s in enumerate_quipus(n, d):
+                below, above = lams_around(realize(s))
+                assert s not in enumerate_quipus(n, d, incumbent=lambda: below), spec_literal(s)
+                assert s in enumerate_quipus(n, d, incumbent=lambda: above), spec_literal(s)
+                members += 1
+    assert members > 700
 
 
 def test_enumerate_at_large_diameter_ends_promptly():
@@ -311,3 +353,4 @@ def test_enumerate_at_large_diameter_ends_promptly():
             filter(None, [str(src), os.environ.get("PYTHONPATH")]))},
     )
     assert proc.stdout == "open:ks=0,0;ms=39\nopen:ks=0,0;ms=61\n"
+

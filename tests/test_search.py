@@ -351,29 +351,30 @@ def test_pruned_quipu_search_matches_the_screened_one():
 def test_every_member_the_pruned_search_drops_is_above_the_minimum(monkeypatch):
     import rhomin.search
 
-    reached = []
+    offered = []
 
-    def spy(n, d, kinds=ALL_KINDS, cut=None):
-        for spec in enumerate_quipus(n, d, kinds, cut):
-            reached.append(spec)
+    def spy(n, d, kinds=ALL_KINDS, incumbent=None, tally=None):
+        assert incumbent is not None  # the search runs the pivot walk
+        for spec in enumerate_quipus(n, d, kinds, incumbent, tally):
+            offered.append(spec)
             yield spec
 
     monkeypatch.setattr(rhomin.search, "enumerate_quipus", spy)
     cut_members = 0
     for n in range(1, 15):
         for d in range(n + 1):
-            reached.clear()
+            offered.clear()
             rep = minimize_over_quipus(n, d)
-            assert rep.candidates_examined == len(reached)
             stats = rep.stats
-            if reached:
-                assert stats["screened_out"] + stats["exactly_compared"] == len(reached)
+            if offered:
+                assert stats["exactly_compared"] == len(offered)
+                assert stats["screened_out"] + len(offered) == rep.candidates_examined
             winners = {w.spec for w in rep.winners}
             for spec in set(enumerate_quipus(n, d)) - winners:
                 # a coarse root of its own, refined by compare_roots as needed
                 root = rho_certified(charpoly(realize(spec)), Fraction(1, 2**10))
                 assert compare_roots(root, rep.min_rho)[0] is Ordering.GREATER, (n, d, spec)
-                cut_members += spec not in reached
+                cut_members += spec not in offered
     assert cut_members > 0
 
 
