@@ -23,6 +23,8 @@ from .exactpoly import (
     rho_certified_graph,
 )
 from .families import (
+    ClosedQuipu,
+    OpenQuipu,
     classify,
     enumerate_quipus,
     parse_spec_literal,
@@ -113,10 +115,22 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _listing_key(spec):
+    """The order `enumerate` lists members in: open, closed, dagger; an open
+    quipu by its number of branch vertices, then segment sum, ks and ms; a
+    closed one with the bare cycle first, then by cycle length, number of
+    branch vertices, ks and ms."""
+    if isinstance(spec, OpenQuipu):
+        return (0, spec.r, sum(spec.ks) if spec.r else 0, spec.ks, spec.ms)
+    if isinstance(spec, ClosedQuipu):
+        return (1, spec.ms != (0,), spec.cycle_length, spec.r, spec.ks, spec.ms)
+    return (2,)
+
+
 def cmd_enumerate(args) -> int:
     _check_order(args.n)
     kinds = frozenset(args.kinds.split(","))
-    specs = list(enumerate_quipus(args.n, args.d, kinds))
+    specs = sorted(enumerate_quipus(args.n, args.d, kinds), key=_listing_key)
     payload = {
         "n": args.n,
         "d": args.d,

@@ -10,10 +10,11 @@ All three are one shape: a backbone (a path, a cycle or a single centre)
 with pendant paths, the arms, hanging at branch positions. realize() builds
 the backbone and hangs the arms; classify() strips the arms from the leaves
 inward and reads the parameters off what is left. The module also
-enumerates all family members with a given order and diameter, either all
-of them or, given an incumbent lam, by the pivot walk: walking each
-backbone, it carries the elimination of lam*I - A one vertex at a time and
-cuts every prefix whose members it puts above lam, building no graph.
+enumerates the family members with a given order and diameter by one walk,
+the pivot walk: walking each backbone, it carries the elimination of
+lam*I - A one vertex at a time and cuts every prefix whose members it puts
+above an incumbent lam, building no graph. Without an incumbent lam is 4,
+where nothing is cut, and the walk yields every member.
 """
 
 from __future__ import annotations
@@ -276,33 +277,32 @@ ALL_KINDS = frozenset({"open", "closed", "dagger"})
 
 
 def enumerate_quipus(n: int, d: int, kinds=ALL_KINDS, incumbent=None, tally=None):
-    """Yield every canonical family spec of order n and diameter exactly d.
+    """Yield the canonical family specs of order n and diameter exactly d.
 
-    Branch-and-prune over parameter tuples. The diameter is computed from the
-    parameters while the tuple is built, and prefixes that cannot be
-    canonical or cannot reach diameter d are cut, so no graph is built or
-    searched. Each isomorphism class appears exactly once.
+    The members come from the pivot walk (_PivotWalk), which computes the
+    diameter from the parameters while it builds each tuple and cuts the
+    prefixes that cannot be canonical or cannot reach diameter d, so no
+    graph is built or searched. Each isomorphism class appears exactly once.
+    The order is the walk's: open quipus with one branch vertex, then those
+    with two or more by their number and segment sum; the bare cycle, then
+    closed quipus by cycle length and number of branch vertices; the dagger
+    last. Within a shape it follows the walk along the backbone, segments
+    and pendants in turn. The CLI's `enumerate` lists the members sorted by
+    their parameters within each shape instead (cli._listing_key).
 
-    Given `incumbent`, a callable that gives the current bound lam (or None
-    while there is none), the members come from the pivot walk instead
-    (_PivotWalk): in another order, and only those whose radius the
-    elimination of lam*I - A does not put above lam. `tally`, a dict, then
-    receives the walk's counts as it goes.
+    Without `incumbent` every member is yielded. Given `incumbent`, a
+    callable that gives the current bound lam (or None while there is
+    none), only those members are yielded whose radius the elimination of
+    lam*I - A does not put above lam. `tally`, a dict, receives the walk's
+    counts as it goes.
     """
     if n < 1 or d < 0:
         raise ValueError("need n >= 1 and d >= 0")
     kinds = frozenset(kinds)
     if not kinds <= ALL_KINDS:
         raise ValueError(f"unknown kinds: {kinds - ALL_KINDS}")
-    if incumbent is not None:
-        yield from _PivotWalk(n, d, kinds, incumbent, {} if tally is None else tally).walk()
-        return
-    if "open" in kinds:
-        yield from _enumerate_open(n, d)
-    if "closed" in kinds:
-        yield from _enumerate_closed(n, d)
-    if "dagger" in kinds:
-        yield from _enumerate_dagger(n, d)
+    walk = _PivotWalk(n, d, kinds, incumbent or (lambda: None), {} if tally is None else tally)
+    yield from walk.walk()
 
 
 def _enumerate_dagger(n: int, d: int):
@@ -310,12 +310,6 @@ def _enumerate_dagger(n: int, d: int):
     # diameter t + 1
     if n >= 5 and d == n - 3:
         yield Dagger(n - 4)
-
-
-def _enumerate_open(n: int, d: int):
-    yield from _open_leaves(n, d)
-    for r, s in _open_shapes(n, d):
-        yield from _enumerate_open_r(n, d, r, s)
 
 
 def _open_leaves(n: int, d: int):
@@ -347,80 +341,6 @@ def _open_shapes(n: int, d: int):
             yield r, s
 
 
-def _compositions(total: int, parts: int, minima):
-    """All tuples of the given length with prescribed minima summing to total."""
-    if parts == 1:
-        if total >= minima[0]:
-            yield (total,)
-        return
-    for first in range(minima[0], total - sum(minima[1:]) + 1):
-        for rest in _compositions(total - first, parts - 1, minima[1:]):
-            yield (first,) + rest
-
-
-def _enumerate_open_r(n: int, d: int, r: int, s: int):
-    budget = n - r - 1  # vertices left for segments + pendants
-    minima = (1,) + (0,) * r + (1,)
-    for ks in _compositions(s, r + 2, minima):
-        # a canonical tuple has the least first entry among its variants
-        if ks[0] > ks[-1]:
-            continue
-        pos = list(accumulate((k + 1 for k in ks[1:-1]), initial=ks[0]))
-        for ms in _open_pendants(ks, pos, s + r, budget - s, d):
-            # ms[0] >= ks[0] and ms[-1] >= ks[-1] already, so no end-arm
-            # swap is below (ks, ms); only the reversal can be
-            if ks[0] < ks[-1] or ks + ms <= ks[::-1] + ms[::-1]:
-                yield OpenQuipu(ks, ms)
-
-
-def _open_pendants(ks, pos, backbone, total, d):
-    """Pendant length tuples ms (each >= 1, summing to `total`) that give the
-    open quipu (ks, ms) diameter exactly d, with ms[0] >= ks[0] and
-    ms[-1] >= ks[-1] as canonical form requires.
-
-    The farthest pair is backbone end to end, end to pendant tip, or tip to
-    tip; every such distance is capped at d on the way down and the largest
-    one is carried along, so a leaf is kept exactly when it reaches d.
-    """
-    last = len(pos) - 1
-    last_min = max(1, ks[-1])
-
-    def rec(i, remaining, runmax, best, acc):
-        # runmax >= 0 is the largest ms[j] - pos[j] so far, so the tip-to-tip
-        # term m + p + runmax also covers the left end to this tip
-        p = pos[i]
-        cap = min(d - p - runmax, d - backbone + p)
-        if i == last:
-            if last_min <= remaining <= cap and max(
-                best, remaining + p + runmax, remaining + backbone - p
-            ) == d:
-                yield (*acc, remaining)
-            return
-        cap = min(cap, remaining - (last - 1 - i) - last_min)
-        for m in range(ks[0] if i == 0 else 1, cap + 1):
-            acc.append(m)
-            yield from rec(i + 1, remaining - m, max(runmax, m - p),
-                           max(best, m + p + runmax, m + backbone - p), acc)
-            acc.pop()
-
-    yield from rec(0, total, 0, backbone, [])
-
-
-def _enumerate_closed(n: int, d: int):
-    if n >= 3 and d == n // 2:
-        yield ClosedQuipu((n - 1,), (0,))
-    for c, r, mcap in _closed_shapes(n, d):
-        for ks in _compositions(c - r, r, (0,) * r):
-            # the reflection through the first branch vertex starts with
-            # (ms[0], ks[-1])
-            if ks[0] > ks[-1]:
-                continue
-            pos = list(accumulate((k + 1 for k in ks[:-1]), initial=0))
-            for ms in _cycle_pendants(ks, pos, c, n - c, d, mcap):
-                if tuple(zip(ms, ks)) == min(_closed_pair_candidates(ks, ms)):
-                    yield ClosedQuipu(ks, ms)
-
-
 def _closed_shapes(n: int, d: int):
     """(c, r, mcap): each cycle length c and number r of branch vertices a
     closed quipu of order n and diameter d can have, with mcap = d - c//2,
@@ -436,52 +356,6 @@ def _closed_shapes(n: int, d: int):
             yield c, r, mcap
 
 
-def _cycle_pendants(ks, pos, c, total, d, mcap):
-    """Pendant length tuples ms (each >= 1, summing to `total`) that give the
-    closed quipu with branch positions `pos` on a c-cycle diameter exactly d,
-    with ms[0] <= every later entry as canonical form requires.
-
-    The farthest pair is the cycle antipode, a tip to its antipode, or two
-    tips through the shorter arc. Every distance is capped at d on the way
-    down and the largest one is carried along; a prefix is cut as soon as no
-    completion can reach d.
-    """
-    r = len(pos)
-    half = c // 2
-    arc = [[min(abs(a - b), c - abs(a - b)) for b in pos] for a in pos]
-
-    def rec(i, remaining, best, top, acc):
-        # later pendants are each >= ms[0], so none of the remaining ones
-        # exceeds cap; two tips are at most their lengths plus half apart
-        low = acc[0] if i else 1
-        left = r - 1 - i
-        cap = min(mcap, remaining - left * low)
-        partner = max(top, cap if left else 0)
-        if max(best, half + cap + partner) < d:
-            return
-        row = arc[i]
-        for j in range(i):
-            cap = min(cap, d - acc[j] - row[j])
-        if not left:
-            if low <= remaining <= cap and max(
-                best, half + remaining,
-                max((acc[j] + remaining + row[j] for j in range(i)), default=0),
-            ) == d:
-                yield (*acc, remaining)
-            return
-        if i == 0:  # ms[0] is the least of r pendants
-            cap = min(cap, remaining // r)
-        for m in range(low, cap + 1):
-            acc.append(m)
-            yield from rec(i + 1, remaining - m, max(
-                best, half + m,
-                max((acc[j] + m + row[j] for j in range(i)), default=0),
-            ), max(top, m), acc)
-            acc.pop()
-
-    yield from rec(0, total, half, 0, [])
-
-
 # ---------------------------------------------------------------------------
 # the pivot walk: enumeration that cuts by radius
 
@@ -495,15 +369,15 @@ class _PivotWalk:
     spectral radius the elimination of lam*I - A does not put above lam =
     incumbent(), each as a canonical spec. No graph is built.
 
-    The walk finds enumerate_quipus' members with the same diameter
-    bookkeeping but in another order: left to right along the backbone of
-    an open quipu with two or more branch vertices, and around the cycle
-    from the first branch vertex of a closed quipu, picking segments and
-    pendants in turn. Alongside, the walk carries compare_rho_to's
-    elimination one backbone vertex at a time: the pivot at the current
-    vertex (exactpoly.pivot_after), or around a cycle the product of
-    Schwenk's 2-by-2 matrices (exactpoly.cycle_after), with each arm's
-    pivot taken from the table exactpoly.arm_pivots(lam).
+    The walk goes left to right along the backbone of an open quipu with
+    two or more branch vertices, and around the cycle from the first branch
+    vertex of a closed quipu, picking segments and pendants in turn and
+    computing the diameter from them as it goes (open_hub, cycle_hub).
+    Alongside, it carries compare_rho_to's elimination one backbone vertex
+    at a time: the pivot at the current vertex (exactpoly.pivot_after), or
+    around a cycle the product of Schwenk's 2-by-2 matrices
+    (exactpoly.cycle_after), with each arm's pivot taken from the table
+    exactpoly.arm_pivots(lam).
 
     A prefix of the walk fixes the graph up to some backbone vertex v, with
     t >= 1 backbone vertices still to come. Every member below it contains
@@ -521,12 +395,13 @@ class _PivotWalk:
     once and get the same final test.
 
     `incumbent` is read again after each yield, so the caller may lower
-    lam as members come in; while it gives None, lam is 4. lam only
-    falls, and a pivot computed under an older, larger lam is kept: the
-    matrix that elimination describes has diagonal entries >= the current
-    lam, so it is >= lam*I - A, and when it is not positive definite
-    neither is lam*I - A. A stale pivot only weakens a cut; every cut and
-    drop stays exact. The counts, added to those already in `counts`, are
+    lam as members come in; while it gives None, lam is 4, where nothing is
+    cut or dropped. lam only falls, and a pivot computed under an older,
+    larger lam is kept: the matrix that elimination describes has diagonal
+    entries >= the current lam, so it is >= lam*I - A, and when it is not
+    positive definite neither is lam*I - A. A stale pivot only weakens a
+    cut; every cut and drop stays exact. The counts, added to those already
+    in `counts`, are
     "reached", the members reached in full; "screened_out", those of them
     with a negative last pivot; and "prefixes_cut", the cuts.
     """
@@ -641,8 +516,14 @@ class _PivotWalk:
         for i = 0), then its pendant ms[i]; at the last branch vertex,
         ks[r + 1] and ms[r] are what is left. p is the pivot at position
         `at`, just before the segment; segs and pends count the segment and
-        pendant vertices left; runmax and best are _open_pendants'
-        diameter bookkeeping. The backbone has positions 0..backbone."""
+        pendant vertices left. The backbone has positions 0..backbone.
+
+        The farthest pair is backbone end to end, end to pendant tip, or tip
+        to tip. Every such distance is capped at d on the way down and the
+        largest one, best, is carried along, so a member is kept exactly
+        when it reaches d. runmax >= 0 is the largest ms[j] - pos[j] so far,
+        so the tip-to-tip term m + pos + runmax also covers the left end to
+        the tip of m."""
         d = self.d
         # the right end arm ks[-1] is >= ks[0]
         kmax = segs // 2 if i == 0 else segs - ks[0]
@@ -690,8 +571,13 @@ class _PivotWalk:
         are what is left. state is the cycle state at position `at`, just
         before the gap (branch vertex i - 1); gaps and remaining count the gap
         and pendant vertices left; pos holds the earlier branch vertices'
-        positions on the cycle 0..c-1; best and top are _cycle_pendants'
-        diameter bookkeeping."""
+        positions on the cycle 0..c-1.
+
+        The farthest pair is the cycle antipode, a tip to its antipode, or
+        two tips through the shorter arc. Every such distance is capped at d
+        on the way down and the largest one, best, is carried along with
+        top, the longest pendant so far; a prefix is cut as soon as no
+        completion can reach d."""
         d, half = self.d, c // 2
         # later pendants are each >= ms[0], so none of the remaining ones
         # exceeds cap; two tips are at most their lengths plus half apart

@@ -258,7 +258,8 @@ def peel_leaves(g: Graph, vertices) -> tuple[list[int], list[int], list[int] | N
     Returns the peeled vertices in the order they went; a list whose entry
     at each peeled vertex is its parent, its last neighbour when it went;
     and what is left: a tree's last vertex as a one-element list, a
-    unicyclic graph's cycle in cyclic order as two_core_cycle gives it, or
+    unicyclic graph's cycle in cyclic order, from the first of its vertices
+    in `vertices` toward the lesser of that vertex's cycle neighbours; or
     None for anything else. Every vertex comes after all of its children,
     so one pass over the order can fold each subtree into its parent.
     """
@@ -280,15 +281,6 @@ def peel_leaves(g: Graph, vertices) -> tuple[list[int], list[int], list[int] | N
             stack.append(w)
     left = [v for v in vertices if deg[v] >= 0]
     return order, link, left if len(left) == 1 else _cycle(g, left)
-
-
-def two_core_cycle(g: Graph) -> list[int]:
-    """The unique cycle of a connected unicyclic graph, in cyclic order from
-    its least vertex toward the lesser of that vertex's cycle neighbours."""
-    cycle = peel_leaves(g, range(g.n))[2] if g.edge_count == g.n else None
-    if cycle is None:
-        raise GraphError("graph is not connected and unicyclic")
-    return cycle
 
 
 # ---------------------------------------------------------------------------

@@ -200,15 +200,16 @@ def suite_diameter_bounds(n: int = 16) -> SuiteResult:
     quipu on a cycle of 2/3 the order."""
     failures = []
     checks = 0
+    # the walk drops only members with rho > _THRESHOLD_HI > 3/sqrt(2)
     for d in range(1, n):
-        for s in enumerate_quipus(n, d, kinds={"open"}):
+        for s in enumerate_quipus(n, d, kinds={"open"}, incumbent=lambda: _THRESHOLD_HI):
             if not _below_threshold(s):
                 continue
             checks += 1
             if 3 * d < 2 * n - 4:
                 failures.append(f"{spec_literal(s)} below threshold at d={d}")
     for d in range(1, n):
-        for s in enumerate_quipus(n, d, kinds={"closed"}):
+        for s in enumerate_quipus(n, d, kinds={"closed"}, incumbent=lambda: _THRESHOLD_HI):
             if not _below_threshold(s):
                 continue
             checks += 1

@@ -65,6 +65,104 @@ def test_enumerate(capsys):
     assert "open:ks=3,3;ms=3" in specs
 
 
+# `enumerate` lists open quipus, then closed ones, then the dagger, each
+# kind sorted by shape and parameters. At (10, 7), with d = n - 3, every
+# kind is present; at (11, 7) the walk's own order differs from the listing
+# order among both the open and the closed quipus.
+ENUMERATE_LISTINGS = {
+    (10, 7): """\
+26 members
+open:ks=2,2;ms=5
+open:ks=2,3;ms=4
+open:ks=1,0,1;ms=1,5
+open:ks=1,0,1;ms=2,4
+open:ks=1,0,1;ms=3,3
+open:ks=1,1,1;ms=1,4
+open:ks=1,1,1;ms=2,3
+open:ks=1,2,1;ms=1,3
+open:ks=1,2,1;ms=2,2
+open:ks=1,3,1;ms=1,2
+open:ks=1,4,1;ms=1,1
+closed:ks=0,0,0;ms=1,1,5
+closed:ks=0,0,0;ms=1,2,4
+closed:ks=0,0,0;ms=1,3,3
+closed:ks=0,2;ms=1,5
+closed:ks=0,2;ms=2,4
+closed:ks=0,2;ms=3,3
+closed:ks=0,0,1;ms=1,1,4
+closed:ks=0,1,0;ms=1,2,3
+closed:ks=4;ms=5
+closed:ks=1,2;ms=1,4
+closed:ks=1,2;ms=2,3
+closed:ks=5;ms=4
+closed:ks=2,2;ms=1,3
+closed:ks=2,2;ms=2,2
+dagger:t=6
+""",
+    (11, 7): """\
+51 members
+open:ks=3,3;ms=4
+open:ks=1,0,2;ms=1,5
+open:ks=1,0,2;ms=2,4
+open:ks=1,0,2;ms=3,3
+open:ks=1,0,2;ms=4,2
+open:ks=1,0,3;ms=1,4
+open:ks=1,1,2;ms=1,4
+open:ks=1,1,2;ms=2,3
+open:ks=1,1,2;ms=3,2
+open:ks=1,2,2;ms=1,3
+open:ks=1,2,2;ms=2,2
+open:ks=1,3,2;ms=1,2
+open:ks=1,0,0,1;ms=1,1,4
+open:ks=1,0,0,1;ms=2,1,3
+open:ks=1,0,1,1;ms=1,1,3
+open:ks=1,0,1,1;ms=2,1,2
+open:ks=1,0,1,1;ms=3,1,1
+open:ks=1,0,2,1;ms=1,1,2
+open:ks=1,0,2,1;ms=2,1,1
+open:ks=1,1,1,1;ms=1,1,2
+open:ks=1,0,3,1;ms=1,1,1
+open:ks=1,1,2,1;ms=1,1,1
+closed:ks=0,0,0;ms=2,2,4
+closed:ks=0,0,0;ms=2,3,3
+closed:ks=0,0,1;ms=1,2,4
+closed:ks=0,0,1;ms=1,3,3
+closed:ks=0,0,1;ms=1,4,2
+closed:ks=0,0,1;ms=1,5,1
+closed:ks=0,0,1;ms=2,2,3
+closed:ks=0,0,0,0;ms=1,1,1,4
+closed:ks=0,0,0,0;ms=1,2,1,3
+closed:ks=0,3;ms=1,5
+closed:ks=0,3;ms=2,4
+closed:ks=0,3;ms=3,3
+closed:ks=0,0,2;ms=1,1,4
+closed:ks=0,1,1;ms=1,1,4
+closed:ks=0,1,1;ms=1,2,3
+closed:ks=0,1,1;ms=1,3,2
+closed:ks=0,1,1;ms=1,4,1
+closed:ks=0,2,0;ms=1,2,3
+closed:ks=0,4;ms=1,4
+closed:ks=1,3;ms=1,4
+closed:ks=1,3;ms=2,3
+closed:ks=0,1,2;ms=1,1,3
+closed:ks=0,2,1;ms=1,2,2
+closed:ks=0,2,1;ms=1,3,1
+closed:ks=6;ms=4
+closed:ks=2,3;ms=1,3
+closed:ks=2,3;ms=2,2
+closed:ks=7;ms=3
+closed:ks=3,3;ms=1,2
+""",
+}
+
+
+@pytest.mark.parametrize("n,d", sorted(ENUMERATE_LISTINGS))
+def test_enumerate_listing_order(capsys, n, d):
+    code, out = run(capsys, "enumerate", "--n", str(n), "--d", str(d))
+    assert code == 0
+    assert out == ENUMERATE_LISTINGS[n, d]
+
+
 def test_compare(capsys):
     code, out = run(capsys, "compare", "open:ks=0,0;ms=4", "open:ks=0,0;ms=5")
     assert code == 0

@@ -31,7 +31,6 @@ from rhomin.graphs import (
     peel_leaves,
     star_graph,
     subdivide_edge,
-    two_core_cycle,
 )
 from graph_helpers import disjoint_union, is_tree, is_unicyclic, relabel
 
@@ -53,7 +52,7 @@ def test_basic_metrics():
     c6 = cycle_graph(6)
     assert diameter(c6) == 3
     assert is_unicyclic(c6)
-    assert two_core_cycle(c6) is not None and len(two_core_cycle(c6)) == 6
+    assert peel_leaves(c6, range(6))[2] == [0, 1, 2, 3, 4, 5]
     k13 = star_graph(4)
     assert diameter(k13) == 2
     assert [k13.degree(v) for v in range(4)] == [3, 1, 1, 1]
@@ -152,30 +151,18 @@ def test_canonical_code_of_a_long_cycle_with_a_long_tail():
 FIGURE_EIGHT = [(0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (3, 4), (4, 5)]
 
 
-def test_two_core_cycle_refuses_a_figure_eight_promptly():
+def test_peel_leaves_refuses_a_figure_eight_promptly():
     # run apart, so that a walk that never closes fails the test, not the run
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
     script = (
-        "from rhomin.graphs import GraphError, build_graph, two_core_cycle\n"
-        "try:\n"
-        f"    two_core_cycle(build_graph(6, {FIGURE_EIGHT}))\n"
-        "except GraphError:\n"
-        "    raise SystemExit(0)\n"
-        "raise SystemExit(1)\n"
+        "from rhomin.graphs import build_graph, peel_leaves\n"
+        f"g = build_graph(6, {FIGURE_EIGHT})\n"
+        "raise SystemExit(peel_leaves(g, range(g.n))[2] is not None)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], timeout=10, env=env)
     assert proc.returncode == 0
-
-
-@pytest.mark.parametrize("g", [
-    build_graph(4, list(combinations(range(4), 2))),
-    disjoint_union(cycle_graph(3), cycle_graph(3)),
-], ids=["K4", "two-triangles"])
-def test_two_core_cycle_refuses_more_than_one_cycle(g):
-    with pytest.raises(GraphError):
-        two_core_cycle(g)
 
 
 @st.composite
@@ -223,7 +210,10 @@ def test_peel_leaves_orders_children_before_parents(g):
     if is_tree(g):
         assert len(core) == 1
     else:
-        assert core == two_core_cycle(g)
+        # the cycle in cyclic order from its least vertex toward the lesser
+        # of that vertex's cycle neighbours
+        assert core[0] == min(core) and core[1] < core[-1]
+        assert all(g.has_edge(u, v) for u, v in zip(core, core[1:] + core[:1]))
     # each peeled vertex is adjacent to its parent, which goes later or
     # stays, and has no neighbour left but its parent when it goes
     rank = {v: i for i, v in enumerate(order + core)}
@@ -241,3 +231,5 @@ def test_peel_leaves_per_component_and_refusals():
     assert all(g.has_edge(v, parent[v]) for v in order)
     assert peel_leaves(g, range(g.n))[2] is None
     assert peel_leaves(build_graph(4, list(combinations(range(4), 2))), range(4))[2] is None
+    two_triangles = disjoint_union(cycle_graph(3), cycle_graph(3))
+    assert peel_leaves(two_triangles, range(6))[2] is None
