@@ -165,6 +165,14 @@ def test_peel_leaves_refuses_a_figure_eight_promptly():
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize("g", [
+    build_graph(4, list(combinations(range(4), 2))),
+    disjoint_union(cycle_graph(3), cycle_graph(3)),
+], ids=["K4", "two-triangles"])
+def test_peel_leaves_refuses_more_than_one_cycle(g):
+    assert peel_leaves(g, range(g.n))[2] is None
+
+
 @st.composite
 def sparse_graphs(draw):
     """A random tree or unicyclic graph on at most 12 vertices, randomly
@@ -231,5 +239,3 @@ def test_peel_leaves_per_component_and_refusals():
     assert all(g.has_edge(v, parent[v]) for v in order)
     assert peel_leaves(g, range(g.n))[2] is None
     assert peel_leaves(build_graph(4, list(combinations(range(4), 2))), range(4))[2] is None
-    two_triangles = disjoint_union(cycle_graph(3), cycle_graph(3))
-    assert peel_leaves(two_triangles, range(6))[2] is None
