@@ -12,12 +12,21 @@ component goes through the Faddeev-LeVerrier recurrence of charpoly_dense,
 which sums neighbours' rows in place of a matrix product.
 
 The spectral radius of a graph is delivered as an immutable isolating
-interval with exact sign evidence; refining it yields a narrower copy. One
-Sturm bisection isolates every largest root. Its invariant: no root lies
-above hi, and V(lo) - V(+inf) roots of the square-free part lie in (lo, hi],
-where V counts the sign variations of the Sturm chain. One remainder
-sequence, of p and p', yields g = gcd(p, p') as its last entry and, divided
-by g, that chain, whose first entry is the square-free part. lo may be a
+interval with exact sign evidence; refining it yields a narrower copy. It
+takes one of two routes, and each names the polynomial whose sign refine()
+bisects on (CertifiedRoot.bisection). A connected tree or unicyclic graph
+takes the inertia locator (_locate): the signs of the pivots of lam*I - A
+(_inertia, which compare_rho_to also runs) bracket rho between integers and
+halve the bracket, and Cauchy interlacing through one leaf deletion shows
+that every other eigenvalue is <= lo. So p = charpoly(g) itself has rho as
+its one root in (lo, hi], a simple one, and is the bisection polynomial; no
+Sturm chain is built. Every other polynomial (a dense graph, a forest, a
+composed polynomial, a gcd, 2x^2 - 9) takes one Sturm bisection, whose
+invariant is: no root lies above hi, and V(lo) - V(+inf) roots of the
+square-free part lie in (lo, hi], where V counts the sign variations of the
+Sturm chain. One remainder sequence, of p and p', yields g = gcd(p, p') as
+its last entry and, divided by g, that chain, whose first entry is the
+square-free part and the bisection polynomial. On either route lo may be a
 smaller root, so refinement keys its bisection on the sign at hi, which is
 never 0. Comparisons between two radii are decided by interval refinement
 plus an integer polynomial gcd certificate for equality, never by floating
@@ -258,17 +267,23 @@ def cauchy_root_bound(p: IntPoly) -> Rational:
 
 @dataclass(frozen=True)
 class CertifiedRoot:
-    """Isolating rational interval for the largest real root of a polynomial.
+    """Isolating rational interval for the largest real root of `poly`.
 
-    Invariants: exactly one root of the square-free part lies in (lo, hi]
-    and none lies above hi; hi is not a root, but lo may be a smaller one.
+    Invariants: `bisection`, a polynomial with the same largest root, has
+    exactly one root in (lo, hi], a simple one, and none above hi; hi is not
+    a root, but lo may be a smaller one. So its sign changes once in (lo,
+    hi], at the root, and refine() reads only that sign. rho_certified
+    stores the square-free part of `poly`, the first entry of its Sturm
+    chain. The inertia locator of a tree or unicyclic graph stores `poly`
+    itself: it stops only once every other root is <= lo, and a connected
+    graph's radius is a simple root.
     `exact` marks a degenerate point interval.
     A root is an immutable value: refine() returns a narrower copy, so no
     caller can narrow the interval another caller holds.
     """
 
     poly: IntPoly
-    square_free: IntPoly
+    bisection: IntPoly
     lo: Rational
     hi: Rational
     exact: bool
@@ -303,18 +318,18 @@ class CertifiedRoot:
         lo, hi = self.lo, self.hi
         if self.exact or hi - lo <= tol:
             return self
-        sf = self.square_free
-        s_hi = sf.sign_at(hi)
+        b = self.bisection
+        s_hi = b.sign_at(hi)
         while hi - lo > tol:
             mid = (lo + hi) / 2
-            s = sf.sign_at(mid)
+            s = b.sign_at(mid)
             if s == 0:
-                return CertifiedRoot(self.poly, sf, mid, mid, True)
+                return CertifiedRoot(self.poly, b, mid, mid, True)
             if s == s_hi:
                 hi = mid
             else:
                 lo = mid
-        return CertifiedRoot(self.poly, sf, lo, hi, False)
+        return CertifiedRoot(self.poly, b, lo, hi, False)
 
     def to_json(self) -> dict:
         return {
@@ -470,7 +485,12 @@ class EqualityWitness:
 
 @functools.lru_cache(maxsize=20000)
 def _graph_root(g: Graph) -> CertifiedRoot:
-    return rho_certified(charpoly(g))
+    """rho(g) at DEFAULT_TOL: by the inertia locator for a connected tree
+    or unicyclic graph, by rho_certified of its charpoly for any other."""
+    peel = peel_leaves(g, range(g.n))
+    if peel[2] is None:
+        return rho_certified(charpoly(g))
+    return _locate(peel, _bridge_phi(*peel))
 
 
 def rho_certified_graph(g: Graph, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
@@ -533,77 +553,19 @@ def equal_rho_certificate(g1: Graph, g2: Graph):
 
 
 # ---------------------------------------------------------------------------
-# exact location of a spectral radius against a rational
+# the elimination of lam*I - A, one vertex at a time
 
-def compare_rho_to(g: Graph, lam: Rational) -> Ordering:
-    """Exact ordering of rho(g) against a rational lam, for a connected tree
-    or unicyclic graph; any other graph raises ValueError.
-
-    Gaussian elimination of lam*I - A from the leaves inward (Jacobs &
-    Trevisan, LAA 434, 2011), then around the cycle, reading only the signs
-    of the pivots: no float and no polynomial. By Sylvester's law of
-    inertia, rho > lam exactly when lam*I - A is not positive semidefinite.
-    So the first pivot that is negative, or zero while its vertex still has
-    a nonzero entry to a vertex not yet eliminated, means GREATER: in the
-    second case what is left keeps the 2-by-2 block [[0, t], [t, s]] there,
-    of determinant -t^2 < 0. A peeled vertex has its parent, at -1, and
-    each cycle vertex but the last has its successor, at -1, or, for the
-    second-to-last, the last, at -1 - 1/P with P > 0 the minor before.
-    Positive pivots throughout mean LESS; positive ones and a zero last
-    pivot mean lam*I - A is semidefinite and singular, so rho = lam, EQUAL.
-    """
-    lam = Fraction(lam)
-    order, parent, core = peel_leaves(g, range(g.n))
-    if core is None:
-        raise ValueError("compare_rho_to needs a connected tree or unicyclic graph")
-    # each vertex's diagonal entry of what is left to eliminate, as a pair
-    # (num, den > 0); lam at first
-    num, den = [lam.numerator] * g.n, [lam.denominator] * g.n
-    # leaves inward: a peeled vertex's pivot is lam - sum 1/pivot over its
-    # children, and 1/pivot comes off its parent's diagonal
-    for v in order:
-        if num[v] <= 0:
-            return Ordering.GREATER
-        k = math.gcd(num[v], den[v])
-        p, q = num[v] // k, den[v] // k
-        w = parent[v]
-        num[w], den[w] = num[w] * p - den[w] * q, den[w] * p
-    if len(core) == 1:
-        last = num[core[0]]
-    else:
-        # around the cycle v_1 ... v_c, whose diagonal entries are D_v and
-        # whose other entries are -1 between neighbours: with K_v = [[D_v,
-        # -1], [1, 0]], the leading i-by-i minor is (K_1 ... K_i)[0][0] for
-        # i < c, and the determinant is tr(K_1 ... K_c) - 2 (Schwenk's cycle
-        # rule). Each pivot is the ratio of its minor to the one before. r
-        # is the product of the integer matrices den_v * K_v, and scale the
-        # product of the den_v, so r[0][0] has the sign of the minor.
-        r00, r01, r10, r11, scale = 1, 0, 0, 1, 1
-        for v in core[:-1]:
-            k = math.gcd(num[v], den[v])
-            p, q = num[v] // k, den[v] // k
-            r00, r01, r10, r11 = r00 * p + r01 * q, -r00 * q, r10 * p + r11 * q, -r10 * q
-            scale *= q
-            if r00 <= 0:
-                return Ordering.GREATER
-        p, q = num[core[-1]], den[core[-1]]
-        last = r00 * p + r01 * q - r10 * q - 2 * scale * q
-    if last < 0:
-        return Ordering.GREATER
-    return Ordering.EQUAL if last == 0 else Ordering.LESS
-
-
-# ---------------------------------------------------------------------------
-# the same elimination, one backbone vertex at a time
-
-# These carry compare_rho_to's elimination along a path or a cycle whose
-# vertices carry pendant paths (arms), one vertex at a time, so that a walk
-# over a parametric family reads each sign as it goes
-# (families._PivotWalk). A pivot is an integer pair (num, den) with den > 0,
-# not reduced: its size grows by about that of lam's pair per vertex either
-# way, and on a 2-core host a gcd per step made the walk at (3k+1, 2k) take
-# 1.5 times as long at k = 10 and 2.2 times at k = 11. (1, 0) is +infinity, the pivot before a path's
-# first vertex, whose reciprocal is 0.
+# These carry the elimination of lam*I - A that _inertia runs over a leaf
+# peel one vertex at a time, along a path or a cycle whose vertices carry
+# pendant paths (arms), so that a walk over a parametric family reads each
+# sign as it goes (families._PivotWalk). A pivot is an
+# integer pair (num, den) with den > 0, not reduced: its size grows by
+# about that of lam's pair per vertex either way, and on a 2-core host a
+# gcd per step made the walk at (3k+1, 2k) take 1.5 times as long at
+# k = 10 and 2.2 times at k = 11, and _locate 4 times as long over the 480
+# tree and unicyclic radii of a `certify` benchmark pass (n = 20..60).
+# (1, 0) is +infinity, the pivot before a path's first vertex, whose
+# reciprocal is 0.
 #
 # The cut rule. Let a connected graph G contain as a proper subgraph a tree
 # or unicyclic graph H whose elimination has reached a vertex v with
@@ -652,10 +614,14 @@ def at_most_inverse(p: tuple[int, int], x: tuple[int, int]) -> bool:
     return p[0] * x[0] <= p[1] * x[1]
 
 
-# Around a cycle v_1 ... v_c the state is compare_rho_to's product
-# (r00, r01, r10, r11, scale) of the integer matrices den_v * [[D_v, -1],
-# [1, 0]]: r00 / -r01 is the pivot at the last vertex taken, the ratio of
-# two leading minors, which ignore the closing edge (v_c, v_1).
+# Around a cycle v_1 ... v_c, whose diagonal entries are D_v and whose other
+# entries are -1 between neighbours: with K_v = [[D_v, -1], [1, 0]], the
+# leading i-by-i minor is (K_1 ... K_i)[0][0] for i < c, and the determinant
+# is tr(K_1 ... K_c) - 2 (Schwenk's cycle rule). Each pivot is the ratio of
+# its minor to the one before. The state is (r00, r01, r10, r11, scale): r
+# the product of the integer matrices den_v * K_v, scale that of the den_v,
+# so r00 has the sign of the minor, and r00 / -r01 is the pivot at the last
+# vertex taken. The leading minors ignore the closing edge (v_c, v_1).
 CYCLE_START = (1, 0, 0, 1, 1)
 
 
@@ -694,11 +660,112 @@ def cycle_pivot(state: tuple) -> tuple[int, int]:
 def cycle_close(state: tuple, x: tuple[int, int]) -> int:
     """The sign of the last pivot, at a last vertex of diagonal x, given
     positive pivots at all the others: Schwenk's cycle rule, as in
-    compare_rho_to."""
+    _inertia."""
     r00, r01, r10, _, scale = state
     a, b = x
     last = r00 * a + r01 * b - r10 * b - 2 * scale * b
     return (last > 0) - (last < 0)
+
+
+# ---------------------------------------------------------------------------
+# the radius against a rational, and its location, by inertia
+
+def _inertia(peel, lam: Rational) -> Ordering:
+    """rho against lam for the tree or unicyclic graph whose leaf peel
+    (graphs.peel_leaves) is `peel`, by the signs of the pivots of lam*I - A.
+
+    Gaussian elimination from the leaves inward (Jacobs & Trevisan, LAA
+    434, 2011), then around the cycle, in pivot pairs: no float and no
+    polynomial. By Sylvester's law of inertia, rho > lam exactly when
+    lam*I - A is not positive semidefinite. So the first pivot that is
+    negative, or zero while its vertex still has a nonzero entry to a vertex
+    not yet eliminated, means GREATER: in the second case what is left
+    keeps the 2-by-2 block [[0, t], [t, s]] there, of determinant -t^2 < 0.
+    A peeled vertex has its parent, at -1, and each cycle vertex but the
+    last has its successor, at -1, or, for the second-to-last, the last, at
+    -1 - 1/P with P > 0 the minor before. Positive pivots throughout mean
+    LESS; positive ones and a zero last pivot mean lam*I - A is semidefinite
+    and singular, so rho = lam, EQUAL. The peel's order may leave out
+    vertices that come first in it: the result is then that of the graph
+    without them.
+    """
+    order, parent, core = peel
+    # each vertex's diagonal entry of what is left to eliminate, as a pair
+    # (num, den > 0); lam at first. The steps are pivot_after, cycle_after
+    # and cycle_close written out: this loop runs at every bisection step.
+    piv = [(lam.numerator, lam.denominator)] * len(parent)
+    # leaves inward: a peeled vertex's pivot is lam - sum 1/pivot over its
+    # children, and 1/pivot comes off its parent's diagonal
+    for v in order:
+        p, q = piv[v]
+        if p <= 0:
+            return Ordering.GREATER
+        w = parent[v]
+        a, b = piv[w]
+        piv[w] = a * p - b * q, b * p
+    if len(core) == 1:
+        last = piv[core[0]][0]
+    else:
+        # around the cycle, by the product r of CYCLE_START's comment, whose
+        # r00 has the sign of each leading minor; the determinant by
+        # Schwenk's cycle rule
+        r00, r01, r10, r11, scale = CYCLE_START
+        for v in core[:-1]:
+            p, q = piv[v]
+            r00, r01, r10, r11 = r00 * p + r01 * q, -r00 * q, r10 * p + r11 * q, -r10 * q
+            scale *= q
+            if r00 <= 0:
+                return Ordering.GREATER
+        p, q = piv[core[-1]]
+        last = r00 * p + r01 * q - r10 * q - 2 * scale * q
+    if last < 0:
+        return Ordering.GREATER
+    return Ordering.EQUAL if last == 0 else Ordering.LESS
+
+
+def compare_rho_to(g: Graph, lam: Rational) -> Ordering:
+    """Exact ordering of rho(g) against a rational lam, for a connected tree
+    or unicyclic graph; any other graph raises ValueError. One pass of
+    _inertia over g's leaf peel: O(n) integer steps, no float and no
+    polynomial."""
+    peel = peel_leaves(g, range(g.n))
+    if peel[2] is None:
+        raise ValueError("compare_rho_to needs a connected tree or unicyclic graph")
+    return _inertia(peel, Fraction(lam))
+
+
+def _locate(peel, p: IntPoly, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
+    """rho of the tree or unicyclic graph with leaf peel `peel` and
+    characteristic polynomial p, of width <= tol, by _inertia alone.
+
+    The integers 0, 1, 2, ... are tested until the first that rho does not
+    exceed. rho = m at an integer m is exact; a rational root of the monic
+    integer p is an integer, so no other root is exact. Otherwise rho lies
+    in (m - 1, m), and each halving keeps the half _inertia puts it in. The
+    bisection stops once the width is <= tol and rho(g - v) <= lo for the
+    first leaf v of the peel, for which g - v is a connected tree or
+    unicyclic graph whose peel is the rest of the order. By Cauchy
+    interlacing lambda_2(g) <= rho(g - v), so every root of p but rho is
+    <= lo, and rho, simple since g is connected, is p's one root in (lo,
+    hi]: p serves as the bisection polynomial. A non-integer rho rules out
+    a cycle and K_1, the graphs with no leaf, so v exists.
+    """
+    m = 0
+    while (side := _inertia(peel, Fraction(m))) is Ordering.GREATER:
+        m += 1
+    if side is Ordering.EQUAL:
+        return CertifiedRoot(p, p, Fraction(m), Fraction(m), True)
+    order, parent, core = peel
+    minor = (order[1:], parent, core)
+    lo, hi = Fraction(m - 1), Fraction(m)
+    # no midpoint is an integer, so none is rho and none is EQUAL
+    while hi - lo > tol or _inertia(minor, lo) is Ordering.GREATER:
+        mid = (lo + hi) / 2
+        if _inertia(peel, mid) is Ordering.GREATER:
+            lo = mid
+        else:
+            hi = mid
+    return CertifiedRoot(p, p, lo, hi, False)
 
 
 # 3/sqrt(2), the largest root of 2x^2 - 9

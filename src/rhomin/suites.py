@@ -17,7 +17,6 @@ from .exactpoly import (
     compare_rho_to,
     compare_roots,
     equal_rho_certificate,
-    rho_certified,
     rho_certified_graph,
 )
 from .families import (
@@ -183,14 +182,13 @@ _THRESHOLD_HI = _THRESHOLD_LO + Fraction(1, 1 << 40)
 
 def _below_threshold(spec) -> bool:
     """rho(realize(spec)) < 3/sqrt(2), decided by compare_rho_to at hi, then
-    at lo. Only a radius between them takes a root, isolated to the width
-    compare_roots starts at."""
+    at lo. Only a radius between them takes a certified root."""
     g = realize(spec)
     if compare_rho_to(g, _THRESHOLD_HI) is not Ordering.LESS:
         return False
     if compare_rho_to(g, _THRESHOLD_LO) is not Ordering.GREATER:
         return True
-    return below_3_over_sqrt2(rho_certified(charpoly(g), Fraction(1, 10**4)))
+    return below_3_over_sqrt2(rho_certified_graph(g, Fraction(1, 10**4)))
 
 
 def suite_diameter_bounds(n: int = 16) -> SuiteResult:

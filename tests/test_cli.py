@@ -1,15 +1,23 @@
 """Command-line entry point: exit codes and output formats."""
 
+import io
 import json
 import os
+import signal
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhomin.cli import main
+from rhomin.graphs import build_graph, graph6_encode
+from rhomin.suites import ALL_SUITES
 
 
 def run(capsys, *argv):
@@ -296,3 +304,92 @@ def test_closed_stdout_exits_2_quietly():
     _, err = proc.communicate(timeout=10)
     assert proc.returncode == 2
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+# ---------------------------------------------------------------------------
+# every command ends, with an exit code and no traceback, on random inputs
+
+DEADLINE_S = 30
+
+
+def run_bounded(argv):
+    """(exit code, stdout, stderr) of main(argv), in this process, failing
+    with TimeoutError once it runs past DEADLINE_S."""
+    def expire(signum, frame):
+        raise TimeoutError(f"{argv} ran past {DEADLINE_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(DEADLINE_S)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    return code, out.getvalue(), err.getvalue()
+
+
+_small = st.integers(-1, 6)
+
+
+@st.composite
+def _graph_tokens(draw):
+    """A graph argument: graph6 of a random graph on at most 8 vertices,
+    connected or not, a spec literal whose parameters may be invalid, or
+    junk."""
+    kind = draw(st.sampled_from(["graph6", "open", "closed", "dagger", "junk"]))
+    if kind == "graph6":
+        n = draw(st.integers(0, 8))
+        edges = draw(st.sets(st.sampled_from(list(combinations(range(n), 2))))) if n > 1 else set()
+        return graph6_encode(build_graph(n, edges))
+    if kind == "dagger":
+        return f"dagger:t={draw(_small)}"
+    if kind == "junk":
+        return draw(st.text(st.characters(min_codepoint=33, max_codepoint=126), max_size=12))
+    ks = ",".join(map(str, draw(st.lists(_small, min_size=0, max_size=4))))
+    ms = ",".join(map(str, draw(st.lists(_small, min_size=0, max_size=4))))
+    return draw(st.sampled_from(["", "spec:"])) + f"{kind}:ks={ks};ms={ms}"
+
+
+@st.composite
+def _argvs(draw):
+    """A command line of any command, with random global options."""
+    argv = []
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
+    if draw(st.booleans()):
+        argv += ["--tolerance", draw(st.sampled_from(["1/1000", "1e-20", "2", "0", "-1", "x"]))]
+    command = draw(st.sampled_from(["rho", "charpoly", "classify", "compare", "enumerate",
+                                    "minimize", "verify-theorem", "verify-lemmas"]))
+    argv.append(command)
+    if command in ("rho", "charpoly", "classify"):
+        argv.append(draw(_graph_tokens()))
+    elif command == "compare":
+        argv += [draw(_graph_tokens()), draw(_graph_tokens())]
+    elif command == "enumerate":
+        n = draw(st.integers(-1, 12))
+        argv += ["--n", str(n), "--d", str(draw(st.integers(-1, n + 2)))]
+        if draw(st.booleans()):
+            argv += ["--kinds", ",".join(draw(st.sets(
+                st.sampled_from(["open", "closed", "dagger"]), min_size=1)))]
+    elif command == "minimize":
+        space = draw(st.sampled_from(["all", "sparse", "quipu"]))
+        n = draw(st.integers(-1, {"all": 6, "sparse": 11, "quipu": 16}[space]))
+        argv += ["--n", str(n), "--d", str(draw(st.integers(-1, n + 2))), "--space", space]
+    elif command == "verify-theorem":
+        argv += ["--k", str(draw(st.integers(-1, 4)))] + ["--all-up-to"] * draw(st.booleans())
+    elif draw(st.booleans()):
+        argv += ["--suite", draw(st.sampled_from(sorted(ALL_SUITES)))]
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_argvs())
+def test_every_command_ends_with_an_exit_code_and_no_traceback(argv):
+    code, _, err = run_bounded(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, (argv, err)

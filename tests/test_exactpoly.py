@@ -1,7 +1,9 @@
-"""Integer polynomials, Sturm root certification, exact comparisons, and the
-exact Collatz-Wielandt screen that the searches run before them."""
+"""Integer polynomials, Sturm root certification, the inertia locator of
+tree and unicyclic radii, exact comparisons, and the exact Collatz-Wielandt
+screen that the searches run before them."""
 
 import math
+import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations, product
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from rhomin.exactpoly import (
     CYCLE_START,
+    DEFAULT_TOL,
     CertifiedRoot,
     IntPoly,
     Ordering,
@@ -41,8 +44,8 @@ from rhomin.exactpoly import (
     sturm_chain,
 )
 from rhomin.families import ClosedQuipu, OpenQuipu, realize, spider
-from rhomin.graphs import build_graph, cycle_graph, path_graph, star_graph
-from rhomin.search import POWER_STEPS, certified_screen
+from rhomin.graphs import build_graph, cycle_graph, path_graph, peel_leaves, star_graph
+from rhomin.search import POWER_STEPS, _sparse_members, certified_screen
 from graph_helpers import adjacency, disjoint_union, lams_around, perron_vector, relabel
 
 
@@ -532,7 +535,8 @@ def test_compare_rho_to_agrees_with_certified_roots_and_inertia(g, data):
         lam = Fraction(round(rho * 2**bits) + data.draw(st.integers(-2, 2)), 2**bits)
     got = compare_rho_to(g, lam)
     point = rho_certified(IntPoly((-lam.numerator, lam.denominator)))
-    assert got is compare_roots(rho_certified_graph(g), point)[0]
+    # a Sturm root, apart from the elimination that rho_certified_graph shares
+    assert got is compare_roots(rho_certified(charpoly(g)), point)[0]
     # numpy's inertia of lam*I - A, where its least eigenvalue is clear of 0
     least = float(np.linalg.eigvalsh(float(lam) * np.eye(g.n) - adjacency(g))[0])
     if abs(least) > 1e-9:
@@ -578,6 +582,75 @@ def test_compare_rho_to_builds_no_polynomial(monkeypatch):
 def test_compare_rho_to_refuses_other_graphs(g):
     with pytest.raises(ValueError):
         compare_rho_to(g, 2)
+
+
+# ---------------------------------------------------------------------------
+# the inertia locator: tree and unicyclic radii with no Sturm chain
+
+def _assert_located(g):
+    """rho_certified_graph(g) is the Sturm root of charpoly(g): EQUAL, as
+    exact, as narrow, and alone in its interval among charpoly's roots."""
+    root, sturm = rho_certified_graph(g), rho_certified(charpoly(g))
+    assert compare_roots(root, sturm)[0] is Ordering.EQUAL
+    assert root.exact == sturm.exact
+    if not root.exact:
+        assert root.width <= DEFAULT_TOL
+        assert count_roots_halfopen(sturm_chain(root.poly), root.lo, root.hi) == 1
+
+
+def test_locator_agrees_with_sturm_on_every_small_tree_and_unicyclic_graph():
+    graphs = [g for n in range(1, 11) for _, _, g in _sparse_members(n)]
+    assert len(graphs) == 201 + 1040  # OEIS A000055 and A001429, n <= 10
+    for g in graphs:
+        _assert_located(g)
+
+
+def test_locator_agrees_with_sturm_on_random_trees_and_unicyclic_graphs():
+    rng = random.Random(20261019)
+    for n in range(11, 61):
+        edges = [(rng.randrange(v), v) for v in range(1, n)]
+        u, v = sorted(rng.sample(range(n), 2))
+        if rng.random() < 0.5 and (u, v) not in edges:  # edges are (parent < child)
+            edges.append((u, v))
+        _assert_located(build_graph(n, edges))
+
+
+def test_locator_bisects_until_interlacing_isolates_rho():
+    import rhomin.exactpoly as ep
+
+    # two K_{1,4} whose centres a path of 4 vertices joins: lambda_2 ~ 2.2706
+    # and rho ~ 2.3387 share (9/4, 19/8], the cell of width 1/8 that
+    # bisection alone would stop at. rho(g - v) >= lambda_2 for the leaf v,
+    # so the interlacing test keeps bisecting until lambda_2 is left out.
+    path = [0, 2, 3, 4, 5, 1]
+    edges = list(zip(path, path[1:])) + [(c, 6 + 4 * i + j) for i, c in enumerate((0, 1))
+                                         for j in range(4)]
+    g = build_graph(14, edges)
+    p = charpoly(g)
+    chain = sturm_chain(p)
+    assert count_roots_halfopen(chain, Fraction(9, 4), Fraction(19, 8)) == 2
+    tol = Fraction(1, 8)
+    root = ep._locate(peel_leaves(g, range(g.n)), p, tol)
+    assert root.width < tol
+    assert count_roots_halfopen(chain, root.lo, root.hi) == 1
+    assert compare_roots(root, rho_certified(p))[0] is Ordering.EQUAL
+
+
+def test_locator_builds_no_sturm_chain(monkeypatch):
+    import rhomin.exactpoly as ep
+
+    def refuse(p):
+        raise AssertionError("sturm_chain was called")
+
+    monkeypatch.setattr(ep, "sturm_chain", refuse)
+    ep._graph_root.cache_clear()
+    for g in (build_graph(1, []), path_graph(9), cycle_graph(7), star_graph(6),
+              realize(spider(5)), realize(ClosedQuipu((3, 4), (2, 5)))):
+        root = rho_certified_graph(g)
+        assert root.exact or root.width <= DEFAULT_TOL
+    # a bicyclic graph still takes the Sturm route
+    with pytest.raises(AssertionError, match="sturm_chain"):
+        rho_certified_graph(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
 
 
 def test_cut_rule_decides_the_subgraph_it_stands_for():
