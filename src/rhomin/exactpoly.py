@@ -16,23 +16,28 @@ interval with exact sign evidence; refining it yields a narrower copy. It
 takes one of two routes, and each names the polynomial whose sign refine()
 bisects on (CertifiedRoot.bisection). A connected tree or unicyclic graph
 takes the inertia locator (_locate): the signs of the pivots of lam*I - A
-(_inertia, which compare_rho_to also runs) bracket rho between integers and
-halve the bracket, and Cauchy interlacing through one leaf deletion shows
-that every other eigenvalue is <= lo. So p = charpoly(g) itself has rho as
-its one root in (lo, hi], a simple one, and is the bisection polynomial; no
-Sturm chain is built. Every other polynomial (a dense graph, a forest, a
-composed polynomial, a gcd, 2x^2 - 9) takes one Sturm bisection, whose
-invariant is: no root lies above hi, and V(lo) - V(+inf) roots of the
-square-free part lie in (lo, hi], where V counts the sign variations of the
-Sturm chain. One remainder sequence, of p and p', yields g = gcd(p, p') as
-its last entry and, divided by g, that chain, whose first entry is the
-square-free part and the bisection polynomial. On either route lo may be a
-smaller root, so refinement keys its bisection on the sign at hi, which is
-never 0. Comparisons between two radii are decided by interval refinement
-plus an integer polynomial gcd certificate for equality, never by floating
-point. The one cache is a bounded lru_cache holding the root of each graph
-at DEFAULT_TOL; the threshold 3/sqrt(2) is isolated once, at import. The
-module imports no numpy; its one float is CertifiedRoot.as_float, for display.
+(_inertia, which compare_rho_to also runs) bracket rho between integers,
+two exact probes on either side of a float hint of rho narrow the bracket,
+and Cauchy interlacing through one leaf deletion shows that every other
+eigenvalue is <= lo. So p = charpoly(g) itself has rho as its one root in
+(lo, hi], a simple one, and is the bisection polynomial; no Sturm chain is
+built, and p itself only when something reads it. Every other polynomial
+(a dense graph, a forest, a composed polynomial, a gcd, 2x^2 - 9) takes one
+Sturm bisection, whose invariant is: no root lies above hi, and V(lo) -
+V(+inf) roots of the square-free part lie in (lo, hi], where V counts the
+sign variations of the Sturm chain. One remainder sequence, of p and p',
+yields g = gcd(p, p') as its last entry and, divided by g, that chain,
+whose first entry is the square-free part and the bisection polynomial. On
+either route lo may be a smaller root, so refinement keys its bisection on
+the sign at hi, which is never 0. Comparisons between two radii are decided
+by interval refinement plus an integer polynomial gcd certificate for
+equality, never by floating point. The one cache is a bounded lru_cache
+holding the root of each graph at DEFAULT_TOL; the threshold 3/sqrt(2) is
+isolated once, at import. The module imports no numpy. Floats appear in two
+places: CertifiedRoot.as_float, for display, and the locator's hint
+(_float_hint), the same elimination run in floats, which only chooses where
+the two exact probes go. Every endpoint is set by an exact sign, so a wrong
+or non-finite hint costs bisection steps, never correctness.
 """
 
 from __future__ import annotations
@@ -265,6 +270,23 @@ def cauchy_root_bound(p: IntPoly) -> Rational:
 # ---------------------------------------------------------------------------
 # certified roots
 
+class _OnDemand:
+    """The characteristic polynomial of a tree or unicyclic graph, built
+    from its leaf peel by _bridge_phi the first time it is read, then kept.
+    The locator makes one per graph, and every refined copy of its root
+    shares it."""
+
+    __slots__ = ("peel", "value")
+
+    def __init__(self, peel):
+        self.peel, self.value = peel, None
+
+    def __call__(self) -> IntPoly:
+        if self.value is None:
+            self.value = _bridge_phi(*self.peel)
+        return self.value
+
+
 @dataclass(frozen=True)
 class CertifiedRoot:
     """Isolating rational interval for the largest real root of `poly`.
@@ -276,17 +298,30 @@ class CertifiedRoot:
     stores the square-free part of `poly`, the first entry of its Sturm
     chain. The inertia locator of a tree or unicyclic graph stores `poly`
     itself: it stops only once every other root is <= lo, and a connected
-    graph's radius is a simple root.
+    graph's radius is a simple root. There `poly` is built on first read
+    (compare_roots' gcd, refine() below DEFAULT_TOL, to_json), once for the
+    root and every refined copy of it; the constructor takes either
+    polynomial as an IntPoly or as an _OnDemand.
     `exact` marks a degenerate point interval.
     A root is an immutable value: refine() returns a narrower copy, so no
     caller can narrow the interval another caller holds.
     """
 
-    poly: IntPoly
-    bisection: IntPoly
+    _poly: IntPoly | _OnDemand
+    _bisection: IntPoly | _OnDemand
     lo: Rational
     hi: Rational
     exact: bool
+
+    @property
+    def poly(self) -> IntPoly:
+        p = self._poly
+        return p if isinstance(p, IntPoly) else p()
+
+    @property
+    def bisection(self) -> IntPoly:
+        b = self._bisection
+        return b if isinstance(b, IntPoly) else b()
 
     @property
     def width(self) -> Rational:
@@ -324,12 +359,12 @@ class CertifiedRoot:
             mid = (lo + hi) / 2
             s = b.sign_at(mid)
             if s == 0:
-                return CertifiedRoot(self.poly, b, mid, mid, True)
+                return CertifiedRoot(self._poly, self._bisection, mid, mid, True)
             if s == s_hi:
                 hi = mid
             else:
                 lo = mid
-        return CertifiedRoot(self.poly, b, lo, hi, False)
+        return CertifiedRoot(self._poly, self._bisection, lo, hi, False)
 
     def to_json(self) -> dict:
         return {
@@ -490,7 +525,7 @@ def _graph_root(g: Graph) -> CertifiedRoot:
     peel = peel_leaves(g, range(g.n))
     if peel[2] is None:
         return rho_certified(charpoly(g))
-    return _locate(peel, _bridge_phi(*peel))
+    return _locate(peel)
 
 
 def rho_certified_graph(g: Graph, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
@@ -555,7 +590,7 @@ def equal_rho_certificate(g1: Graph, g2: Graph):
 # ---------------------------------------------------------------------------
 # the elimination of lam*I - A, one vertex at a time
 
-# These carry the elimination of lam*I - A that _inertia runs over a leaf
+# These carry the elimination of lam*I - A that _eliminate runs over a leaf
 # peel one vertex at a time, along a path or a cycle whose vertices carry
 # pendant paths (arms), so that a walk over a parametric family reads each
 # sign as it goes (families._PivotWalk). A pivot is an
@@ -660,7 +695,7 @@ def cycle_pivot(state: tuple) -> tuple[int, int]:
 def cycle_close(state: tuple, x: tuple[int, int]) -> int:
     """The sign of the last pivot, at a last vertex of diagonal x, given
     positive pivots at all the others: Schwenk's cycle rule, as in
-    _inertia."""
+    _eliminate."""
     r00, r01, r10, _, scale = state
     a, b = x
     last = r00 * a + r01 * b - r10 * b - 2 * scale * b
@@ -672,28 +707,40 @@ def cycle_close(state: tuple, x: tuple[int, int]) -> int:
 
 def _inertia(peel, lam: Rational) -> Ordering:
     """rho against lam for the tree or unicyclic graph whose leaf peel
-    (graphs.peel_leaves) is `peel`, by the signs of the pivots of lam*I - A.
+    (graphs.peel_leaves) is `peel`, by the signs of the pivots of lam*I - A:
+    _eliminate from lam's integer pair, exact."""
+    return _eliminate(peel, lam.numerator, lam.denominator)
+
+
+def _eliminate(peel, num, den) -> Ordering:
+    """rho against num/den for the tree or unicyclic graph whose leaf peel
+    is `peel`, by the signs of the pivots of lam*I - A for lam = num/den.
 
     Gaussian elimination from the leaves inward (Jacobs & Trevisan, LAA
-    434, 2011), then around the cycle, in pivot pairs: no float and no
-    polynomial. By Sylvester's law of inertia, rho > lam exactly when
-    lam*I - A is not positive semidefinite. So the first pivot that is
-    negative, or zero while its vertex still has a nonzero entry to a vertex
-    not yet eliminated, means GREATER: in the second case what is left
-    keeps the 2-by-2 block [[0, t], [t, s]] there, of determinant -t^2 < 0.
-    A peeled vertex has its parent, at -1, and each cycle vertex but the
-    last has its successor, at -1, or, for the second-to-last, the last, at
-    -1 - 1/P with P > 0 the minor before. Positive pivots throughout mean
-    LESS; positive ones and a zero last pivot mean lam*I - A is semidefinite
-    and singular, so rho = lam, EQUAL. The peel's order may leave out
-    vertices that come first in it: the result is then that of the graph
-    without them.
+    434, 2011), then around the cycle, in pivot pairs: no polynomial. By
+    Sylvester's law of inertia, rho > lam exactly when lam*I - A is not
+    positive semidefinite. So the first pivot that is negative, or zero
+    while its vertex still has a nonzero entry to a vertex not yet
+    eliminated, means GREATER: in the second case what is left keeps the
+    2-by-2 block [[0, t], [t, s]] there, of determinant -t^2 < 0. A peeled
+    vertex has its parent, at -1, and each cycle vertex but the last has its
+    successor, at -1, or, for the second-to-last, the last, at -1 - 1/P
+    with P > 0 the minor before. Positive pivots throughout mean LESS;
+    positive ones and a zero last pivot mean lam*I - A is semidefinite and
+    singular, so rho = lam, EQUAL. The peel's order may leave out vertices
+    that come first in it: the result is then that of the graph without
+    them.
+
+    Integers make every sign exact (_inertia). The pair (x, 1.0) runs the
+    same steps in floats, for _float_hint only; its pairs may round, or
+    overflow once their magnitudes pass the float range, and its answer is
+    then a guess.
     """
     order, parent, core = peel
     # each vertex's diagonal entry of what is left to eliminate, as a pair
     # (num, den > 0); lam at first. The steps are pivot_after, cycle_after
     # and cycle_close written out: this loop runs at every bisection step.
-    piv = [(lam.numerator, lam.denominator)] * len(parent)
+    piv = [(num, den)] * len(parent)
     # leaves inward: a peeled vertex's pivot is lam - sum 1/pivot over its
     # children, and 1/pivot comes off its parent's diagonal
     for v in order:
@@ -734,22 +781,51 @@ def compare_rho_to(g: Graph, lam: Rational) -> Ordering:
     return _inertia(peel, Fraction(lam))
 
 
-def _locate(peel, p: IntPoly, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
-    """rho of the tree or unicyclic graph with leaf peel `peel` and
-    characteristic polynomial p, of width <= tol, by _inertia alone.
+# The locator's two exact probes lie on the grid of multiples of
+# 1/_PROBE_GRID = 2^-42, at least a quarter cell (2^-44) either side of the
+# float hint, so at most two cells (2^-41 < DEFAULT_TOL) apart. The hint's
+# float bisection stops at a width of 2^-46, a quarter of that margin.
+_PROBE_GRID = 2**42
+_HINT_WIDTH = 2.0**-46
+
+
+def _float_hint(peel, m: int) -> float:
+    """A float near rho in (m - 1, m]: bisection on the sign of the float
+    elimination, _eliminate from the pair (x, 1.0). It only places
+    _locate's probes and decides nothing."""
+    lo, hi = float(m - 1), float(m)
+    while hi - lo > _HINT_WIDTH:
+        mid = (lo + hi) / 2
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
+        if _eliminate(peel, mid, 1.0) is Ordering.GREATER:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def _locate(peel, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
+    """rho of the tree or unicyclic graph with leaf peel `peel`, of width
+    <= tol, by _inertia alone; its characteristic polynomial p is built
+    from the peel only when the root's `poly` is read.
 
     The integers 0, 1, 2, ... are tested until the first that rho does not
     exceed. rho = m at an integer m is exact; a rational root of the monic
     integer p is an integer, so no other root is exact. Otherwise rho lies
-    in (m - 1, m), and each halving keeps the half _inertia puts it in. The
-    bisection stops once the width is <= tol and rho(g - v) <= lo for the
-    first leaf v of the peel, for which g - v is a connected tree or
-    unicyclic graph whose peel is the rest of the order. By Cauchy
-    interlacing lambda_2(g) <= rho(g - v), so every root of p but rho is
-    <= lo, and rho, simple since g is connected, is p's one root in (lo,
-    hi]: p serves as the bisection polynomial. A non-integer rho rules out
-    a cycle and K_1, the graphs with no leaf, so v exists.
+    in (m - 1, m). Two exact probes on a 2^-42 grid, a quarter cell either
+    side of the float hint, narrow it: a probe below rho raises lo to it,
+    one above lowers hi, so a hint on the wrong side moves the other end,
+    as a bisection step would. Then each halving keeps the half _inertia
+    puts rho in. The bisection stops once the width is <= tol and rho(g -
+    v) <= lo for the first leaf v of the peel, for which g - v is a
+    connected tree or unicyclic graph whose peel is the rest of the order.
+    By Cauchy interlacing lambda_2(g) <= rho(g - v), so every root of p but
+    rho is <= lo, and rho, simple since g is connected, is p's one root in
+    (lo, hi]: p serves as the bisection polynomial. A non-integer rho rules
+    out a cycle and K_1, the graphs with no leaf, so v exists.
     """
+    p = _OnDemand(peel)
     m = 0
     while (side := _inertia(peel, Fraction(m))) is Ordering.GREATER:
         m += 1
@@ -758,7 +834,18 @@ def _locate(peel, p: IntPoly, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
     order, parent, core = peel
     minor = (order[1:], parent, core)
     lo, hi = Fraction(m - 1), Fraction(m)
-    # no midpoint is an integer, so none is rho and none is EQUAL
+    # no point strictly between two integers is rho, so none is EQUAL
+    x = _float_hint(peel, m)
+    if math.isfinite(x):
+        u = Fraction(x) * _PROBE_GRID
+        quarter = Fraction(1, 4)
+        for k in (math.ceil(u + quarter), math.floor(u - quarter)):
+            probe = Fraction(k, _PROBE_GRID)
+            if lo < probe < hi:
+                if _inertia(peel, probe) is Ordering.GREATER:
+                    lo = probe
+                else:
+                    hi = probe
     while hi - lo > tol or _inertia(minor, lo) is Ordering.GREATER:
         mid = (lo + hi) / 2
         if _inertia(peel, mid) is Ordering.GREATER:

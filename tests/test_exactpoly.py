@@ -43,7 +43,7 @@ from rhomin.exactpoly import (
     rho_certified_graph,
     sturm_chain,
 )
-from rhomin.families import ClosedQuipu, OpenQuipu, realize, spider
+from rhomin.families import ClosedQuipu, OpenQuipu, parse_spec_literal, realize, spider
 from rhomin.graphs import build_graph, cycle_graph, path_graph, peel_leaves, star_graph
 from rhomin.search import POWER_STEPS, _sparse_members, certified_screen
 from graph_helpers import adjacency, disjoint_union, lams_around, perron_vector, relabel
@@ -615,13 +615,15 @@ def test_locator_agrees_with_sturm_on_random_trees_and_unicyclic_graphs():
         _assert_located(build_graph(n, edges))
 
 
-def test_locator_bisects_until_interlacing_isolates_rho():
+def test_locator_bisects_until_interlacing_isolates_rho(monkeypatch):
     import rhomin.exactpoly as ep
 
     # two K_{1,4} whose centres a path of 4 vertices joins: lambda_2 ~ 2.2706
     # and rho ~ 2.3387 share (9/4, 19/8], the cell of width 1/8 that
     # bisection alone would stop at. rho(g - v) >= lambda_2 for the leaf v,
     # so the interlacing test keeps bisecting until lambda_2 is left out.
+    # Without a hint: its probes, 2^-42 apart, would leave lambda_2 out at once.
+    monkeypatch.setattr(ep, "_float_hint", lambda peel, m: math.nan)
     path = [0, 2, 3, 4, 5, 1]
     edges = list(zip(path, path[1:])) + [(c, 6 + 4 * i + j) for i, c in enumerate((0, 1))
                                          for j in range(4)]
@@ -630,10 +632,130 @@ def test_locator_bisects_until_interlacing_isolates_rho():
     chain = sturm_chain(p)
     assert count_roots_halfopen(chain, Fraction(9, 4), Fraction(19, 8)) == 2
     tol = Fraction(1, 8)
-    root = ep._locate(peel_leaves(g, range(g.n)), p, tol)
+    root = ep._locate(peel_leaves(g, range(g.n)), tol)
     assert root.width < tol
     assert count_roots_halfopen(chain, root.lo, root.hi) == 1
     assert compare_roots(root, rho_certified(p))[0] is Ordering.EQUAL
+
+
+def _hint_sample():
+    """Every seventh tree and unicyclic graph with n <= 10, and six seeded
+    random quipus with n = 20..60."""
+    small = [g for n in range(1, 11) for _, _, g in _sparse_members(n)][::7]
+    rng = random.Random(19)
+    quipus = []
+    while len(quipus) < 6:
+        r = rng.randrange(1, 4)
+        if rng.random() < 0.5:
+            spec = OpenQuipu(tuple(rng.randrange(12) for _ in range(r + 2)),
+                             tuple(rng.randrange(12) for _ in range(r + 1)))
+        else:
+            spec = ClosedQuipu(tuple(rng.randrange(2, 12) for _ in range(r)),
+                               tuple(rng.randrange(12) for _ in range(r)))
+        if 20 <= spec.order <= 60:
+            quipus.append(realize(spec))
+    return small + quipus
+
+
+@pytest.mark.parametrize("hint", ["m-1", "m", "above", "below", "nan"])
+def test_locator_float_hint_decides_nothing(monkeypatch, hint):
+    import rhomin.exactpoly as ep
+
+    # a hint at either end of the bracket, 0.3 off rho, or not a number:
+    # the exact probes then land on the wrong side or are skipped, and the
+    # bisection that follows them still certifies rho
+    real = ep._float_hint
+    wrong = {
+        "m-1": lambda peel, m: m - 1.0,
+        "m": lambda peel, m: float(m),
+        "above": lambda peel, m: real(peel, m) + 0.3,
+        "below": lambda peel, m: real(peel, m) - 0.3,
+        "nan": lambda peel, m: math.nan,
+    }[hint]
+    monkeypatch.setattr(ep, "_float_hint", wrong)
+    ep._graph_root.cache_clear()
+    try:
+        for g in _hint_sample():
+            _assert_located(g)
+    finally:
+        ep._graph_root.cache_clear()
+
+
+def test_locator_takes_few_exact_passes(monkeypatch):
+    import rhomin.exactpoly as ep
+
+    passes = []
+    inertia = ep._inertia
+
+    def counting(peel, lam):
+        passes.append(lam)
+        return inertia(peel, lam)
+
+    monkeypatch.setattr(ep, "_inertia", counting)
+    graphs = [g for n in range(1, 11) for _, _, g in _sparse_members(n)]
+    for g in graphs:
+        ep._locate(peel_leaves(g, range(g.n)))
+    # the integer bracket, two probes and one interlacing test; bisection
+    # from the integer bracket down to 1e-12 alone would take about 45
+    assert len(passes) / len(graphs) <= 12
+
+
+def _count_polynomials(monkeypatch) -> list:
+    """The peels _bridge_phi is called on from now on, with every cached
+    graph root dropped."""
+    import rhomin.exactpoly as ep
+
+    built = []
+    bridge = ep._bridge_phi
+
+    def counting(*peel):
+        built.append(peel)
+        return bridge(*peel)
+
+    monkeypatch.setattr(ep, "_bridge_phi", counting)
+    ep._graph_root.cache_clear()
+    return built
+
+
+_N62 = "open:ks=10,20,10;ms=10,10"
+
+
+def test_locator_builds_no_polynomial_nothing_reads(monkeypatch):
+    g1 = realize(parse_spec_literal(_N62))
+    g2 = realize(parse_spec_literal("open:ks=10,19,10;ms=10,11"))
+    built = _count_polynomials(monkeypatch)
+    rho_certified_graph(g1)
+    assert compare_rho(g1, g2) is Ordering.LESS
+    assert below_3_over_sqrt2(rho_certified_graph(g1))
+    assert not below_3_over_sqrt2(rho_certified_graph(g2))
+    assert built == []
+
+
+def test_locator_builds_one_polynomial_per_tied_graph(monkeypatch):
+    g1 = realize(parse_spec_literal("closed:ks=4,4;ms=0,1"))
+    g2 = realize(parse_spec_literal("open:ks=3,3;ms=3"))
+    built = _count_polynomials(monkeypatch)
+    for _ in range(2):
+        ok, witness = equal_rho_certificate(g1, g2)
+        assert ok and witness.factor.degree >= 1
+        assert len(built) == 2
+
+
+def test_locator_polynomial_is_the_charpoly():
+    for g in (path_graph(9), star_graph(6), cycle_graph(7), realize(spider(5)),
+              realize(parse_spec_literal(_N62))):
+        assert rho_certified_graph(g).to_json()["poly"] == poly_to_json(charpoly(g))
+
+
+def test_refined_copies_share_one_polynomial(monkeypatch):
+    g = realize(parse_spec_literal(_N62))
+    built = _count_polynomials(monkeypatch)
+    root = rho_certified_graph(g)
+    fine = root.refine(Fraction(1, 10**30))
+    finer = fine.refine(Fraction(1, 10**40))
+    assert root.refine(Fraction(1, 10**30)).width <= Fraction(1, 10**30)
+    assert finer.width <= Fraction(1, 10**40) and len(built) == 1
+    assert root.poly is fine.poly is finer.poly
 
 
 def test_locator_builds_no_sturm_chain(monkeypatch):
