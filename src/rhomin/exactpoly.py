@@ -35,9 +35,12 @@ equality, never by floating point. The one cache is a bounded lru_cache
 holding the root of each graph at DEFAULT_TOL; the threshold 3/sqrt(2) is
 isolated once, at import. The module imports no numpy. Floats appear in two
 places: CertifiedRoot.as_float, for display, and the locator's hint
-(_float_hint), the same elimination run in floats, which only chooses where
-the two exact probes go. Every endpoint is set by an exact sign, so a wrong
-or non-finite hint costs bisection steps, never correctness.
+(_float_hint), which only chooses where the two exact probes go. The hint is
+a safeguarded Newton iteration on the last pivot of x*I - A: the same
+elimination run in Python floats (_float_pivot), each pivot carried with
+its derivative in x, with bisection of a float bracket whenever a step
+leaves it. Every endpoint is set by an exact sign, so a wrong or non-finite
+hint costs bisection steps, never correctness.
 """
 
 from __future__ import annotations
@@ -590,7 +593,7 @@ def equal_rho_certificate(g1: Graph, g2: Graph):
 # ---------------------------------------------------------------------------
 # the elimination of lam*I - A, one vertex at a time
 
-# These carry the elimination of lam*I - A that _eliminate runs over a leaf
+# These carry the elimination of lam*I - A that _inertia runs over a leaf
 # peel one vertex at a time, along a path or a cycle whose vertices carry
 # pendant paths (arms), so that a walk over a parametric family reads each
 # sign as it goes (families._PivotWalk). A pivot is an
@@ -695,7 +698,7 @@ def cycle_pivot(state: tuple) -> tuple[int, int]:
 def cycle_close(state: tuple, x: tuple[int, int]) -> int:
     """The sign of the last pivot, at a last vertex of diagonal x, given
     positive pivots at all the others: Schwenk's cycle rule, as in
-    _eliminate."""
+    _inertia."""
     r00, r01, r10, _, scale = state
     a, b = x
     last = r00 * a + r01 * b - r10 * b - 2 * scale * b
@@ -707,14 +710,7 @@ def cycle_close(state: tuple, x: tuple[int, int]) -> int:
 
 def _inertia(peel, lam: Rational) -> Ordering:
     """rho against lam for the tree or unicyclic graph whose leaf peel
-    (graphs.peel_leaves) is `peel`, by the signs of the pivots of lam*I - A:
-    _eliminate from lam's integer pair, exact."""
-    return _eliminate(peel, lam.numerator, lam.denominator)
-
-
-def _eliminate(peel, num, den) -> Ordering:
-    """rho against num/den for the tree or unicyclic graph whose leaf peel
-    is `peel`, by the signs of the pivots of lam*I - A for lam = num/den.
+    (graphs.peel_leaves) is `peel`, by the signs of the pivots of lam*I - A.
 
     Gaussian elimination from the leaves inward (Jacobs & Trevisan, LAA
     434, 2011), then around the cycle, in pivot pairs: no polynomial. By
@@ -730,17 +726,12 @@ def _eliminate(peel, num, den) -> Ordering:
     singular, so rho = lam, EQUAL. The peel's order may leave out vertices
     that come first in it: the result is then that of the graph without
     them.
-
-    Integers make every sign exact (_inertia). The pair (x, 1.0) runs the
-    same steps in floats, for _float_hint only; its pairs may round, or
-    overflow once their magnitudes pass the float range, and its answer is
-    then a guess.
     """
     order, parent, core = peel
     # each vertex's diagonal entry of what is left to eliminate, as a pair
     # (num, den > 0); lam at first. The steps are pivot_after, cycle_after
     # and cycle_close written out: this loop runs at every bisection step.
-    piv = [(num, den)] * len(parent)
+    piv = [(lam.numerator, lam.denominator)] * len(parent)
     # leaves inward: a peeled vertex's pivot is lam - sum 1/pivot over its
     # children, and 1/pivot comes off its parent's diagonal
     for v in order:
@@ -781,28 +772,111 @@ def compare_rho_to(g: Graph, lam: Rational) -> Ordering:
     return _inertia(peel, Fraction(lam))
 
 
+# _float_pivot rescales the cycle's product once it passes 2^300, far inside
+# the float range
+_FLOAT_RESCALE = 2.0**300
+
+
+def _float_pivot(peel, x: float):
+    """The elimination of _inertia at x in Python floats, each pivot d_v
+    carried with its derivative in x, d'_v = 1 + sum d'_c / d_c^2 over the
+    children c, and the cycle's 2x2 product with its own (product rule).
+    Returns (d, d', s): the last pivot, its derivative and the sum of
+    d'_v / d_v over the other pivots, so that p'/p = s + d'/d for p =
+    det(x*I - A). None when one of the other pivots is not > 0: then x <
+    rho(G - v) for the last vertex v, or a float went astray. For _float_hint
+    only; nothing here is exact.
+    """
+    order, parent, core = peel
+    piv = [x] * len(parent)
+    dpiv = [1.0] * len(parent)
+    s = 0.0
+    for v in order:
+        p = piv[v]
+        if not p > 0:
+            return None
+        w = parent[v]
+        t = dpiv[v] / p
+        s += t
+        piv[w] -= 1 / p
+        dpiv[w] += t / p
+    if len(core) == 1:
+        v = core[0]
+        return piv[v], dpiv[v], s
+    # CYCLE_START's product with each K_v = [[d_v, -1], [1, 0]], and its
+    # derivative, rescaled together (so their ratios hold) before they
+    # overflow on a long cycle
+    r00, r01, r10, r11, scale = 1.0, 0.0, 0.0, 1.0, 1.0
+    e00 = e01 = e10 = e11 = 0.0
+    for v in core[:-1]:
+        p, dp = piv[v], dpiv[v]
+        e00, e01, e10, e11 = e00 * p + r00 * dp + e01, -e00, e10 * p + r10 * dp + e11, -e10
+        r00, r01, r10, r11 = r00 * p + r01, -r00, r10 * p + r11, -r10
+        if not r00 > 0:
+            return None
+        if r00 > _FLOAT_RESCALE:
+            k = 1 / _FLOAT_RESCALE
+            r00, r01, r10, r11, scale = r00 * k, r01 * k, r10 * k, r11 * k, scale * k
+            e00, e01, e10, e11 = e00 * k, e01 * k, e10 * k, e11 * k
+    v = core[-1]
+    p, dp = piv[v], dpiv[v]
+    # Schwenk's cycle rule for the determinant; the last pivot is its ratio
+    # to the leading minor r00
+    det = r00 * p + r01 - r10 - 2 * scale
+    ddet = e00 * p + r00 * dp + e01 - e10
+    d = det / r00
+    return d, (ddet - d * e00) / r00, s + e00 / r00
+
+
 # The locator's two exact probes lie on the grid of multiples of
 # 1/_PROBE_GRID = 2^-42, at least a quarter cell (2^-44) either side of the
 # float hint, so at most two cells (2^-41 < DEFAULT_TOL) apart. The hint's
-# float bisection stops at a width of 2^-46, a quarter of that margin.
+# Newton iteration stops at a step below 2^-48, a sixteenth of that margin.
 _PROBE_GRID = 2**42
-_HINT_WIDTH = 2.0**-46
+_HINT_STEP = 2.0**-48
 
 
 def _float_hint(peel, m: int) -> float:
-    """A float near rho in (m - 1, m]: bisection on the sign of the float
-    elimination, _eliminate from the pair (x, 1.0). It only places
-    _locate's probes and decides nothing."""
+    """A float near rho in (m - 1, m]: a safeguarded Newton iteration on
+    the last pivot d of x*I - A (_float_pivot), from x = m. It only places
+    _locate's probes and decides nothing.
+
+    Each evaluation's sign keeps a float bracket (lo, hi] of rho: a pivot
+    before the last that is not > 0, or a last one < 0, puts x below rho.
+    Above rho, x - p/p' >= rho for p = det(x*I - A), a real-rooted
+    polynomial, lowers hi further. Above the pole rho(G - v), d is
+    increasing and concave (v the last vertex), so Newton steps from below
+    rho climb to it, and one from above lands below it. A step that leaves
+    the bracket, or none (an earlier pivot not > 0, or d' not > 0), gives
+    way to bisection. The iteration ends at a step below _HINT_STEP or a
+    bracket with no float inside.
+    """
     lo, hi = float(m - 1), float(m)
-    while hi - lo > _HINT_WIDTH:
-        mid = (lo + hi) / 2
-        if not lo < mid < hi:  # lo and hi are adjacent floats
-            break
-        if _eliminate(peel, mid, 1.0) is Ordering.GREATER:
-            lo = mid
+    x = hi
+    while True:
+        got = _float_pivot(peel, x)
+        nxt = None
+        if got is None:
+            lo = x
         else:
-            hi = mid
-    return (lo + hi) / 2
+            d, dd, s = got
+            if d > 0:
+                hi = x
+                q = s + dd / d
+                if q > 0 and lo < x - 1 / q < hi:
+                    hi = x - 1 / q
+            else:  # d <= 0, or not a number
+                lo = x
+            if 0 < dd < math.inf:
+                step = d / dd
+                nxt = x - step
+                if abs(step) < _HINT_STEP:
+                    return nxt
+        if nxt is None or not lo < nxt < hi:
+            nxt = (lo + hi) / 2
+            if not lo < nxt < hi:  # lo and hi are adjacent floats
+                return nxt
+        x = nxt
 
 
 def _locate(peel, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
@@ -810,25 +884,34 @@ def _locate(peel, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
     <= tol, by _inertia alone; its characteristic polynomial p is built
     from the peel only when the root's `poly` is read.
 
-    The integers 0, 1, 2, ... are tested until the first that rho does not
-    exceed. rho = m at an integer m is exact; a rational root of the monic
-    integer p is an integer, so no other root is exact. Otherwise rho lies
-    in (m - 1, m). Two exact probes on a 2^-42 grid, a quarter cell either
-    side of the float hint, narrow it: a probe below rho raises lo to it,
-    one above lowers hi, so a hint on the wrong side moves the other end,
-    as a bisection step would. Then each halving keeps the half _inertia
-    puts rho in. The bisection stops once the width is <= tol and rho(g -
-    v) <= lo for the first leaf v of the peel, for which g - v is a
-    connected tree or unicyclic graph whose peel is the rest of the order.
-    By Cauchy interlacing lambda_2(g) <= rho(g - v), so every root of p but
-    rho is <= lo, and rho, simple since g is connected, is p's one root in
-    (lo, hi]: p serves as the bisection polynomial. A non-integer rho rules
-    out a cycle and K_1, the graphs with no leaf, so v exists.
+    The least integer m with rho <= m comes first, by doubling from 1 and
+    then halving over the integers (rho >= 0). rho = m at an integer m is
+    exact; a rational root of the monic integer p is an integer, so no other
+    root is exact. Otherwise rho lies in (m - 1, m). Two exact probes on a
+    2^-42 grid, a quarter cell either side of the float hint, narrow it: a
+    probe below rho raises lo to it, one above lowers hi, so a hint on the
+    wrong side moves the other end, as a bisection step would. Then each
+    halving keeps the half _inertia puts rho in. The bisection stops once
+    the width is <= tol and rho(g - v) <= lo for the first leaf v of the
+    peel, for which g - v is a connected tree or unicyclic graph whose peel
+    is the rest of the order. By Cauchy interlacing lambda_2(g) <= rho(g -
+    v), so every root of p but rho is <= lo, and rho, simple since g is
+    connected, is p's one root in (lo, hi]: p serves as the bisection
+    polynomial. A non-integer rho rules out a cycle and K_1, the graphs with
+    no leaf, so v exists.
     """
     p = _OnDemand(peel)
-    m = 0
+    # rho in (below, m]: double m until rho <= m, then halve the gap
+    below, m = -1, 1
     while (side := _inertia(peel, Fraction(m))) is Ordering.GREATER:
-        m += 1
+        below, m = m, 2 * m
+    while side is not Ordering.EQUAL and m - below > 1:
+        mid = (below + m) // 2
+        side_mid = _inertia(peel, Fraction(mid))
+        if side_mid is Ordering.GREATER:
+            below = mid
+        else:
+            m, side = mid, side_mid
     if side is Ordering.EQUAL:
         return CertifiedRoot(p, p, Fraction(m), Fraction(m), True)
     order, parent, core = peel

@@ -642,6 +642,11 @@ def _hint_sample():
     """Every seventh tree and unicyclic graph with n <= 10, and six seeded
     random quipus with n = 20..60."""
     small = [g for n in range(1, 11) for _, _, g in _sparse_members(n)][::7]
+    return small + _hint_quipus()
+
+
+def _hint_quipus():
+    """Six seeded random open and closed quipus with n = 20..60."""
     rng = random.Random(19)
     quipus = []
     while len(quipus) < 6:
@@ -654,7 +659,7 @@ def _hint_sample():
                                tuple(rng.randrange(12) for _ in range(r)))
         if 20 <= spec.order <= 60:
             quipus.append(realize(spec))
-    return small + quipus
+    return quipus
 
 
 @pytest.mark.parametrize("hint", ["m-1", "m", "above", "below", "nan"])
@@ -681,17 +686,26 @@ def test_locator_float_hint_decides_nothing(monkeypatch, hint):
         ep._graph_root.cache_clear()
 
 
+def _counting(monkeypatch, name: str) -> list:
+    """The calls made from now on to the exactpoly function `name`, each
+    as its tuple of arguments."""
+    import rhomin.exactpoly as ep
+
+    calls = []
+    real = getattr(ep, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ep, name, counting)
+    return calls
+
+
 def test_locator_takes_few_exact_passes(monkeypatch):
     import rhomin.exactpoly as ep
 
-    passes = []
-    inertia = ep._inertia
-
-    def counting(peel, lam):
-        passes.append(lam)
-        return inertia(peel, lam)
-
-    monkeypatch.setattr(ep, "_inertia", counting)
+    passes = _counting(monkeypatch, "_inertia")
     graphs = [g for n in range(1, 11) for _, _, g in _sparse_members(n)]
     for g in graphs:
         ep._locate(peel_leaves(g, range(g.n)))
@@ -700,19 +714,95 @@ def test_locator_takes_few_exact_passes(monkeypatch):
     assert len(passes) / len(graphs) <= 12
 
 
+def test_float_hint_takes_few_float_eliminations(monkeypatch):
+    import rhomin.exactpoly as ep
+
+    # each Newton step or bisection step is one _float_pivot pass;
+    # bisection alone, from width 1 down to 2^-46, would take 46
+    graphs = [g for n in range(1, 11) for _, _, g in _sparse_members(n)] + _hint_quipus()
+    passes = _counting(monkeypatch, "_float_pivot")
+    hints = _counting(monkeypatch, "_float_hint")
+    for g in graphs:
+        ep._locate(peel_leaves(g, range(g.n)))
+    assert len(hints) > 1200 and len(passes) >= len(hints)
+    assert len(passes) / len(hints) <= 16
+
+
+def test_float_hint_never_raises():
+    import rhomin.exactpoly as ep
+
+    # at the bracket (m - 1, m] around rho and at the two next to it, where
+    # a pivot or a determinant can come out 0.0 exactly (K_2 and C_6 at an
+    # integer, a triangle's leading minor at 1) or a last pivot keeps one
+    # sign throughout; stars of high degree put a vertex's sum of hundreds
+    # of reciprocals in one pivot
+    graphs = ([g for n in range(1, 11) for _, _, g in _sparse_members(n)] + _hint_quipus()
+              + [star_graph(k + 1) for k in (50, 300, 1000)])
+    for g in graphs:
+        peel = peel_leaves(g, range(g.n))
+        m = math.ceil(ep._locate(peel).hi)  # the least integer >= rho
+        for bracket in {max(1, m - 1), m, m + 1}:
+            x = ep._float_hint(peel, bracket)
+            assert isinstance(x, float)
+            assert math.isnan(x) or bracket - 1 <= x <= bracket
+
+
+@pytest.mark.parametrize("g", [
+    star_graph(301),
+    build_graph(1501, [(i, (i + 1) % 1500) for i in range(1500)] + [(0, 1500)]),
+], ids=["K1,300", "C1500-with-a-leaf"])
+def test_float_hint_lands_within_the_probe_margin_where_products_would_overflow(g):
+    import rhomin.exactpoly as ep
+
+    # the centre of K_{1,300} sums 300 reciprocals, whose pairs' product
+    # would pass the float range; around a cycle of 1,500 vertices the 2x2
+    # product passes it too unless it is rescaled
+    peel = peel_leaves(g, range(g.n))
+    root = ep._locate(peel)
+    x = Fraction(ep._float_hint(peel, math.ceil(root.hi)))
+    margin = Fraction(1, 2**44)
+    assert root.lo - margin <= x <= root.hi + margin
+
+
+def test_locator_takes_few_exact_passes_at_high_degree(monkeypatch):
+    import rhomin.exactpoly as ep
+
+    # the integer bracket doubles and halves (1, 2, 4, ..., 32, then 24, 20,
+    # 18, 17 for sqrt(300)), and the hint lands close enough for its two
+    # probes to leave one interlacing test
+    passes = _counting(monkeypatch, "_inertia")
+    for k, most in ((50, 12), (300, 16)):
+        passes.clear()
+        root = ep._locate(peel_leaves(star_graph(k + 1), range(k + 1)))
+        assert root.lo**2 < k < root.hi**2
+        assert len(passes) <= most, (k, len(passes))
+
+
+@pytest.mark.parametrize("g, rho", [
+    (build_graph(1, []), 0),
+    (path_graph(2), 1),
+    (cycle_graph(6), 2),
+    (star_graph(5), 2),
+    (star_graph(10), 3),
+    (star_graph(17), 4),
+    (star_graph(26), 5),
+    (star_graph(37), 6),
+], ids=["K1", "K2", "C6", "K1,4", "K1,9", "K1,16", "K1,25", "K1,36"])
+def test_locator_keeps_an_integer_radius_exact(g, rho):
+    import rhomin.exactpoly as ep
+
+    # an integer reached by doubling (1, 2, 4) or by halving after it (0,
+    # 3, 5, 6) is EQUAL and ends the search as an exact root
+    root = ep._locate(peel_leaves(g, range(g.n)))
+    assert root.exact and root.lo == root.hi == rho
+
+
 def _count_polynomials(monkeypatch) -> list:
     """The peels _bridge_phi is called on from now on, with every cached
     graph root dropped."""
     import rhomin.exactpoly as ep
 
-    built = []
-    bridge = ep._bridge_phi
-
-    def counting(*peel):
-        built.append(peel)
-        return bridge(*peel)
-
-    monkeypatch.setattr(ep, "_bridge_phi", counting)
+    built = _counting(monkeypatch, "_bridge_phi")
     ep._graph_root.cache_clear()
     return built
 
