@@ -3,13 +3,12 @@
 All arithmetic is exact: integer polynomials, rational evaluation points,
 Sturm-chain root counting. charpoly is the one dispatcher for characteristic
 polynomials: it multiplies over connected components and takes two routes.
-A tree or unicyclic component goes through Schwenk's bridge recursion: one
-post-order pass carries (phi(T_v), phi(T_v - v)) for each rooted subtree and
-maps it across the edge to each child c by (a, b) -> (a*a_c - b*b_c, b*a_c);
-a unicyclic component starts that pass from its whole cycle and closes the
-cycle by Schwenk's cycle rule, a trace of 2x2 matrix products. Any other
-component goes through the Faddeev-LeVerrier recurrence of charpoly_dense,
-which sums neighbours' rows in place of a matrix product.
+A tree or unicyclic component's is the elimination of x*I - A over Z[x]
+along its leaf peel, the same steps (pivot_after, cycle_after, cycle_close)
+that the inertia test below runs over Z at a rational: there they are
+Schwenk's bridge and cycle rules. Any other component goes through the
+Faddeev-LeVerrier recurrence of charpoly_dense, which sums neighbours' rows
+in place of a matrix product.
 
 The spectral radius of a graph is delivered as an immutable isolating
 interval with exact sign evidence; refining it yields a narrower copy. It
@@ -459,29 +458,23 @@ def _bridge_phi(order: list[int], parent: list[int], core: list[int]) -> IntPoly
     leaf peel (graphs.peel_leaves): the peeled vertices in order, their
     parents, and the tree's last vertex or the cycle in cyclic order.
 
-    One pass over the peel carries (a, b) = (phi(T_v), phi(T_v - v)) for
-    the tree T_v hanging below each vertex v, from (x, 1). Schwenk's bridge
-    rule phi(G) = phi(G - uv) - phi(G - u - v) adds each peeled vertex's
-    tree to its parent's across the edge: (a, b) -> (a*a_c - b*b_c, b*a_c).
-    A tree's polynomial is its last vertex's a. Schwenk's cycle rule makes a
-    cycle v_1 ... v_c give tr(M_1 ... M_c) - 2 prod b_v, where M_v = [[a_v,
-    b_v], [-b_v, 0]] appends v's tree to a path of hanging trees.
+    _inertia's elimination of x*I - A over Z[x], from (x, 1) at every
+    vertex: a vertex's pair (a, b) is (phi(T_v), phi(T_v - v)) for the tree
+    T_v hanging below it, and pivot_after adds each peeled vertex's tree to
+    its parent's, which is Schwenk's bridge rule phi(G) = phi(G - uv) -
+    phi(G - u - v). A tree's polynomial is its last vertex's a; a cycle's
+    is cycle_close's value, which is Schwenk's cycle rule.
     """
-    a: dict[int, IntPoly] = {}
-    b: dict[int, IntPoly] = {}
+    piv = [(X, ONE)] * len(parent)
     for v in order:
-        av, bv = a.pop(v, X), b.pop(v, ONE)
         w = parent[v]
-        aw, bw = a.get(w, X), b.get(w, ONE)
-        a[w], b[w] = aw * av - bw * bv, bw * av
+        piv[w] = pivot_after(piv[w], piv[v])
     if len(core) == 1:
-        return a.get(core[0], X)
-    m11, m12, m21, m22, prod_b = ONE, ZERO, ZERO, ONE, ONE
-    for v in core:
-        av, bv = a.get(v, X), b.get(v, ONE)
-        m11, m12, m21, m22 = m11 * av - m12 * bv, m11 * bv, m21 * av - m22 * bv, m21 * bv
-        prod_b = prod_b * bv
-    return m11 + m22 - prod_b.scale(2)
+        return piv[core[0]][0]
+    state = (ONE, ZERO, ZERO, ONE, ONE)
+    for v in core[:-1]:
+        state = cycle_after(state, piv[v])
+    return cycle_close(state, piv[core[-1]])
 
 
 def charpoly_dense(g: Graph) -> IntPoly:
@@ -593,10 +586,14 @@ def equal_rho_certificate(g1: Graph, g2: Graph):
 # ---------------------------------------------------------------------------
 # the elimination of lam*I - A, one vertex at a time
 
-# These carry the elimination of lam*I - A that _inertia runs over a leaf
-# peel one vertex at a time, along a path or a cycle whose vertices carry
-# pendant paths (arms), so that a walk over a parametric family reads each
-# sign as it goes (families._PivotWalk). A pivot is an
+# pivot_after, cycle_after and cycle_close are the one statement of the
+# steps of the elimination of lam*I - A, one vertex at a time (Jacobs &
+# Trevisan, LAA 434, 2011). _inertia folds them over a leaf peel in integer
+# pairs at a rational lam, and _bridge_phi in pairs of polynomials at x,
+# where they are Schwenk's bridge and cycle rules. The pivot walk over a
+# parametric family (families._PivotWalk) carries them along a path or a
+# cycle whose vertices carry pendant paths (arms), and reads each sign as it
+# goes. A pivot there and in _inertia is an
 # integer pair (num, den) with den > 0, not reduced: its size grows by
 # about that of lam's pair per vertex either way, and on a 2-core host a
 # gcd per step made the walk at (3k+1, 2k) take 1.5 times as long at
@@ -620,7 +617,6 @@ def equal_rho_certificate(g1: Graph, g2: Graph):
 # lam*I - A(H), so the rule holds for them too.
 
 
-@functools.lru_cache(maxsize=16)
 def arm_pivots(lam: Rational, length: int) -> tuple[tuple[int, int], ...]:
     """The pivots x_0, x_1, ... of lam*I - A at the top of an arm of j
     vertices eliminated from its leaf: x_0 = +infinity, x_1 = lam and
@@ -640,7 +636,7 @@ def arm_pivots(lam: Rational, length: int) -> tuple[tuple[int, int], ...]:
     return tuple(xs)
 
 
-def pivot_after(x: tuple[int, int], p: tuple[int, int]) -> tuple[int, int]:
+def pivot_after(x: tuple, p: tuple) -> tuple:
     """x - 1/p: the pivot at a vertex whose diagonal is x once its arms are
     eliminated, and whose one eliminated neighbour has pivot p > 0 (or p =
     +infinity for none). The pair is not reduced."""
@@ -660,17 +656,17 @@ def at_most_inverse(p: tuple[int, int], x: tuple[int, int]) -> bool:
 # the product of the integer matrices den_v * K_v, scale that of the den_v,
 # so r00 has the sign of the minor, and r00 / -r01 is the pivot at the last
 # vertex taken. The leading minors ignore the closing edge (v_c, v_1).
+# _bridge_phi starts from the same identity in polynomials.
 CYCLE_START = (1, 0, 0, 1, 1)
 
 
-def cycle_after(state: tuple, x: tuple[int, int]) -> tuple:
+def cycle_after(state: tuple, x: tuple) -> tuple:
     """The cycle state once the next vertex, of diagonal x, is taken."""
     r00, r01, r10, r11, scale = state
     a, b = x
     return r00 * a + r01 * b, -r00 * b, r10 * a + r11 * b, -r10 * b, scale * b
 
 
-@functools.lru_cache(maxsize=16)
 def bare_paths(lam: Rational, length: int) -> tuple[tuple, ...]:
     """The cycle states of j vertices of diagonal lam each, j = 0..length:
     what cycle_after applies for j bare vertices in a row."""
@@ -695,14 +691,14 @@ def cycle_pivot(state: tuple) -> tuple[int, int]:
     return state[0], -state[1]
 
 
-def cycle_close(state: tuple, x: tuple[int, int]) -> int:
-    """The sign of the last pivot, at a last vertex of diagonal x, given
-    positive pivots at all the others: Schwenk's cycle rule, as in
-    _inertia."""
+def cycle_close(state: tuple, x: tuple):
+    """tr(r) - 2 * scale once the last vertex, of diagonal x, is taken:
+    Schwenk's cycle rule for the determinant times the scale. Given
+    positive pivots at all the other vertices, it has the sign of the last
+    pivot."""
     r00, r01, r10, _, scale = state
     a, b = x
-    last = r00 * a + r01 * b - r10 * b - 2 * scale * b
-    return (last > 0) - (last < 0)
+    return r00 * a + (r01 - r10 - scale - scale) * b
 
 
 # ---------------------------------------------------------------------------
@@ -729,33 +725,27 @@ def _inertia(peel, lam: Rational) -> Ordering:
     """
     order, parent, core = peel
     # each vertex's diagonal entry of what is left to eliminate, as a pair
-    # (num, den > 0); lam at first. The steps are pivot_after, cycle_after
-    # and cycle_close written out: this loop runs at every bisection step.
+    # (num, den > 0); lam at first. Leaves inward, a peeled vertex's pivot is
+    # lam - sum 1/pivot over its children, and 1/pivot comes off its
+    # parent's diagonal
     piv = [(lam.numerator, lam.denominator)] * len(parent)
-    # leaves inward: a peeled vertex's pivot is lam - sum 1/pivot over its
-    # children, and 1/pivot comes off its parent's diagonal
     for v in order:
-        p, q = piv[v]
-        if p <= 0:
+        p = piv[v]
+        if p[0] <= 0:
             return Ordering.GREATER
         w = parent[v]
-        a, b = piv[w]
-        piv[w] = a * p - b * q, b * p
+        piv[w] = pivot_after(piv[w], p)
     if len(core) == 1:
         last = piv[core[0]][0]
     else:
-        # around the cycle, by the product r of CYCLE_START's comment, whose
-        # r00 has the sign of each leading minor; the determinant by
-        # Schwenk's cycle rule
-        r00, r01, r10, r11, scale = CYCLE_START
+        # around the cycle, whose state's r00 has the sign of each leading
+        # minor; the determinant by Schwenk's cycle rule
+        state = CYCLE_START
         for v in core[:-1]:
-            p, q = piv[v]
-            r00, r01, r10, r11 = r00 * p + r01 * q, -r00 * q, r10 * p + r11 * q, -r10 * q
-            scale *= q
-            if r00 <= 0:
+            state = cycle_after(state, piv[v])
+            if state[0] <= 0:
                 return Ordering.GREATER
-        p, q = piv[core[-1]]
-        last = r00 * p + r01 * q - r10 * q - 2 * scale * q
+        last = cycle_close(state, piv[core[-1]])
     if last < 0:
         return Ordering.GREATER
     return Ordering.EQUAL if last == 0 else Ordering.LESS

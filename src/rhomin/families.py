@@ -480,9 +480,10 @@ class _PivotWalk:
         return (last[0] > 0) - (last[0] < 0)
 
     def cycle_sign(self, state, m, k) -> int:
-        """The sign of the last pivot around a cycle, from the state before
-        a branch vertex with a pendant of m vertices that the last gap, of k
-        vertices, follows; -1 also when a pivot before the last is cut."""
+        """A number with the sign of the last pivot around a cycle, from the
+        state before a branch vertex with a pendant of m vertices that the
+        last gap, of k vertices, follows: cycle_close's value, or -1 when a
+        pivot before the last is cut."""
         if m + 1 >= len(self.xs):
             return -1
         diagonals = [self.xs[m + 1]] + [self.xs[1]] * k

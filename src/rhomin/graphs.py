@@ -3,10 +3,10 @@
 Vertices are labelled 0..n-1 with no gaps. Graph values are immutable and
 hashable; every operation returns a new value. Besides construction and BFS
 metrics the module provides canonical codes (isomorphism keys for trees,
-unicyclic graphs and small graphs) and the graph6 interchange format. Tree
-and unicyclic codes and a tree's centres come from one leaf-peeling pass
-by layers; a tree's elimination order and a unicyclic graph's cycle come
-from a plainer one that keeps no codes.
+unicyclic graphs and small graphs) and the graph6 interchange format. One
+leaf peel, peel_leaves, serves every job on a tree or unicyclic graph:
+canonical codes and a tree's centres, and the elimination order and cycle
+that exactpoly folds into characteristic polynomials and inertia signs.
 """
 
 from __future__ import annotations
@@ -207,34 +207,6 @@ def unicyclic_code(hang: list[bytes]) -> bytes:
     return b"U:" + b"|".join(hang)
 
 
-def _peel(g: Graph) -> tuple[list[int], list[list[bytes]]]:
-    """Remove leaves one layer at a time while more than two vertices are
-    left, giving each peeled vertex its AHU code as it goes (Aho, Hopcroft &
-    Ullman, 1974). Returns the vertices left, in increasing order, and each
-    vertex's list of child codes: a tree leaves its one or two centres, a
-    connected unicyclic graph its cycle with the codes of its hanging trees."""
-    deg = [len(a) for a in g.adj]
-    alive = [True] * g.n
-    kids: list[list[bytes]] = [[] for _ in range(g.n)]
-    left = g.n
-    layer = [v for v in range(g.n) if deg[v] == 1]
-    while layer and left > 2:
-        for v in layer:
-            alive[v] = False
-        left -= len(layer)
-        nxt = []
-        for v in layer:
-            code = _code(kids[v])
-            for w in g.adj[v]:
-                if alive[w]:
-                    kids[w].append(code)
-                    deg[w] -= 1
-                    if deg[w] == 1:
-                        nxt.append(w)
-        layer = nxt
-    return [v for v in range(g.n) if alive[v]], kids
-
-
 def _cycle(g: Graph, core: list[int]) -> list[int] | None:
     """`core` in cyclic order from its least vertex when it induces exactly
     one cycle, else None."""
@@ -253,7 +225,8 @@ def _cycle(g: Graph, core: list[int]) -> list[int] | None:
 
 def peel_leaves(g: Graph, vertices) -> tuple[list[int], list[int], list[int] | None]:
     """Strip the leaves of the subgraph on `vertices`, a union of connected
-    components of g, one at a time until none is left.
+    components of g listed in increasing order, one at a time until none is
+    left, first in first out from the leaves in decreasing order.
 
     Returns the peeled vertices in the order they went; a list whose entry
     at each peeled vertex is its parent, its last neighbour when it went;
@@ -261,15 +234,16 @@ def peel_leaves(g: Graph, vertices) -> tuple[list[int], list[int], list[int] | N
     unicyclic graph's cycle in cyclic order, from the first of its vertices
     in `vertices` toward the lesser of that vertex's cycle neighbours; or
     None for anything else. Every vertex comes after all of its children,
-    so one pass over the order can fold each subtree into its parent.
+    so one pass over the order can fold each subtree into its parent. The
+    queue takes the leaves layer by layer, so a tree's last vertex is a
+    centre.
     """
     deg = [len(a) for a in g.adj]
     # the sum of each vertex's neighbours not yet peeled: a leaf's parent
     link = [sum(a) for a in g.adj]
     order = []
-    stack = [v for v in vertices if deg[v] == 1]
-    while stack:
-        v = stack.pop()
+    queue = [v for v in reversed(vertices) if deg[v] == 1]
+    for v in queue:
         if deg[v] != 1:  # a tree's last vertex, its neighbour peeled first
             continue
         deg[v] = -1
@@ -278,7 +252,7 @@ def peel_leaves(g: Graph, vertices) -> tuple[list[int], list[int], list[int] | N
         link[w] -= v
         deg[w] -= 1
         if deg[w] == 1:
-            stack.append(w)
+            queue.append(w)
     left = [v for v in vertices if deg[v] >= 0]
     return order, link, left if len(left) == 1 else _cycle(g, left)
 
@@ -341,22 +315,36 @@ def canonical_code(g: Graph) -> bytes:
     """Relabeling-invariant code; equal codes <=> isomorphic graphs.
 
     Supported: connected trees, connected unicyclic graphs, and arbitrary
-    connected graphs with n <= 10. Tree and unicyclic codes come from one
-    leaf-peeling pass, which also decides connectivity: with n - 1 edges a
-    disconnected graph has a cycle, so more than two vertices survive; with
-    n edges the graph is connected exactly when one cycle survives.
+    connected graphs with n <= 10. Tree and unicyclic codes fold AHU codes
+    (Aho, Hopcroft & Ullman, 1974) and subtree heights over the order of
+    peel_leaves, which also decides connectivity: with n - 1 or n edges,
+    only a connected tree or unicyclic graph leaves a vertex or one cycle.
+    A tree's last vertex is a centre; the other centre, if any, is its one
+    child of height one less than its own.
     """
     m = g.edge_count
     if m == g.n - 1 or m == g.n:
-        core, kids = _peel(g)
-        if m == g.n - 1 and len(core) <= 2:
-            return tree_code([kids[c] for c in core])
-        cycle = _cycle(g, core) if m == g.n else None
-        if cycle is None:
+        order, parent, core = peel_leaves(g, range(g.n))
+        if core is None:
             raise UnsupportedFamily("canonical_code requires a connected graph")
-        hang = [_code(kids[v]) for v in cycle]
-        return unicyclic_code(min(seq[s:] + seq[:s] for seq in (hang, hang[::-1])
-                                  for s in range(len(hang))))
+        kids: list[list[bytes]] = [[] for _ in range(g.n)]
+        height = [0] * g.n
+        # the peel takes a vertex's children in order of height, so the
+        # last one sets its height
+        for v in order:
+            w = parent[v]
+            kids[w].append(_code(kids[v]))
+            height[w] = height[v] + 1
+        if len(core) > 1:
+            hang = [_code(kids[v]) for v in core]
+            return unicyclic_code(min(seq[s:] + seq[:s] for seq in (hang, hang[::-1])
+                                      for s in range(len(hang))))
+        c = core[0]
+        tops = [v for v in g.adj[c] if height[v] == height[c] - 1]
+        if len(tops) != 1:
+            return tree_code([kids[c]])
+        kids[c].remove(_code(kids[tops[0]]))
+        return tree_code([kids[c], kids[tops[0]]])
     if not is_connected(g):
         raise UnsupportedFamily("canonical_code requires a connected graph")
     return _small_graph_code(g)

@@ -14,6 +14,8 @@ elimination along the walk, cuts whole prefixes by it and builds only the
 members it keeps. Neither uses any float. The all-labeled-graphs oracle
 offers only the graphs that this module's exact Collatz-Wielandt screen,
 certified_screen, keeps with the integer vectors (A + I)^POWER_STEPS 1.
+That oracle alone uses numpy, and its functions import it when called, so
+`import rhomin` does not load numpy.
 The module also packages the end-to-end verification that the minimum
 spectral radius at order 3k+1 and diameter 2k is attained exactly by the
 tied family of open quipus with parameters (i, i+j-1, j) over i+j=k.
@@ -28,8 +30,6 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, combinations, product
-
-import numpy as np
 
 from .exactpoly import (
     CertifiedRoot,
@@ -161,6 +161,8 @@ def _least_ratio(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The least p[i]/q[i] over the first axis, as its (numerator,
     denominator) pair, for positive q. Exact: pairs of ratios are compared
     by integer cross-multiplication, halving the rows each round."""
+    import numpy as np
+
     while len(p) > 1:
         half = len(p) // 2
         a, b = slice(0, half), slice(half, 2 * half)
@@ -184,6 +186,8 @@ def certified_screen(av: np.ndarray, v: np.ndarray):
     OverflowError. Returns the keep mask, L and U, the last two as
     (numerators, denominators) pairs of arrays.
     """
+    import numpy as np
+
     if (v < 1).any():
         raise ValueError("Collatz-Wielandt vectors must be positive")
     if int(av.max(initial=0)) * int(v.max()) >= 1 << 63:
@@ -199,6 +203,8 @@ def _screen_batches(batches) -> tuple[np.ndarray, int]:
     """The ids certified_screen keeps from batches of (ids, A v, v), and how
     many there were. Each batch is screened alone, then what the batches keep
     together; that equals one screen of all, as no batch drops the least U."""
+    import numpy as np
+
     kept, total = [], 0
     for ids, av, v in batches:
         total += len(ids)
@@ -231,6 +237,8 @@ def _matched_batches(n: int, d: int, pairs: list[tuple[int, int]]):
     t steps reach[v] is the ball of radius t around v. A graph has diameter d
     when every ball is full after d steps and not after d - 1; none has a
     negative diameter, though a one-vertex ball is full after 0 steps."""
+    import numpy as np
+
     if d < 0:
         return
     total = 1 << len(pairs)

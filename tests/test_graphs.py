@@ -7,7 +7,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rhomin.graphs import (
@@ -212,11 +212,15 @@ def test_graph6_round_trip_random(data):
 
 @settings(max_examples=150, deadline=None)
 @given(sparse_graphs())
+@example(path_graph(5))
 def test_peel_leaves_orders_children_before_parents(g):
     order, parent, core = peel_leaves(g, range(g.n))
     assert core is not None and sorted(order + core) == list(range(g.n))
     if is_tree(g):
+        # a tree's last vertex is a centre: its eccentricity is the radius
         assert len(core) == 1
+        ecc = [max(distances(g, v)) for v in range(g.n)]
+        assert ecc[core[0]] == min(ecc)
     else:
         # the cycle in cyclic order from its least vertex toward the lesser
         # of that vertex's cycle neighbours

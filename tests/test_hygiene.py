@@ -1,8 +1,11 @@
 """Source hygiene: every imported name in the package and the tests is read,
 and so is every module-level private name of the package; the exact layer
-imports no numpy."""
+imports no numpy, and `import rhomin` does not load it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -94,3 +97,11 @@ def test_exact_layer_imports_no_numpy():
     assert imported_modules("import numpy.linalg\nfrom .x import y\n") == {"numpy"}
     source = (ROOT / "src" / "rhomin" / "exactpoly.py").read_text()
     assert "numpy" not in imported_modules(source)
+
+
+def test_import_rhomin_loads_no_numpy():
+    # a fresh interpreter, since this one has numpy loaded by the tests
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    script = "import sys, rhomin, rhomin.cli; raise SystemExit('numpy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", script], timeout=30, env=env).returncode == 0

@@ -400,7 +400,7 @@ def test_quipu_search_uses_no_float_screen(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a tree or unicyclic search reached the float screen")
 
-    monkeypatch.setattr(rhomin.search.np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(rhomin.search, "certified_screen", refuse)
     for k in (2, 3, 4, 5):
         assert verify_theorem(k).passed
