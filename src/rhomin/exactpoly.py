@@ -10,36 +10,34 @@ Schwenk's bridge and cycle rules. Any other component goes through the
 Faddeev-LeVerrier recurrence of charpoly_dense, which sums neighbours' rows
 in place of a matrix product.
 
-The spectral radius of a graph is delivered as an immutable isolating
-interval with exact sign evidence; refining it yields a narrower copy. It
-takes one of two routes, and each names the polynomial whose sign refine()
-bisects on (CertifiedRoot.bisection). A connected tree or unicyclic graph
-takes the inertia locator (_locate): the signs of the pivots of lam*I - A
-(_inertia, which compare_rho_to also runs) bracket rho between integers,
-two exact probes on either side of a float hint of rho narrow the bracket,
-and Cauchy interlacing through one leaf deletion shows that every other
-eigenvalue is <= lo. So p = charpoly(g) itself has rho as its one root in
-(lo, hi], a simple one, and is the bisection polynomial; no Sturm chain is
-built, and p itself only when something reads it. Every other polynomial
-(a dense graph, a forest, a composed polynomial, a gcd, 2x^2 - 9) takes one
-Sturm bisection, whose invariant is: no root lies above hi, and V(lo) -
-V(+inf) roots of the square-free part lie in (lo, hi], where V counts the
-sign variations of the Sturm chain. One remainder sequence, of p and p',
-yields g = gcd(p, p') as its last entry and, divided by g, that chain,
-whose first entry is the square-free part and the bisection polynomial. On
-either route lo may be a smaller root, so refinement keys its bisection on
-the sign at hi, which is never 0. Comparisons between two radii are decided
-by interval refinement plus an integer polynomial gcd certificate for
-equality, never by floating point. The one cache is a bounded lru_cache
-holding the root of each graph at DEFAULT_TOL; the threshold 3/sqrt(2) is
-isolated once, at import. The module imports no numpy. Floats appear in two
-places: CertifiedRoot.as_float, for display, and the locator's hint
-(_float_hint), which only chooses where the two exact probes go. The hint is
-a safeguarded Newton iteration on the last pivot of x*I - A: the same
-elimination run in Python floats (_float_pivot), each pivot carried with
-its derivative in x, with bisection of a float bracket whenever a step
-leaves it. Every endpoint is set by an exact sign, so a wrong or non-finite
-hint costs bisection steps, never correctness.
+The largest root of a polynomial, a graph's spectral radius among them, is
+delivered as an immutable isolating interval with exact sign evidence;
+refining it yields a narrower copy. Every such interval comes out of one
+routine, _isolate(side, isolated, hint), with side(x) an exact ordering of
+rho against a rational x: one integer bracket, two probes around a float
+hint when there is one, and one halving loop (_halve). Three side oracles
+feed it, and each root names the polynomial whose sign refine() bisects on
+(CertifiedRoot.bisection):
+
+- rho_certified, for any polynomial (a dense graph, a forest, a composed
+  polynomial, 2x^2 - 9): the Sturm count of its square-free part, whose
+  chain comes from one remainder sequence, of p and p'. The square-free
+  part is the bisection polynomial.
+- _locate, for a connected tree or unicyclic graph: the signs of the pivots
+  of lam*I - A (_inertia, which compare_rho_to also runs), with a float
+  hint. Cauchy interlacing makes p = charpoly(g) itself the bisection
+  polynomial: no Sturm chain is built, and p only when something reads it.
+- CertifiedRoot.refine: the sign of the bisection polynomial.
+
+Two radii are compared by their isolating sets, and a tie is decided by
+the sign of the gcd of the two bisection polynomials, never by floating
+point. The one cache is a bounded lru_cache holding the root of each graph
+at DEFAULT_TOL; the threshold 3/sqrt(2) is isolated once, at import. The
+module imports no numpy. Floats appear in two places: CertifiedRoot.as_float,
+for display, and the locator's hint (_float_hint), a safeguarded Newton
+iteration in floats that only chooses where two exact probes go. Every
+endpoint is set by an exact sign, so a wrong or non-finite hint costs
+halvings, never correctness.
 """
 
 from __future__ import annotations
@@ -265,8 +263,82 @@ def count_roots_halfopen(chain, a: Rational, b: Rational) -> int:
     return _var_at(chain, a) - _var_at(chain, b)
 
 
-def cauchy_root_bound(p: IntPoly) -> Rational:
-    return 1 + max(Fraction(abs(c), abs(p.lead)) for c in p.coeffs)
+# ---------------------------------------------------------------------------
+# one isolation routine for every certified root
+
+class Ordering(enum.Enum):
+    LESS = "Less"
+    EQUAL = "Equal"
+    GREATER = "Greater"
+
+
+# The locator's two exact probes lie on the grid of multiples of
+# 1/_PROBE_GRID = 2^-42, at least a quarter cell (2^-44) either side of the
+# float hint, so at most two cells (2^-41 < DEFAULT_TOL) apart. The hint's
+# Newton iteration stops at a step below 2^-48, a sixteenth of that margin.
+_PROBE_GRID = 2**42
+_HINT_STEP = 2.0**-48
+
+
+def _isolate(side, isolated, hint=None) -> tuple[Rational, Rational, bool]:
+    """(lo, hi, exact): an interval (lo, hi] around rho, or the point {rho}
+    when exact, with side(x) the exact ordering of rho against a rational x.
+
+    The least integer m >= rho comes first: from (0, 1], the bracket doubles
+    away from 0 until it holds rho, then halves over the integers. side(m)
+    EQUAL makes rho = m exact; a rational root of a monic integer polynomial
+    is an integer, so for one no other root is. Otherwise rho lies in (m - 1,
+    m). When hint(m) gives a finite float, two exact probes on the 2^-42 grid,
+    a quarter cell either side of it, narrow that bracket: a probe below rho
+    raises lo to it, one above lowers hi, so a hint on the wrong side moves
+    the other end, as a halving would. No probe is rho: only _locate gives
+    a hint, and a graph's rho, when not an integer, is irrational. _halve
+    then runs until isolated(lo, hi). Every end is set by side, so the hint
+    decides nothing.
+    """
+    below, m = 0, 1
+    s = side(Fraction(m))
+    if s is Ordering.GREATER:  # double m until rho <= m
+        while s is Ordering.GREATER:
+            below, m = m, 2 * m
+            s = side(Fraction(m))
+    else:  # double -below until rho > below
+        while s is not Ordering.EQUAL and (t := side(Fraction(below))) is not Ordering.GREATER:
+            below, m, s = min(2 * below, -1), below, t
+    while s is not Ordering.EQUAL and m - below > 1:
+        mid = (below + m) // 2
+        t = side(Fraction(mid))
+        if t is Ordering.GREATER:
+            below = mid
+        else:
+            m, s = mid, t
+    if s is Ordering.EQUAL:
+        return Fraction(m), Fraction(m), True
+    lo, hi = Fraction(m - 1), Fraction(m)
+    x = hint(m) if hint else math.nan
+    if math.isfinite(x):
+        u = Fraction(x) * _PROBE_GRID
+        quarter = Fraction(1, 4)
+        for k in (math.ceil(u + quarter), math.floor(u - quarter)):
+            probe = Fraction(k, _PROBE_GRID)
+            if lo < probe < hi:
+                lo, hi = (probe, hi) if side(probe) is Ordering.GREATER else (lo, probe)
+    return _halve(side, lo, hi, isolated)
+
+
+def _halve(side, lo: Rational, hi: Rational, done) -> tuple[Rational, Rational, bool]:
+    """(lo, hi, exact): halve (lo, hi] until done(lo, hi), keeping the half
+    side puts rho in; a midpoint that side finds EQUAL is rho, exactly."""
+    while not done(lo, hi):
+        mid = (lo + hi) / 2
+        s = side(mid)
+        if s is Ordering.EQUAL:
+            return mid, mid, True
+        if s is Ordering.GREATER:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, False
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +368,12 @@ class CertifiedRoot:
     Invariants: `bisection`, a polynomial with the same largest root, has
     exactly one root in (lo, hi], a simple one, and none above hi; hi is not
     a root, but lo may be a smaller one. So its sign changes once in (lo,
-    hi], at the root, and refine() reads only that sign. rho_certified
-    stores the square-free part of `poly`, the first entry of its Sturm
-    chain. The inertia locator of a tree or unicyclic graph stores `poly`
-    itself: it stops only once every other root is <= lo, and a connected
-    graph's radius is a simple root. There `poly` is built on first read
+    hi], at the root: refine() reads only that sign, and compare_roots reads
+    a tie off the gcd of two bisection polynomials. rho_certified stores the
+    square-free part of `poly`, the first entry of its Sturm chain. The
+    inertia locator of a tree or unicyclic graph stores `poly` itself: it
+    stops only once every other root is <= lo, and a connected graph's
+    radius is a simple root. There `poly` is built on first read
     (compare_roots' gcd, refine() below DEFAULT_TOL, to_json), once for the
     root and every refined copy of it; the constructor takes either
     polynomial as an IntPoly or as an _OnDemand.
@@ -344,29 +417,28 @@ class CertifiedRoot:
         """This root with its interval shrunk to width <= tol: self when it
         is exact or already that narrow, a narrower copy otherwise.
 
-        Bisection keys on the sign at hi: a midpoint of that sign has no
-        root in (mid, hi], so it becomes hi; any other sign leaves the root
-        in (mid, hi]. The sign at lo would not do, since lo may be a root.
+        _halve's side is the bisection polynomial's sign against its sign at
+        hi: a midpoint of that sign has no root in (mid, hi], so rho is
+        below it; any other nonzero sign leaves rho in (mid, hi]. The sign
+        at lo would not do, since lo may be a root.
 
         Raises ValueError unless tol > 0: an irrational root never reaches
         width 0, so bisection would not end.
         """
         _check_tol(tol)
-        lo, hi = self.lo, self.hi
-        if self.exact or hi - lo <= tol:
+        if self.exact or self.width <= tol:
             return self
         b = self.bisection
-        s_hi = b.sign_at(hi)
-        while hi - lo > tol:
-            mid = (lo + hi) / 2
-            s = b.sign_at(mid)
+        s_hi = b.sign_at(self.hi)
+
+        def side(x):
+            s = b.sign_at(x)
             if s == 0:
-                return CertifiedRoot(self._poly, self._bisection, mid, mid, True)
-            if s == s_hi:
-                hi = mid
-            else:
-                lo = mid
-        return CertifiedRoot(self._poly, self._bisection, lo, hi, False)
+                return Ordering.EQUAL
+            return Ordering.LESS if s == s_hi else Ordering.GREATER
+
+        lo, hi, exact = _halve(side, self.lo, self.hi, lambda lo, hi: hi - lo <= tol)
+        return CertifiedRoot(self._poly, self._bisection, lo, hi, exact)
 
     def to_json(self) -> dict:
         return {
@@ -385,14 +457,14 @@ def _check_tol(tol: Rational) -> None:
 def rho_certified(p: IntPoly, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
     """Certified isolating interval for the largest real root of p.
 
-    One Sturm bisection: no root lies above hi, and V(lo) - V(+inf) roots
-    of the square-free part lie in (lo, hi], with V the sign-variation count
-    of its Sturm chain. Each step evaluates the chain once, at the midpoint;
-    a midpoint that is itself a root needs no special case, as the count
-    over (lo, hi] holds there too. lo starts at minus the Cauchy bound, below
-    every root, where V is V(-inf). One probe at -upper tells whether any
-    root lies at or below it; if none does, every midpoint <= -upper moves
-    lo without an evaluation.
+    _isolate with the Sturm chain of p's square-free part sf as its side:
+    rho > x exactly when V(x) > V(+inf), V the sign-variation count of the
+    chain, since V(x) - V(+inf) roots of sf lie in (x, +inf); at V(x) =
+    V(+inf), rho = x when sf(x) = 0. Each step evaluates the chain once, and
+    V is kept at every point, so the isolation test V(lo) - V(+inf) = 1,
+    with no root above hi, reads it. Then sf, the bisection polynomial, has
+    rho as its one root in (lo, hi], a simple one, and refine() takes the
+    interval down to tol by its sign alone.
     """
     _check_tol(tol)
     if p.is_zero:
@@ -402,34 +474,19 @@ def rho_certified(p: IntPoly, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
     chain = sturm_chain(p)
     sf = chain[0]
     vinf = _var_at_inf(chain)
-    upper = Fraction(max(1, p.degree))
-    if _var_at(chain, upper) != vinf:
-        upper = cauchy_root_bound(sf)
-    lo, hi = -cauchy_root_bound(sf), upper
     # V(-inf): each entry's sign there is its leading sign times (-1)^degree
-    v_lo = _variations([(-1) ** q.degree * ((q.lead > 0) - (q.lead < 0)) for q in chain])
-    if v_lo <= vinf:
+    if _variations([(-1) ** q.degree * ((q.lead > 0) - (q.lead < 0)) for q in chain]) <= vinf:
         raise ValueError("polynomial has no real roots in range")
-    floor = -upper if _var_at(chain, -upper) == v_lo else lo
-    # bisect until (lo, hi] isolates exactly the largest root
-    while v_lo - vinf > 1:
-        mid = (lo + hi) / 2
-        v_mid = v_lo if mid <= floor else _var_at(chain, mid)
-        if v_mid > vinf:
-            lo, v_lo = mid, v_mid
-        else:
-            hi = mid
-    if sf.sign_at(hi) == 0:
-        return CertifiedRoot(p, sf, hi, hi, True)
-    # Rational roots of a monic integer polynomial are integers; once the
-    # interval is narrower than 1 it can hold at most one integer, so a
-    # single sign test decides whether the root is exactly rational.
-    root = CertifiedRoot(p, sf, lo, hi, False).refine(Fraction(1, 2))
-    if not root.exact:
-        m = Fraction(math.floor(root.hi))
-        if root.lo < m <= root.hi and sf.sign_at(m) == 0:
-            return CertifiedRoot(p, sf, m, m, True)
-    return root.refine(tol)
+    var = {}
+
+    def side(x):
+        v = var[x] = _var_at(chain, x)
+        if v > vinf:
+            return Ordering.GREATER
+        return Ordering.EQUAL if sf.sign_at(x) == 0 else Ordering.LESS
+
+    lo, hi, exact = _isolate(side, lambda lo, hi: var[lo] - vinf == 1)
+    return CertifiedRoot(p, sf, lo, hi, exact).refine(tol)
 
 
 # ---------------------------------------------------------------------------
@@ -499,12 +556,6 @@ def charpoly_dense(g: Graph) -> IntPoly:
 # ---------------------------------------------------------------------------
 # exact comparison of spectral radii
 
-class Ordering(enum.Enum):
-    LESS = "Less"
-    EQUAL = "Equal"
-    GREATER = "Greater"
-
-
 @dataclass(frozen=True)
 class EqualityWitness:
     """Common integer factor with a shared isolating interval."""
@@ -531,37 +582,30 @@ def rho_certified_graph(g: Graph, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
     return _graph_root(g).refine(tol)
 
 
-_EQUAL_GATE = Fraction(1, 10**4)
-
-
 def compare_roots(r1: CertifiedRoot, r2: CertifiedRoot):
     """Exact ordering of two certified largest roots.
 
     Returns (Ordering, EqualityWitness | None). Each radius lies in its
     isolating set, {lo} when exact and (lo, hi] otherwise; disjoint sets
-    give the order. Otherwise the radii are equal exactly when gcd(p1, p2)
-    has a root in the intersection of the sets: a gcd root there is a root
-    of each square-free part inside its isolating set, so it is both radii.
-    A point intersection takes one sign test, any other a Sturm count. Equal
-    radii return on the first pass; distinct ones are separated once
-    refinement makes both widths less than half their distance.
+    give the order. Otherwise the radii are equal exactly when g, the gcd of
+    the two bisection polynomials, has a root in the intersection (lo, hi]:
+    it is a root of each inside its set there, so both radii. Like them, g
+    has at most one root in (lo, hi], a simple one, so it has one exactly
+    when g(hi) = 0 or g changes sign from lo to hi. g(lo) = 0 leaves that
+    open, and both roots are refined, as they are for distinct radii until
+    both widths are less than half their distance.
     """
-    r1, r2 = r1.refine(_EQUAL_GATE), r2.refine(_EQUAL_GATE)
-    gcd = chain = None
+    gcd = None
     while True:
         if r1.hi < r2.lo or (r1.hi == r2.lo and not r2.exact):
             return Ordering.LESS, None
         if r2.hi < r1.lo or (r2.hi == r1.lo and not r1.exact):
             return Ordering.GREATER, None
         if gcd is None:
-            gcd = poly_gcd(r1.poly, r2.poly)
+            gcd = poly_gcd(r1.bisection, r2.bisection)
         lo, hi = max(r1.lo, r2.lo), min(r1.hi, r2.hi)
-        if lo == hi:
-            shared = gcd.sign_at(lo) == 0
-        else:
-            chain = chain or sturm_chain(gcd)
-            shared = count_roots_halfopen(chain, lo, hi) >= 1
-        if shared:
+        s_hi = gcd.sign_at(hi)
+        if s_hi == 0 or (lo < hi and gcd.sign_at(lo) == -s_hi):
             return Ordering.EQUAL, EqualityWitness(gcd, lo, hi)
         r1 = r1 if r1.exact else r1.refine(r1.width / 256)
         r2 = r2 if r2.exact else r2.refine(r2.width / 256)
@@ -818,14 +862,6 @@ def _float_pivot(peel, x: float):
     return d, (ddet - d * e00) / r00, s + e00 / r00
 
 
-# The locator's two exact probes lie on the grid of multiples of
-# 1/_PROBE_GRID = 2^-42, at least a quarter cell (2^-44) either side of the
-# float hint, so at most two cells (2^-41 < DEFAULT_TOL) apart. The hint's
-# Newton iteration stops at a step below 2^-48, a sixteenth of that margin.
-_PROBE_GRID = 2**42
-_HINT_STEP = 2.0**-48
-
-
 def _float_hint(peel, m: int) -> float:
     """A float near rho in (m - 1, m]: a safeguarded Newton iteration on
     the last pivot d of x*I - A (_float_pivot), from x = m. It only places
@@ -871,61 +907,27 @@ def _float_hint(peel, m: int) -> float:
 
 def _locate(peel, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
     """rho of the tree or unicyclic graph with leaf peel `peel`, of width
-    <= tol, by _inertia alone; its characteristic polynomial p is built
-    from the peel only when the root's `poly` is read.
+    <= tol: _isolate with _inertia as its side and _float_hint as its hint.
+    Its characteristic polynomial p is built from the peel only when the
+    root's `poly` is read.
 
-    The least integer m with rho <= m comes first, by doubling from 1 and
-    then halving over the integers (rho >= 0). rho = m at an integer m is
-    exact; a rational root of the monic integer p is an integer, so no other
-    root is exact. Otherwise rho lies in (m - 1, m). Two exact probes on a
-    2^-42 grid, a quarter cell either side of the float hint, narrow it: a
-    probe below rho raises lo to it, one above lowers hi, so a hint on the
-    wrong side moves the other end, as a bisection step would. Then each
-    halving keeps the half _inertia puts rho in. The bisection stops once
-    the width is <= tol and rho(g - v) <= lo for the first leaf v of the
-    peel, for which g - v is a connected tree or unicyclic graph whose peel
-    is the rest of the order. By Cauchy interlacing lambda_2(g) <= rho(g -
-    v), so every root of p but rho is <= lo, and rho, simple since g is
-    connected, is p's one root in (lo, hi]: p serves as the bisection
-    polynomial. A non-integer rho rules out a cycle and K_1, the graphs with
-    no leaf, so v exists.
+    The isolation test asks for width <= tol and rho(g - v) <= lo for the
+    first leaf v of the peel, for which g - v is a connected tree or
+    unicyclic graph whose peel is the rest of the order. By Cauchy
+    interlacing lambda_2(g) <= rho(g - v), so every root of p but rho is <=
+    lo, and rho, simple since g is connected, is p's one root in (lo, hi]:
+    p serves as the bisection polynomial. A non-integer rho rules out a
+    cycle and K_1, the graphs with no leaf, so v exists whenever the test
+    runs.
     """
     p = _OnDemand(peel)
-    # rho in (below, m]: double m until rho <= m, then halve the gap
-    below, m = -1, 1
-    while (side := _inertia(peel, Fraction(m))) is Ordering.GREATER:
-        below, m = m, 2 * m
-    while side is not Ordering.EQUAL and m - below > 1:
-        mid = (below + m) // 2
-        side_mid = _inertia(peel, Fraction(mid))
-        if side_mid is Ordering.GREATER:
-            below = mid
-        else:
-            m, side = mid, side_mid
-    if side is Ordering.EQUAL:
-        return CertifiedRoot(p, p, Fraction(m), Fraction(m), True)
     order, parent, core = peel
     minor = (order[1:], parent, core)
-    lo, hi = Fraction(m - 1), Fraction(m)
-    # no point strictly between two integers is rho, so none is EQUAL
-    x = _float_hint(peel, m)
-    if math.isfinite(x):
-        u = Fraction(x) * _PROBE_GRID
-        quarter = Fraction(1, 4)
-        for k in (math.ceil(u + quarter), math.floor(u - quarter)):
-            probe = Fraction(k, _PROBE_GRID)
-            if lo < probe < hi:
-                if _inertia(peel, probe) is Ordering.GREATER:
-                    lo = probe
-                else:
-                    hi = probe
-    while hi - lo > tol or _inertia(minor, lo) is Ordering.GREATER:
-        mid = (lo + hi) / 2
-        if _inertia(peel, mid) is Ordering.GREATER:
-            lo = mid
-        else:
-            hi = mid
-    return CertifiedRoot(p, p, lo, hi, False)
+    lo, hi, exact = _isolate(
+        lambda x: _inertia(peel, x),
+        lambda lo, hi: hi - lo <= tol and _inertia(minor, lo) is not Ordering.GREATER,
+        lambda m: _float_hint(peel, m))
+    return CertifiedRoot(p, p, lo, hi, exact)
 
 
 # 3/sqrt(2), the largest root of 2x^2 - 9

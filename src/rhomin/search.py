@@ -38,7 +38,6 @@ from .exactpoly import (
     compare_rho,
     compare_rho_to,
     compare_roots,
-    equal_rho_certificate,
     rho_certified_graph,
 )
 from .families import (
@@ -488,26 +487,21 @@ def rho_k(k: int) -> CertifiedRoot:
 
 def verify_theorem(k: int) -> Verdict:
     """Check that the minimizers at order 3k+1 and diameter 2k are exactly
-    the tied quipu family, that the ties are certified equalities, and that
-    the minimum is strictly below the next family's."""
+    the tied quipu family, and that the minimum is strictly below the next
+    family's. The ties need no second check: the tournament admits a tie
+    only on compare_roots' gcd witness of its equality."""
     if k < 2:
         raise ValueError("need k >= 2")
     failures = []
     report = minimize_over_quipus(3 * k + 1, 2 * k)
     if not report.sound:
         failures.append("search is not sound at this (n, d)")
-    family = theorem_family(k)
-    expected = {canonical_code(realize(s)) for s in family}
+    expected = {canonical_code(realize(s)) for s in theorem_family(k)}
     got = report.winner_codes()
     if got != expected:
         failures.append(
             f"winner set mismatch: got {len(got)} winners, expected {len(expected)}"
         )
-    base = realize(family[0])
-    for s in family[1:]:
-        ok, _ = equal_rho_certificate(base, realize(s))
-        if not ok:
-            failures.append(f"no equality certificate for {spec_literal(s)}")
     order, _ = compare_roots(rho_k(k), rho_k(k + 1))
     if order is not Ordering.LESS:
         failures.append("family minimum does not increase with k")

@@ -23,7 +23,6 @@ from rhomin.exactpoly import (
     at_most_inverse,
     bare_paths,
     below_3_over_sqrt2,
-    cauchy_root_bound,
     charpoly,
     charpoly_dense,
     compare_rho,
@@ -44,7 +43,8 @@ from rhomin.exactpoly import (
     sturm_chain,
 )
 from rhomin.families import ClosedQuipu, OpenQuipu, parse_spec_literal, realize, spider
-from rhomin.graphs import build_graph, cycle_graph, path_graph, peel_leaves, star_graph
+from rhomin.graphs import (build_graph, cycle_graph, graph6_decode, path_graph, peel_leaves,
+                           star_graph)
 from rhomin.search import POWER_STEPS, _sparse_members, certified_screen
 from graph_helpers import adjacency, disjoint_union, lams_around, perron_vector, relabel
 
@@ -88,7 +88,8 @@ def test_sturm_counts():
         assert chain[0] == IntPoly((0, -3, 0, 1))
         for (a, b), n in counts.items():
             assert count_roots_halfopen(chain, Fraction(a), Fraction(b)) == n
-        assert cauchy_root_bound(p) >= 2
+        root = rho_certified(p)
+        assert root.lo * root.lo < 3 < root.hi * root.hi
 
 
 def test_rho_certified_irrational():
@@ -168,53 +169,45 @@ def test_refine_converges_to_the_root_above_a_root_at_lo():
     assert fine.width <= Fraction(1, 10**9)
 
 
+def _sturm_evaluations(monkeypatch, g) -> list:
+    """The points at which rho_certified(charpoly(g)) evaluates the Sturm
+    chain."""
+    import rhomin.exactpoly as ep
+
+    p = charpoly(g)
+    calls = []
+    var_at = ep._var_at
+
+    def counting(chain, x):
+        calls.append(x)
+        return var_at(chain, x)
+
+    monkeypatch.setattr(ep, "_var_at", counting)
+    rho_certified(p)
+    return calls
+
+
 def test_isolation_evaluates_the_sturm_chain_once_per_halving(monkeypatch):
-    import rhomin.exactpoly as ep
-
     g = realize(spider(10))
-    p = charpoly(g)
-    calls = []
-    var_at = ep._var_at
-
-    def counting(chain, x):
-        calls.append(x)
-        return var_at(chain, x)
-
-    monkeypatch.setattr(ep, "_var_at", counting)
-    rho_certified(p)
-    # Bisection stops once the interval is narrower than the gap between
-    # the two largest distinct roots, so it halves the starting interval
-    # (-C, U], C the Cauchy bound and U <= max(deg, C), at most
-    # log2(width / gap) times; V is also read once at each starting bound.
-    bound = cauchy_root_bound(sturm_chain(p)[0])
-    width = float(max(p.degree, bound) + bound)
+    calls = _sturm_evaluations(monkeypatch, g)
+    # The integer bracket reads V at 1, 2, 4, ..., 2^j, the first power of
+    # two >= rho, then once per halving of (2^(j-1), 2^j] over the
+    # integers, j - 1 of them. Bisection of (m - 1, m] then stops once the
+    # interval is narrower than the gap between the two largest distinct
+    # roots, after at most log2(1 / gap) halvings.
     eig = np.unique(np.round(np.linalg.eigvalsh(adjacency(g)), 9))
-    halvings = math.ceil(math.log2(width / (eig[-1] - eig[-2])))
-    assert len(calls) <= halvings + 2
+    j = math.ceil(math.log2(eig[-1]))
+    halvings = max(0, math.ceil(math.log2(1 / (eig[-1] - eig[-2]))))
+    bound = (j + 1) + (j - 1) + halvings
+    assert bound <= 11
+    assert len(calls) <= bound
 
 
-def test_isolation_skips_the_halvings_below_the_degree_bound(monkeypatch):
-    import rhomin.exactpoly as ep
-
-    g = realize(spider(10))
-    p = charpoly(g)
-    calls = []
-    var_at = ep._var_at
-
-    def counting(chain, x):
-        calls.append(x)
-        return var_at(chain, x)
-
-    monkeypatch.setattr(ep, "_var_at", counting)
-    rho_certified(p)
-    # Every root of a graph's charpoly lies in [-deg, deg]. The halvings
-    # that only raise lo from minus the Cauchy bound to -deg need no
-    # evaluation, so V is read once at deg, once at -deg and once for each
-    # halving of (-deg, deg] down to the gap between the two largest roots.
-    eig = np.unique(np.round(np.linalg.eigvalsh(adjacency(g)), 9))
-    halvings = math.ceil(math.log2(2 * p.degree / (eig[-1] - eig[-2])))
-    assert halvings + 2 == 11
-    assert len(calls) <= halvings + 2
+def test_isolation_starts_from_the_least_integer_above_rho(monkeypatch):
+    # rho ~ 2.1211 and lambda_2 ~ 1.9190: doubling reads V at 1, 2 and 4,
+    # one halving over the integers at 3, and (2, 3] already isolates rho,
+    # so no halving below an integer reads V at all
+    assert _sturm_evaluations(monkeypatch, realize(spider(10))) == [1, 2, 4, 3]
 
 
 def test_charpoly_known_values():
@@ -426,8 +419,7 @@ def test_compare_roots_reads_the_isolating_sets():
     order, witness = compare_roots(two, shared)
     assert order is Ordering.EQUAL
     assert (witness.factor, witness.lo, witness.hi) == (x_minus_2, 2, 2)
-    # narrower than the refinement gate, so {2} meets (lo, hi] as given
-    # and one sign test of the gcd decides
+    # {2} meets (lo, hi] as given, and one sign test of the gcd decides
     eps = Fraction(1, 10**5)
     near = _around(x_minus_2 * IntPoly((-1, 1)), 2 - eps, 2 + eps)
     order, witness = compare_roots(near, two)
@@ -442,6 +434,18 @@ def test_compare_roots_reads_the_isolating_sets():
     above = _around(IntPoly((-34643, 20000)), m, m + Fraction(1, 10**4))
     assert compare_roots(sqrt3, above) == (Ordering.LESS, None)
     assert compare_roots(above, sqrt3) == (Ordering.GREATER, None)
+
+
+def test_compare_roots_ties_roots_above_a_shared_smaller_root():
+    # both bisection polynomials vanish at lo = 1, a root below both radii,
+    # so the gcd's signs at the ends of (1, 4] cannot tell at first; the
+    # roots are refined until lo passes 1 and the gcd changes sign
+    p = IntPoly((3, -4, 1))  # (x - 1)(x - 3)
+    q = p * IntPoly((5, 1))  # (x - 1)(x - 3)(x + 5)
+    order, witness = compare_roots(_around(p, Fraction(1), Fraction(4)),
+                                   _around(q, Fraction(1), Fraction(4)))
+    assert order is Ordering.EQUAL
+    assert witness.factor == p and 1 < witness.lo < 3 <= witness.hi <= 4
 
 
 def test_threshold_decisions():
@@ -797,6 +801,20 @@ def test_locator_keeps_an_integer_radius_exact(g, rho):
     assert root.exact and root.lo == root.hi == rho
 
 
+@pytest.mark.parametrize("g, rho", [
+    (graph6_decode("IheA@GUAo"), 3),
+    (build_graph(6, [(u, v) for u in range(3) for v in range(3, 6)]), 3),
+    (build_graph(5, list(combinations(range(5), 2))), 4),
+    (disjoint_union(cycle_graph(5), cycle_graph(5)), 2),
+], ids=["Petersen", "K3,3", "K5", "2C5"])
+def test_sturm_route_keeps_an_integer_radius_exact(g, rho):
+    # graphs the locator does not take: the Sturm route's integer bracket
+    # finds rho EQUAL, also where it is a double root of the charpoly (2 C_5)
+    assert peel_leaves(g, range(g.n))[2] is None
+    root = rho_certified_graph(g)
+    assert root.exact and root.lo == root.hi == rho
+
+
 def _count_polynomials(monkeypatch) -> list:
     """The peels _bridge_phi is called on from now on, with every cached
     graph root dropped."""
@@ -860,6 +878,11 @@ def test_locator_builds_no_sturm_chain(monkeypatch):
               realize(spider(5)), realize(ClosedQuipu((3, 4), (2, 5)))):
         root = rho_certified_graph(g)
         assert root.exact or root.width <= DEFAULT_TOL
+    # nor does a tie between two located roots, with the gcd's signs
+    for pair in ((cycle_graph(5), cycle_graph(9)),
+                 (realize(parse_spec_literal("closed:ks=4,4;ms=0,1")),
+                  realize(parse_spec_literal("open:ks=3,3;ms=3")))):
+        assert equal_rho_certificate(*pair)[0]
     # a bicyclic graph still takes the Sturm route
     with pytest.raises(AssertionError, match="sturm_chain"):
         rho_certified_graph(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
