@@ -633,7 +633,9 @@ def equal_rho_certificate(g1: Graph, g2: Graph):
 # pivot_after, cycle_after and cycle_close are the one statement of the
 # steps of the elimination of lam*I - A, one vertex at a time (Jacobs &
 # Trevisan, LAA 434, 2011). _inertia folds them over a leaf peel in integer
-# pairs at a rational lam, and _bridge_phi in pairs of polynomials at x,
+# pairs at a rational lam, the sparse oracle (search._parts_order) up the
+# rooted trees a member hangs on its centres or cycle, both ending in
+# core_order, and _bridge_phi in pairs of polynomials at x,
 # where they are Schwenk's bridge and cycle rules. The pivot walk over a
 # parametric family (families._PivotWalk) carries them along a path or a
 # cycle whose vertices carry pendant paths (arms), and reads each sign as it
@@ -779,17 +781,26 @@ def _inertia(peel, lam: Rational) -> Ordering:
             return Ordering.GREATER
         w = parent[v]
         piv[w] = pivot_after(piv[w], p)
-    if len(core) == 1:
-        last = piv[core[0]][0]
+    return core_order([piv[v] for v in core])
+
+
+def core_order(piv: list[tuple]) -> Ordering:
+    """The last step of _inertia: rho against lam once every vertex off the
+    core is eliminated with positive pivots, from the diagonal pairs `piv`
+    left on the core, a tree's one last vertex or a cycle in cyclic order.
+    The one vertex's sign, or the cycle's leading minors and Schwenk's rule
+    for its determinant; the ordering by the rules _inertia states."""
+    if len(piv) == 1:
+        last = piv[0][0]
     else:
         # around the cycle, whose state's r00 has the sign of each leading
         # minor; the determinant by Schwenk's cycle rule
         state = CYCLE_START
-        for v in core[:-1]:
-            state = cycle_after(state, piv[v])
+        for x in piv[:-1]:
+            state = cycle_after(state, x)
             if state[0] <= 0:
                 return Ordering.GREATER
-        last = cycle_close(state, piv[core[-1]])
+        last = cycle_close(state, piv[-1])
     if last < 0:
         return Ordering.GREATER
     return Ordering.EQUAL if last == 0 else Ordering.LESS

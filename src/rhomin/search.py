@@ -7,11 +7,13 @@ against which it is cross-validated. All three feed one streaming exact
 tournament, which certifies each graph offered to it and keeps the minimum
 and every tie. Over trees and unicyclic graphs a graph is offered only if
 the inertia of lam*I - A does not put its radius above the incumbent lam,
-the best certified radius so far, rounded up: the sparse oracle asks
-exactpoly.compare_rho_to of each graph, and the family search runs the
-pivot walk of families.enumerate_quipus, which carries the same
-elimination along the walk, cuts whole prefixes by it and builds only the
-members it keeps. Neither uses any float. The all-labeled-graphs oracle
+the best certified radius so far, rounded up: the sparse oracle reads it
+off each member's parts, folding the elimination up each rooted tree hung
+on its centres or cycle with the pivot of each rooted tree memoised for
+the current lam, and the family search runs the pivot walk of
+families.enumerate_quipus, which carries the same elimination along the
+walk and cuts whole prefixes by it. Both build only the graphs they
+offer, and neither uses any float. The all-labeled-graphs oracle
 offers only the graphs that this module's exact Collatz-Wielandt screen,
 certified_screen, keeps with the integer vectors (A + I)^POWER_STEPS 1.
 That oracle alone uses numpy, and its functions import it when called, so
@@ -36,8 +38,9 @@ from .exactpoly import (
     Ordering,
     below_3_over_sqrt2,
     compare_rho,
-    compare_rho_to,
     compare_roots,
+    core_order,
+    pivot_after,
     rho_certified_graph,
 )
 from .families import (
@@ -114,7 +117,7 @@ class BudgetError(ValueError):
 
 # The incumbent lam is the best radius's certified upper end, rounded up to a
 # multiple of 2^-16. The unrounded end has a denominator near 2^40 that the
-# pivots compare_rho_to carries along the backbone multiply up: on a 2-core
+# inertia test's pivots carry along the backbone multiply up: on a 2-core
 # host the search at (3k+1, 2k) took 1.3 times as long with it at k = 6 and
 # 1.5 times at k = 7.
 _INCUMBENT_GRID = 1 << 16
@@ -124,19 +127,14 @@ class _Tournament:
     """The exact minimum and every tie among the graphs offered to it. Each
     is certified and compared once against the running best: LESS starts a
     new best and tightens the incumbent lam, EQUAL (backed by compare_roots'
-    common-factor witness) adds a tie, and GREATER drops it. above(g) is
-    compare_rho_to's inertia test against lam, for a tree or unicyclic g: a
-    graph above lam has rho > lam >= the best radius, so need not be
-    offered. `offered` counts the graphs offered."""
+    common-factor witness) adds a tie, and GREATER drops it. `offered`
+    counts the graphs offered."""
 
     def __init__(self):
         self.best: CertifiedRoot | None = None
         self.winners: list[Winner] = []
         self.lam: Fraction | None = None
         self.offered = 0
-
-    def above(self, g: Graph) -> bool:
-        return self.lam is not None and compare_rho_to(g, self.lam) is Ordering.GREATER
 
     def offer(self, g: Graph, spec: QuipuSpec | None) -> None:
         self.offered += 1
@@ -349,29 +347,31 @@ def _hang(rows: dict, heads: list[tuple[int, ...]], trees: list[_Rooted]) -> Gra
 
 
 @functools.cache
-def _sparse_members(n: int) -> list[tuple[bytes, int, Graph]]:
+def _sparse_members(n: int) -> list[tuple[bytes, int, tuple]]:
     """Every free tree and connected unicyclic graph of order n, one per
-    isomorphism class, as (canonical code, diameter, graph) in code order.
-    Each is built once, its code and diameter read off its parts, from
-    rooted trees that are multisets of smaller ones (Wright, Richmond,
-    Odlyzko & McKay, 1986): a tree rooted at its centre, or at the centre
-    giving its code with the other as its tallest subtree; a cycle carrying
-    rooted trees whose ranks by code are the least of their rotations and
-    reflections. Centres and the cycle are numbered first, so rows come out
-    sorted as build_graph leaves them."""
+    isomorphism class, as (canonical code, diameter, parts) in code order.
+    Code and diameter are read off the parts, built from rooted trees that
+    are multisets of smaller ones (Wright, Richmond, Odlyzko & McKay, 1986):
+    a tree rooted at its centre, or at the centre giving its code with the
+    other as its tallest subtree; a cycle carrying rooted trees whose ranks
+    by code are the least of their rotations and reflections. The parts are
+    _hang's (heads, trees): one centre, two centres or the cycle, and the
+    rooted trees hung on them, shared among members. No graph is built
+    here; _hang({}, *parts) builds one, centres and cycle numbered first,
+    so its rows come out sorted as build_graph leaves them."""
     pool = [_Rooted(b"()", 1, 0, 0, ())]
     for size in range(2, n - 1):
         pool += [_root(kids) for kids in _forests(size - 1, pool, len(pool))]
-    rows, members = {}, []
+    members = []
     for t in map(_root, _forests(n - 1, pool, len(pool))):
         if t.diam == 2 * t.height:
-            members.append((tree_code([[k.code for k in t.kids]]), t.diam, _hang(rows, [()], [t])))
+            members.append((tree_code([[k.code for k in t.kids]]), t.diam, ([()], [t])))
         elif t.diam == 2 * t.height - 1:
             b = max(t.kids, key=lambda k: k.height)
             a = tuple(k for k in t.kids if k is not b)
             code = tree_code([[k.code for k in a], [k.code for k in b.kids]])
             if code == b"T:" + t.code:
-                members.append((code, t.diam, _hang(rows, [(1,), (0,)], [_root(a), b])))
+                members.append((code, t.diam, ([(1,), (0,)], [_root(a), b])))
     ranked = sorted(pool, key=lambda t: t.code)
     ranks = [[r for r, t in enumerate(ranked) if t.size == size] for size in range(n)]
     heads = [[tuple(sorted(((v - 1) % c, (v + 1) % c))) for v in range(c)] for c in range(n + 1)]
@@ -389,8 +389,7 @@ def _sparse_members(n: int) -> list[tuple[bytes, int, Graph]]:
                 h = [t.height for t in hang]
                 diam = max([t.diam for t in hang] + [h[i] + h[j] + min(j - i, c - j + i)
                                                      for j in range(c) for i in range(j)])
-                members.append((unicyclic_code([t.code for t in hang]), diam,
-                                _hang(rows, heads[c], hang)))
+                members.append((unicyclic_code([t.code for t in hang]), diam, (heads[c], hang)))
     return sorted(members)
 
 
@@ -398,12 +397,52 @@ def free_trees(n: int) -> list[Graph]:
     """All free trees of order n, one per isomorphism class, in code order."""
     if n < 1:
         raise ValueError("need n >= 1")
-    return [g for code, _, g in _sparse_members(n) if code.startswith(b"T:")]
+    rows = {}
+    return [_hang(rows, *parts) for code, _, parts in _sparse_members(n) if code.startswith(b"T:")]
 
 
 def unicyclic_graphs(n: int) -> list[Graph]:
     """All connected unicyclic graphs of order n, one per isomorphism class, in code order."""
-    return [g for code, _, g in _sparse_members(n) if code.startswith(b"U:")]
+    rows = {}
+    return [_hang(rows, *parts) for code, _, parts in _sparse_members(n) if code.startswith(b"U:")]
+
+
+def _root_pivot(t: _Rooted, lam: tuple[int, int], memo: dict) -> tuple | None:
+    """The pivot at t's root of lam*I - A(t), its subtrees eliminated from
+    the leaves inward: lam - sum 1/pivot over its children, an unreduced
+    pair. None when a pivot below the root is <= 0, which puts the radius
+    of any graph t hangs in above lam, by _inertia's rule. It depends only
+    on t's rooted isomorphism class, so `memo` holds it by t's code, for
+    one lam."""
+    if t.code in memo:
+        return memo[t.code]
+    p = lam
+    for k in t.kids:
+        q = _root_pivot(k, lam, memo)
+        if q is None or q[0] <= 0:
+            p = None
+            break
+        p = pivot_after(p, q)
+    memo[t.code] = p
+    return p
+
+
+def _parts_order(trees: list[_Rooted], lam: tuple[int, int], memo: dict) -> Ordering:
+    """rho against lam for the member of _sparse_members that hangs these
+    rooted trees on its one centre, two centres or cycle: _inertia's
+    elimination, each tree folded by _root_pivot, the first of two centres
+    eliminated into the second, then core_order on what is left."""
+    piv = []
+    for t in trees:
+        p = _root_pivot(t, lam, memo)
+        if p is None:
+            return Ordering.GREATER
+        piv.append(p)
+    if len(piv) == 2:  # two centres; a cycle has at least three vertices
+        if piv[0][0] <= 0:
+            return Ordering.GREATER
+        piv = [pivot_after(piv[1], piv[0])]
+    return core_order(piv)
 
 
 def brute_force_sparse(n: int, d: int) -> MinimizerReport:
@@ -411,19 +450,27 @@ def brute_force_sparse(n: int, d: int) -> MinimizerReport:
     diameter d. Sound as a minimum over all graphs exactly when the result
     has certified spectral radius below 3/sqrt(2) (the structural reduction
     to sparse graphs needs that bound); the report carries the flag. The
-    graphs are walked in code order, and each is offered to the exact
-    tournament unless the inertia test puts it above the incumbent;
-    `screened_out` counts the graphs that test dropped."""
+    members are walked in code order. Once the exact tournament holds an
+    incumbent lam, a member whose inertia test (_parts_order) puts it above
+    lam is dropped; `screened_out` counts these. Each other member is built
+    as a graph and offered. The root pivots of the hung trees are memoised
+    by code for each lam and forgotten when lam tightens."""
     if not 1 <= n <= 14:
         raise BudgetError("brute_force_sparse supports 1 <= n <= 14")
     cands = _sparse_members(n)
-    matched = [g for _, diam, g in cands if diam == d]
+    matched = [parts for _, diam, parts in cands if diam == d]
     if not matched:
         return MinimizerReport(n, d, None, [], "sparse", len(cands), sound=False)
     tournament = _Tournament()
-    for g in matched:
-        if not tournament.above(g):
-            tournament.offer(g, classify(g))
+    lam, memo = None, {}
+    for heads, trees in matched:
+        if tournament.lam is not None:
+            if tournament.lam is not lam:
+                lam, memo = tournament.lam, {}
+            if _parts_order(trees, (lam.numerator, lam.denominator), memo) is Ordering.GREATER:
+                continue
+        g = _hang({}, heads, trees)
+        tournament.offer(g, classify(g))
     min_rho, winners = tournament.result()
     return MinimizerReport(
         n, d, min_rho, winners, "sparse", len(cands), sound=below_3_over_sqrt2(min_rho),

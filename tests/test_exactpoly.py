@@ -45,7 +45,7 @@ from rhomin.exactpoly import (
 from rhomin.families import ClosedQuipu, OpenQuipu, parse_spec_literal, realize, spider
 from rhomin.graphs import (build_graph, cycle_graph, graph6_decode, path_graph, peel_leaves,
                            star_graph)
-from rhomin.search import POWER_STEPS, _sparse_members, certified_screen
+from rhomin.search import POWER_STEPS, _hang, _sparse_members, certified_screen
 from graph_helpers import adjacency, disjoint_union, lams_around, perron_vector, relabel
 
 
@@ -602,8 +602,13 @@ def _assert_located(g):
         assert count_roots_halfopen(sturm_chain(root.poly), root.lo, root.hi) == 1
 
 
+def _small_sparse_graphs():
+    """Every tree and unicyclic graph with n <= 10, one per class, in code order by n."""
+    return [_hang({}, *parts) for n in range(1, 11) for _, _, parts in _sparse_members(n)]
+
+
 def test_locator_agrees_with_sturm_on_every_small_tree_and_unicyclic_graph():
-    graphs = [g for n in range(1, 11) for _, _, g in _sparse_members(n)]
+    graphs = _small_sparse_graphs()
     assert len(graphs) == 201 + 1040  # OEIS A000055 and A001429, n <= 10
     for g in graphs:
         _assert_located(g)
@@ -645,7 +650,7 @@ def test_locator_bisects_until_interlacing_isolates_rho(monkeypatch):
 def _hint_sample():
     """Every seventh tree and unicyclic graph with n <= 10, and six seeded
     random quipus with n = 20..60."""
-    small = [g for n in range(1, 11) for _, _, g in _sparse_members(n)][::7]
+    small = _small_sparse_graphs()[::7]
     return small + _hint_quipus()
 
 
@@ -710,7 +715,7 @@ def test_locator_takes_few_exact_passes(monkeypatch):
     import rhomin.exactpoly as ep
 
     passes = _counting(monkeypatch, "_inertia")
-    graphs = [g for n in range(1, 11) for _, _, g in _sparse_members(n)]
+    graphs = _small_sparse_graphs()
     for g in graphs:
         ep._locate(peel_leaves(g, range(g.n)))
     # the integer bracket, two probes and one interlacing test; bisection
@@ -723,7 +728,7 @@ def test_float_hint_takes_few_float_eliminations(monkeypatch):
 
     # each Newton step or bisection step is one _float_pivot pass;
     # bisection alone, from width 1 down to 2^-46, would take 46
-    graphs = [g for n in range(1, 11) for _, _, g in _sparse_members(n)] + _hint_quipus()
+    graphs = _small_sparse_graphs() + _hint_quipus()
     passes = _counting(monkeypatch, "_float_pivot")
     hints = _counting(monkeypatch, "_float_hint")
     for g in graphs:
@@ -740,7 +745,7 @@ def test_float_hint_never_raises():
     # integer, a triangle's leading minor at 1) or a last pivot keeps one
     # sign throughout; stars of high degree put a vertex's sum of hundreds
     # of reciprocals in one pivot
-    graphs = ([g for n in range(1, 11) for _, _, g in _sparse_members(n)] + _hint_quipus()
+    graphs = (_small_sparse_graphs() + _hint_quipus()
               + [star_graph(k + 1) for k in (50, 300, 1000)])
     for g in graphs:
         peel = peel_leaves(g, range(g.n))

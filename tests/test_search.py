@@ -1,6 +1,8 @@
 """Search oracles, generators, reports, and theorem-level verdicts."""
 
+import hashlib
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -12,8 +14,10 @@ from rhomin.exactpoly import (
     Ordering,
     below_3_over_sqrt2,
     charpoly,
+    compare_rho_to,
     compare_roots,
     rho_certified,
+    rho_certified_graph,
 )
 from rhomin.families import (
     ALL_KINDS,
@@ -33,10 +37,13 @@ from rhomin.graphs import (
     diameter,
     graph6_decode,
     path_graph,
+    star_graph,
 )
 from rhomin.search import (
     BudgetError,
+    _hang,
     _matched_batches,
+    _parts_order,
     _sparse_members,
     _Tournament,
     brute_force_all_graphs,
@@ -84,7 +91,8 @@ def test_generated_graphs_are_in_normal_form():
         members = _sparse_members(n)
         codes = [code for code, _, _ in members]
         assert all(a < b for a, b in zip(codes, codes[1:])), n
-        for code, diam, g in members:
+        for code, diam, parts in members:
+            g = _hang({}, *parts)
             ref = build_graph(g.n, g.edges())
             assert g == ref and hash(g) == hash(ref)
             assert code == canonical_code(g) and diam == diameter(g)
@@ -384,13 +392,71 @@ def test_every_member_the_sparse_oracle_drops_is_above_the_minimum():
         for d in range(-1, n + 1):
             rep = brute_force_sparse(n, d)
             winners = rep.winner_codes()
-            for code, diam, g in _sparse_members(n):
+            for code, diam, parts in _sparse_members(n):
                 if diam == d and code not in winners:
                     # a coarse Sturm root of its own, refined by compare_roots as needed
-                    root = rho_certified(charpoly(g), Fraction(1, 2**10))
+                    root = rho_certified(charpoly(_hang({}, *parts)), Fraction(1, 2**10))
                     assert compare_roots(root, rep.min_rho)[0] is Ordering.GREATER, (n, d, code)
                     drops += 1
     assert drops == 1197
+
+
+def test_parts_fold_agrees_with_compare_rho_to():
+    # one memo per lam, shared by every member: a memo keyed by anything
+    # coarser than a rooted tree's class hands one tree another's pivot
+    fixed = [Fraction(x) for x in (0, 1, Fraction(3, 2), 2, Fraction(9, 4), 3)]
+    fixed += [2 + Fraction(1, 2**30), 2 - Fraction(1, 2**30)]
+    memos, seen = {}, Counter()
+
+    def fold(parts, lam):
+        return _parts_order(parts[1], (lam.numerator, lam.denominator), memos.setdefault(lam, {}))
+
+    for n in range(1, 11):
+        for _, _, parts in _sparse_members(n):
+            g = _hang({}, *parts)
+            # the member's own radius rounded up to the grid, as the tournament rounds it
+            own = Fraction(math.ceil(rho_certified_graph(g).hi * 2**16), 2**16)
+            for lam in fixed + [own]:
+                got = fold(parts, lam)
+                assert got is compare_rho_to(g, lam), (canonical_code(g), lam)
+                seen[got] += 1
+    assert set(seen) == set(Ordering)
+    at_eigenvalue = [(build_graph(1, []), 0), (path_graph(2), 1), (star_graph(5), 2)]
+    at_eigenvalue += [(cycle_graph(n), 2) for n in range(3, 11)]
+    for g, lam in at_eigenvalue:
+        parts = next(p for code, _, p in _sparse_members(g.n) if code == canonical_code(g))
+        assert fold(parts, Fraction(lam)) is Ordering.EQUAL, canonical_code(g)
+
+
+def test_sparse_oracle_builds_only_the_graphs_it_offers(monkeypatch):
+    import rhomin.search
+
+    built = []
+    hang = rhomin.search._hang
+
+    def counting(*args):
+        built.append(args)
+        return hang(*args)
+
+    monkeypatch.setattr(rhomin.search, "_hang", counting)
+    _sparse_members.cache_clear()
+    rep = brute_force_sparse(13, 6)
+    assert len(built) == rep.stats["matched"] - rep.stats["screened_out"] == 24
+
+
+def test_sparse_oracle_digest_is_pinned():
+    # every report for n <= 12 and every d, pinned from an oracle that built
+    # every member's graph and asked compare_rho_to of each; min_rho's ends
+    # are left out, as a locator change may move them by one cell of its grid
+    digest = hashlib.sha256()
+    for n in range(1, 13):
+        for d in range(n + 1):
+            rep = brute_force_sparse(n, d).to_json()
+            if rep["min_rho"] is not None:
+                del rep["min_rho"]["lo"], rep["min_rho"]["hi"]
+            digest.update((json.dumps(rep, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == (
+        "1d64a8a307d969cd519d0c1acc0188ad2b3a35afa34a7e421a66e9788a01d2d8")
 
 
 def test_quipu_search_uses_no_float_screen(monkeypatch):
