@@ -13,11 +13,14 @@ on its centres or cycle with the pivot of each rooted tree memoised for
 the current lam, and the family search runs the pivot walk of
 families.enumerate_quipus, which carries the same elimination along the
 walk and cuts whole prefixes by it. Both build only the graphs they
-offer, and neither uses any float. The all-labeled-graphs oracle
-offers only the graphs that this module's exact Collatz-Wielandt screen,
-certified_screen, keeps with the integer vectors (A + I)^POWER_STEPS 1.
-That oracle alone uses numpy, and its functions import it when called, so
-`import rhomin` does not load numpy.
+offer, and neither uses any float. The all-labeled-graphs oracle walks
+every edge mask but goes on only with the degree-sorted ones, whose
+degrees do not decrease with the vertex label: every class has one, and
+each stands for n!/prod m_i! labelled graphs, m_i the multiplicities of
+its degrees. It offers only the graphs that this module's exact
+Collatz-Wielandt screen, certified_screen, keeps with the integer vectors
+(A + I)^POWER_STEPS 1. That oracle alone uses numpy, and its functions
+import it when called, so `import rhomin` does not load numpy.
 The module also packages the end-to-end verification that the minimum
 spectral radius at order 3k+1 and diameter 2k is attained exactly by the
 tied family of open quipus with parameters (i, i+j-1, j) over i+j=k.
@@ -197,14 +200,15 @@ def certified_screen(av: np.ndarray, v: np.ndarray):
 
 
 def _screen_batches(batches) -> tuple[np.ndarray, int]:
-    """The ids certified_screen keeps from batches of (ids, A v, v), and how
-    many there were. Each batch is screened alone, then what the batches keep
-    together; that equals one screen of all, as no batch drops the least U."""
+    """The ids certified_screen keeps from batches of (ids, A v, v, weights),
+    and the sum of the weights. Each batch is screened alone, then what the
+    batches keep together; that equals one screen of all, as no batch drops
+    the least U."""
     import numpy as np
 
     kept, total = [], 0
-    for ids, av, v in batches:
-        total += len(ids)
+    for ids, av, v, weights in batches:
+        total += int(weights.sum())
         keep = certified_screen(av, v)[0]
         kept.append((ids[keep], av[:, keep], v[:, keep]))
     if not kept:
@@ -215,9 +219,10 @@ def _screen_batches(batches) -> tuple[np.ndarray, int]:
 
 # brute_force_all_graphs screens with v = (A + I)^POWER_STEPS 1. Its entries
 # are largest for K_7, where v = 7^10 * 1 and A v = 6 * 7^10, so every
-# cross-product certified_screen forms is at most 6 * 7^20 < 2^63. For every
-# n <= 7 and d, ten steps keep the same labelled graphs as twelve; eight keep
-# three times as many at (7, 5).
+# cross-product certified_screen forms is at most 6 * 7^20 < 2^63. Over the
+# degree-sorted walk, for every n <= 7 and d, ten steps keep the same labelled
+# graphs as twelve wherever twelve stay within int64 (all but (6, 1), (7, 1)
+# and (7, 2)); eight keep three times as many at (7, 5), 54 against 18.
 POWER_STEPS = 10
 
 
@@ -225,29 +230,46 @@ POWER_STEPS = 10
 # oracle 1: every labeled graph on n <= 7 vertices
 
 def _matched_batches(n: int, d: int, pairs: list[tuple[int, int]]):
-    """(masks, A v, v) for the labelled graphs of order n and diameter d, one
-    chunk of edge masks at a time, with v = (A + I)^POWER_STEPS 1.
+    """(masks, A v, v, weights) for the degree-sorted labelled graphs of
+    order n and diameter d, one chunk of edge masks at a time, with
+    v = (A + I)^POWER_STEPS 1.
 
-    Each chunk holds every vertex's neighbourhood as an n-bit mask (one uint8
-    per vertex, since n <= 7). Reachability grows as bitsets: one step ORs
-    into reach[v] the neighbourhood of every u already in reach[v], so after
-    t steps reach[v] is the ball of radius t around v. A graph has diameter d
-    when every ball is full after d steps and not after d - 1; none has a
-    negative diameter, though a one-vertex ball is full after 0 steps."""
+    Of each chunk only the masks whose degrees do not decrease with the
+    vertex label go on; a vertex's degree is the popcount of the mask's bits
+    on its pairs. Every isomorphism class has such a labelling, its vertices
+    numbered in degree order, so every class is reached; L, U and U* do not
+    depend on the labelling, so certified_screen keeps the same classes as
+    over all masks. A class whose degree sequence has multiplicities m_i
+    has n!/|Aut| labellings, and prod m_i!/|Aut| of them are degree-sorted,
+    since automorphisms keep degrees. So each match weighs n!/prod m_i!,
+    and the weights sum to the number of labelled graphs of diameter d.
+
+    The survivors hold every vertex's neighbourhood as an n-bit mask (one
+    uint8 per vertex, since n <= 7). Reachability grows as bitsets: one step
+    ORs into reach[v] the neighbourhood of every u already in reach[v], so
+    after t steps reach[v] is the ball of radius t around v. A graph has
+    diameter d when every ball is full after d steps and not after d - 1;
+    none has a negative diameter, though a one-vertex ball is full after 0
+    steps."""
     import numpy as np
 
     if d < 0:
         return
     total = 1 << len(pairs)
-    # 2^14 masks make each int64 temporary 128 KB. At 2^17 the 1 MB
-    # temporaries were no faster, and depending on heap layout up to 5 MB of
-    # them stayed resident after the search.
-    chunk = 1 << 14
+    # Few masks survive the degree filter, so the filter's temporaries set
+    # the memory: 1 MB of int64 masks at 2^17. On a 2-core host, 2^17 took
+    # (7, 4) from 0.074 s at 2^14 to 0.048 s and left the oracle workload's
+    # peak RSS as it was; 2^18 raised it by 0.4 MB.
+    chunk = 1 << 17
+    incident = [np.int64(sum(1 << i for i, p in enumerate(pairs) if v in p)) for v in range(n)]
     full = np.uint8((1 << n) - 1)
     shifts = np.arange(n, dtype=np.uint8)
     own = (np.uint8(1) << shifts)[:, None]
     for start in range(0, total, chunk):
         masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        deg = np.stack([np.bitwise_count(masks & inc) for inc in incident])
+        keep = (deg[:-1] <= deg[1:]).all(axis=0)
+        masks, deg = masks[keep], deg[:, keep]
         # one row per vertex, one column per graph: numpy's inner loops
         # then run along the batch instead of along n
         nb = np.zeros((n, len(masks)), dtype=np.uint8)
@@ -267,18 +289,31 @@ def _matched_batches(n: int, d: int, pairs: list[tuple[int, int]]):
         idx = np.nonzero((reach == full).all(axis=0) & ~filled_before)[0]
         if len(idx) == 0:
             continue
+        # prod m_i! as the product, over the sorted degrees, of each one's
+        # place in its run of equal degrees
+        deg = deg[:, idx]
+        run = np.ones(len(idx), dtype=np.int64)
+        ties = np.ones(len(idx), dtype=np.int64)
+        for v in range(1, n):
+            run = np.where(deg[v] == deg[v - 1], run + 1, 1)
+            ties *= run
         # adj[u, w] is 1 when w is a neighbour of u, one column per graph
         adj = (nb[:, None, idx] >> shifts[:, None]) & 1
         vec = np.ones((n, len(idx)), dtype=np.int64)
         for _ in range(POWER_STEPS):
             vec += np.einsum("uwk,wk->uk", adj, vec)
-        yield masks[idx], np.einsum("uwk,wk->uk", adj, vec), vec
+        yield masks[idx], np.einsum("uwk,wk->uk", adj, vec), vec, math.factorial(n) // ties
 
 
 def brute_force_all_graphs(n: int, d: int) -> MinimizerReport:
     """Exhaustive minimum over all connected graphs of order n and diameter d,
-    iterating all 2^C(n,2) labeled graphs in vectorized batches, screened
-    exactly with the integer vectors (A + I)^POWER_STEPS 1."""
+    walking all 2^C(n,2) edge masks in vectorized batches. Only the
+    degree-sorted ones, at least one per class, get a diameter; those of
+    diameter d are screened exactly with the integer vectors
+    (A + I)^POWER_STEPS 1, and the classes kept are offered in code order.
+    `matched` counts the labelled graphs of diameter d, each degree-sorted
+    match standing for n!/prod m_i! of them (_matched_batches); `pool`
+    counts the classes offered."""
     if not 1 <= n <= 7:
         raise BudgetError("brute_force_all_graphs supports 1 <= n <= 7")
     pairs = list(combinations(range(n), 2))

@@ -145,6 +145,29 @@ def test_brute_force_all_matches_per_graph_bfs():
             assert brute_force_all_graphs(n, d).stats["matched"] == by_diameter[d], (n, d)
 
 
+def test_degree_sorted_walk_reaches_every_class_with_its_labelled_count():
+    # per-graph BFS over every labelled graph against the degree-sorted
+    # labelled graphs the batches yield: the same classes, and each class's
+    # weights sum to its number of labelled graphs
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        by_diameter = {}
+        for mask in range(1 << len(pairs)):
+            g = build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+            dg = diameter(g)
+            if dg is not None:
+                by_diameter.setdefault(dg, Counter())[canonical_code(g)] += 1
+        for d in range(-1, n + 2):
+            walked = Counter()
+            for masks, _, _, weights in _matched_batches(n, d, pairs):
+                for mask, weight in zip(masks.tolist(), weights.tolist()):
+                    g = build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+                    degrees = [g.degree(v) for v in range(n)]
+                    assert degrees == sorted(degrees), (n, d, mask)
+                    walked[canonical_code(g)] += weight
+            assert walked == by_diameter.get(d, Counter()), (n, d)
+
+
 def test_brute_force_all_order7_diameter4_stats():
     stats = brute_force_all_graphs(7, 4).stats
     assert stats == {"matched": 194040, "pool": 2}
@@ -178,17 +201,17 @@ def test_wrong_vector_moves_loser_into_tournament(monkeypatch):
     pools.append(set())
     base = brute_force_all_graphs(n, d)
     # the first labelled graph whose class the screen keeps out of the pool
-    masks = [mk for batch, _, _ in _matched_batches(n, d, pairs) for mk in batch.tolist()]
+    masks = [mk for batch, _, _, _ in _matched_batches(n, d, pairs) for mk in batch.tolist()]
     loser = next(mk for mk in masks if canonical_code(labelled(mk)) not in pools[0])
     degrees = adjacency(labelled(loser)).sum(axis=1)
     batches = rhomin.search._matched_batches
 
     def patched(*args):
         # a flat vector widens the loser's bracket to [least, largest degree]
-        for batch, av, v in batches(*args):
+        for batch, av, v, weights in batches(*args):
             for j in np.flatnonzero(batch == loser):
                 av[:, j], v[:, j] = degrees, 1
-            yield batch, av, v
+            yield batch, av, v, weights
 
     monkeypatch.setattr(rhomin.search, "_matched_batches", patched)
     pools.append(set())
@@ -457,6 +480,22 @@ def test_sparse_oracle_digest_is_pinned():
             digest.update((json.dumps(rep, sort_keys=True) + "\n").encode())
     assert digest.hexdigest() == (
         "1d64a8a307d969cd519d0c1acc0188ad2b3a35afa34a7e421a66e9788a01d2d8")
+
+
+def test_all_graphs_oracle_digest_is_pinned():
+    # every report for n <= 6 and every d, pinned from the oracle that
+    # walked every labelled graph; winners by canonical code and spec, as
+    # the labelling a report holds of each winner class may change
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for d in range(-1, n + 2):
+            rep = brute_force_all_graphs(n, d)
+            rec = rep.to_json()
+            rec["winners"] = [[w.code.hex(), j["spec"]]
+                              for w, j in zip(rep.winners, rec["winners"])]
+            digest.update((json.dumps(rec, sort_keys=True) + "\n").encode())
+    assert digest.hexdigest() == (
+        "d6a528820163447510edf6f0d7e27b3e8cac6fc2bd824ae794eb31a2498d8d7a")
 
 
 def test_quipu_search_uses_no_float_screen(monkeypatch):
