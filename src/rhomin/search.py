@@ -30,11 +30,10 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import combinations, product
 
 from .exactpoly import (
     CertifiedRoot,
@@ -384,47 +383,58 @@ def _hang(rows: dict, heads: list[tuple[int, ...]], trees: list[_Rooted]) -> Gra
 @functools.cache
 def _sparse_members(n: int) -> list[tuple[bytes, int, tuple]]:
     """Every free tree and connected unicyclic graph of order n, one per
-    isomorphism class, as (canonical code, diameter, parts) in code order.
-    Code and diameter are read off the parts, built from rooted trees that
-    are multisets of smaller ones (Wright, Richmond, Odlyzko & McKay, 1986):
-    a tree rooted at its centre, or at the centre giving its code with the
-    other as its tallest subtree; a cycle carrying rooted trees whose ranks
-    by code are the least of their rotations and reflections. The parts are
-    _hang's (heads, trees): one centre, two centres or the cycle, and the
-    rooted trees hung on them, shared among members. No graph is built
-    here; _hang({}, *parts) builds one, centres and cycle numbered first,
-    so its rows come out sorted as build_graph leaves them."""
+    isomorphism class, as (canonical code, diameter, parts) in code order,
+    each made once from a pool of smaller rooted trees (Wright, Richmond,
+    Odlyzko & McKay, 1986). A central tree's root has two or more tallest
+    subtrees, of height top: diameter 2*top + 2. A bicentral tree is two of
+    height top and total order n, rooted at the side of smaller code (its
+    tree_code): diameter 2*top + 1. A cycle's c >= 3 trees have ranks by code
+    least among rotations and reflections, walked depth first from the least
+    over ranks no less, by order; the last is at least the second, so only a
+    tie there or a repeated least rank needs the full test. Its diameter is
+    the most of the trees' own, the tallest height plus c//2 (to the vertex
+    opposite) and h_i + h_j + cycle distance over trees of positive height:
+    a pair with a height-0 end spans at most the other's height plus c//2.
+    No graph is built; parts are _hang's (heads, trees), trees shared, and
+    _hang({}, *parts) numbers centres or cycle first, rows sorted as build_graph's."""
     pool = [_Rooted(b"()", 1, 0, 0, ())]
     for size in range(2, n - 1):
         pool += [_root(kids) for kids in _forests(size - 1, pool, len(pool))]
-    members = []
-    for t in map(_root, _forests(n - 1, pool, len(pool))):
-        if t.diam == 2 * t.height:
-            members.append((tree_code([[k.code for k in t.kids]]), t.diam, ([()], [t])))
-        elif t.diam == 2 * t.height - 1:
-            b = max(t.kids, key=lambda k: k.height)
-            a = tuple(k for k in t.kids if k is not b)
-            code = tree_code([[k.code for k in a], [k.code for k in b.kids]])
-            if code == b"T:" + t.code:
-                members.append((code, t.diam, ([(1,), (0,)], [_root(a), b])))
+    members, pos = [], {t.code: i for i, t in enumerate(pool)}
+    for top in range(-1, n // 2):  # -1: the lone vertex, which has no subtree
+        tall, lower = [t for t in pool if t.height == top], [t for t in pool if t.height < top]
+        for x, y in (f for f in _forests(n, tall, len(tall)) if len(f) == 2):
+            members.append(min((tree_code([[k.code for k in a.kids] + [b.code]]), 2 * top + 1,
+                                ([(1,), (0,)], [a, b])) for a, b in ((x, y), (y, x))))
+        for size in range(2 * top + 2, n):
+            his = [f for f in _forests(size, tall, len(tall)) if len(f) != 1]
+            for hi, lo in product(his, _forests(n - 1 - size, lower, len(lower))):
+                t = _root(tuple(sorted(hi + lo, key=lambda k: pos[k.code], reverse=True)))
+                members.append((tree_code([[k.code for k in t.kids]]), 2 * top + 2, ([()], [t])))
     ranked = sorted(pool, key=lambda t: t.code)
-    ranks = [[r for r, t in enumerate(ranked) if t.size == size] for size in range(n)]
+    above = [[] for _ in range(n)]  # above[s]: the ranks of order s from `first` on, descending
     heads = [[tuple(sorted(((v - 1) % c, (v + 1) % c))) for v in range(c)] for c in range(n + 1)]
-    for first, t in enumerate(ranked):
-        # `first` is the least rank on the cycle; cuts split the order left among the others
-        left = n - t.size
-        for cuts in chain.from_iterable(combinations(range(1, left), k) for k in range(1, left)):
-            sizes = [b - a for a, b in zip((0, *cuts), (*cuts, left))]
-            for rest in product(*(ranks[s][bisect_left(ranks[s], first):] for s in sizes)):
-                seq, c = (first, *rest), len(cuts) + 2
-                if any(seq > s[i:] + s[:i] for s in (seq, seq[::-1])
-                       for i in range(c) if s[i] == first):
-                    continue
-                hang = [ranked[r] for r in seq]
-                h = [t.height for t in hang]
-                diam = max([t.diam for t in hang] + [h[i] + h[j] + min(j - i, c - j + i)
-                                                     for j in range(c) for i in range(j)])
-                members.append((unicyclic_code([t.code for t in hang]), diam, (heads[c], hang)))
+    hops = [[min(k, c - k) for k in range(c)] for c in range(n + 1)]
+
+    def walk(seq: tuple[int, ...], left: int) -> None:
+        for s in range(1, left):
+            for r in above[s]:
+                walk(seq + (r,), left - s)
+        for r in above[left] if len(seq) > 1 else ():
+            if r < seq[1]:
+                break
+            cyc, c = seq + (r,), len(seq) + 1
+            if r == seq[1] and cyc[1:] > cyc[:0:-1] or cyc.count(seq[0]) > 1 and cyc > min(
+                    s[i:] + s[:i] for s in (cyc, cyc[::-1]) for i in range(c) if s[i] == seq[0]):
+                continue
+            hang = [ranked[k] for k in cyc]
+            h, hop = [t.height for t in hang], hops[c]
+            diam = max([t.diam for t in hang] + [max(h) + c // 2] + [h[i] + h[j] + hop[j - i]
+                       for i, j in combinations([i for i in range(c) if h[i]], 2)])
+            members.append((unicyclic_code([t.code for t in hang]), diam, (heads[c], hang)))
+    for first in reversed(range(len(ranked) if n > 2 else 0)):
+        above[ranked[first].size].append(first)
+        walk((first,), n - ranked[first].size)
     return sorted(members)
 
 

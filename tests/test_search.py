@@ -36,6 +36,7 @@ from rhomin.graphs import (
     cycle_graph,
     diameter,
     graph6_decode,
+    graph6_encode,
     path_graph,
     star_graph,
 )
@@ -86,16 +87,49 @@ def test_generated_graphs_are_in_normal_form():
     # Graph values key the root cache, so a generated graph must equal (and
     # hash like) the one build_graph makes from the same edges. The codes and
     # diameters read off the construction are checked against the
-    # leaf-peeling canonical code and one BFS per vertex.
-    for n in range(1, 12):
+    # leaf-peeling canonical code and one BFS per vertex: every member up to
+    # n = 11; past it every 12th, every cycle of length >= n - 2, and every
+    # cycle of length >= 10 with two or more hung trees of positive height,
+    # where the diameter rule pairs trees rather than reading one height off
+    # the cycle.
+    sampled = 0
+    for n in range(1, 15):
         members = _sparse_members(n)
         codes = [code for code, _, _ in members]
         assert all(a < b for a, b in zip(codes, codes[1:])), n
-        for code, diam, parts in members:
-            g = _hang({}, *parts)
+        for m, (code, diam, (heads, trees)) in enumerate(members):
+            cycle = len(trees) if code.startswith(b"U:") else 0
+            if n > 11 and m % 12 and cycle < n - 2 and (
+                    cycle < 10 or sum(t.height > 0 for t in trees) < 2):
+                continue
+            g = _hang({}, heads, trees)
             ref = build_graph(g.n, g.edges())
             assert g == ref and hash(g) == hash(ref)
             assert code == canonical_code(g) and diam == diameter(g)
+            sampled += n > 11
+    assert sampled == 5417
+
+
+def test_sparse_members_digest_is_pinned():
+    # every member's code, diameter and built graph for n <= 13, pinned from
+    # the generator that rooted every rooted tree of order n and tried every
+    # composition of the cycle; the histogram pins n = 14
+    digest = hashlib.sha256()
+    for n in range(1, 14):
+        for code, diam, parts in _sparse_members(n):
+            digest.update(code + b" %d " % diam + graph6_encode(_hang({}, *parts)).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "e74d60140530a9cabdae2413951ddc36b38292413b442a4dab0c1d4829cda33f")
+    members = _sparse_members(14)
+    assert len(members) == 42419
+    assert Counter((code[:1], diam) for code, diam, _ in members) == {
+        (b"T", 2): 1, (b"T", 3): 6, (b"T", 4): 88, (b"T", 5): 322, (b"T", 6): 755,
+        (b"T", 7): 850, (b"T", 8): 645, (b"T", 9): 328, (b"T", 10): 123, (b"T", 11): 34,
+        (b"T", 12): 6, (b"T", 13): 1,
+        (b"U", 2): 1, (b"U", 3): 36, (b"U", 4): 955, (b"U", 5): 5397, (b"U", 6): 11755,
+        (b"U", 7): 11154, (b"U", 8): 6528, (b"U", 9): 2579, (b"U", 10): 715, (b"U", 11): 128,
+        (b"U", 12): 12,
+    }
 
 
 def test_generator_edge_cases():
