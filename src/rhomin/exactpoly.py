@@ -113,9 +113,6 @@ class IntPoly:
                     out[i + j] += a * b
         return IntPoly(tuple(out))
 
-    def scale(self, k: int) -> "IntPoly":
-        return IntPoly(tuple(k * c for c in self.coeffs))
-
     def shift(self, k: int) -> "IntPoly":
         """Multiply by x^k."""
         if self.is_zero:
@@ -256,11 +253,6 @@ def _var_at(chain, x: Rational) -> int:
 
 def _var_at_inf(chain) -> int:
     return _variations([(q.lead > 0) - (q.lead < 0) for q in chain])
-
-
-def count_roots_halfopen(chain, a: Rational, b: Rational) -> int:
-    """Number of distinct real roots in (a, b] of the chain's first entry."""
-    return _var_at(chain, a) - _var_at(chain, b)
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,15 @@ on its centres or cycle with the pivot of each rooted tree memoised for
 the current lam, and the family search runs the pivot walk of
 families.enumerate_quipus, which carries the same elimination along the
 walk and cuts whole prefixes by it. Both build only the graphs they
-offer, and neither uses any float. The all-labeled-graphs oracle walks
-every edge mask but goes on only with the degree-sorted ones, whose
-degrees do not decrease with the vertex label: every class has one, and
+offer, and neither uses any float. The all-labeled-graphs oracle
+generates only the degree-sorted edge masks, whose degrees do not
+decrease with the vertex label, pair by pair: every class has one, and
 each stands for n!/prod m_i! labelled graphs, m_i the multiplicities of
-its degrees. It offers only the graphs that this module's exact
-Collatz-Wielandt screen, certified_screen, keeps with the integer vectors
-(A + I)^POWER_STEPS 1. That oracle alone uses numpy, and its functions
-import it when called, so `import rhomin` does not load numpy.
+its degrees. It screens them once and offers only the graphs that this
+module's exact Collatz-Wielandt screen, certified_screen, keeps with the
+integer vectors (A + I)^POWER_STEPS 1. That oracle alone uses numpy, and
+its functions import it when called, so `import rhomin` does not load
+numpy.
 The module also packages the end-to-end verification that the minimum
 spectral radius at order 3k+1 and diameter 2k is attained exactly by the
 tied family of open quipus with parameters (i, i+j-1, j) over i+j=k.
@@ -198,24 +199,6 @@ def certified_screen(av: np.ndarray, v: np.ndarray):
     return lo_p * best_q <= best_p * lo_q, (lo_p, lo_q), (hi_p, hi_q)
 
 
-def _screen_batches(batches) -> tuple[np.ndarray, int]:
-    """The ids certified_screen keeps from batches of (ids, A v, v, weights),
-    and the sum of the weights. Each batch is screened alone, then what the
-    batches keep together; that equals one screen of all, as no batch drops
-    the least U."""
-    import numpy as np
-
-    kept, total = [], 0
-    for ids, av, v, weights in batches:
-        total += int(weights.sum())
-        keep = certified_screen(av, v)[0]
-        kept.append((ids[keep], av[:, keep], v[:, keep]))
-    if not kept:
-        return np.zeros(0, dtype=np.int64), 0
-    ids, av, v = (np.concatenate(part, axis=-1) for part in zip(*kept))
-    return ids[certified_screen(av, v)[0]], total
-
-
 # brute_force_all_graphs screens with v = (A + I)^POWER_STEPS 1. Its entries
 # are largest for K_7, where v = 7^10 * 1 and A v = 6 * 7^10, so every
 # cross-product certified_screen forms is at most 6 * 7^20 < 2^63. Over the
@@ -228,20 +211,23 @@ POWER_STEPS = 10
 # ---------------------------------------------------------------------------
 # oracle 1: every labeled graph on n <= 7 vertices
 
-def _matched_batches(n: int, d: int, pairs: list[tuple[int, int]]):
+def _matched(n: int, d: int, pairs: list[tuple[int, int]]):
     """(masks, A v, v, weights) for the degree-sorted labelled graphs of
-    order n and diameter d, one chunk of edge masks at a time, with
-    v = (A + I)^POWER_STEPS 1.
+    order n and diameter d, masks ascending, with v = (A + I)^POWER_STEPS 1.
 
-    Of each chunk only the masks whose degrees do not decrease with the
-    vertex label go on; a vertex's degree is the popcount of the mask's bits
-    on its pairs. Every isomorphism class has such a labelling, its vertices
-    numbered in degree order, so every class is reached; L, U and U* do not
-    depend on the labelling, so certified_screen keeps the same classes as
-    over all masks. A class whose degree sequence has multiplicities m_i
-    has n!/|Aut| labellings, and prod m_i!/|Aut| of them are degree-sorted,
-    since automorphisms keep degrees. So each match weighs n!/prod m_i!,
-    and the weights sum to the number of labelled graphs of diameter d.
+    The degree-sorted masks, whose degrees do not decrease with the vertex
+    label, are generated pair by pair in `pairs` order: each pair doubles
+    the partial masks (without it, then with it), each carrying its partial
+    degrees, so the masks stay ascending. The pair (u, n - 1) is the last
+    one at u, so its degree is final there and a mask with deg(u - 1) >
+    deg(u) is dropped; the last pair also fixes deg(n - 1). Every
+    isomorphism class has such a labelling, its vertices numbered in degree
+    order, so every class is reached; L, U and U* do not depend on the
+    labelling, so certified_screen keeps the same classes as over all masks.
+    A class whose degree sequence has multiplicities m_i has n!/|Aut|
+    labellings, and prod m_i!/|Aut| of them are degree-sorted, since
+    automorphisms keep degrees. So each match weighs n!/prod m_i!, and the
+    weights sum to the number of labelled graphs of diameter d.
 
     The survivors hold every vertex's neighbourhood as an n-bit mask (one
     uint8 per vertex, since n <= 7). Reachability grows as bitsets: one step
@@ -252,78 +238,74 @@ def _matched_batches(n: int, d: int, pairs: list[tuple[int, int]]):
     steps."""
     import numpy as np
 
-    if d < 0:
-        return
-    total = 1 << len(pairs)
-    # Few masks survive the degree filter, so the filter's temporaries set
-    # the memory: 1 MB of int64 masks at 2^17. On a 2-core host, 2^17 took
-    # (7, 4) from 0.074 s at 2^14 to 0.048 s and left the oracle workload's
-    # peak RSS as it was; 2^18 raised it by 0.4 MB.
-    chunk = 1 << 17
-    incident = [np.int64(sum(1 << i for i, p in enumerate(pairs) if v in p)) for v in range(n)]
+    # 2^21 masks at n = 7 fit int32; at most 145,208 partial ones are alive
+    masks = np.zeros(1, dtype=np.int32)
+    deg = np.zeros((n, 1), dtype=np.uint8)
+    vertex = np.arange(n)[:, None]
+    for i, (u, v) in enumerate(pairs):
+        masks = np.concatenate([masks, masks | np.int32(1 << i)])
+        deg = np.concatenate([deg, deg + ((vertex == u) | (vertex == v))], axis=1)
+        if v == n - 1 and u:
+            keep = deg[u - 1] <= deg[u]
+            masks, deg = masks[keep], deg[:, keep]
+    keep = (deg[:-1] <= deg[1:]).all(axis=0)
+    masks, deg = masks[keep], deg[:, keep]
     full = np.uint8((1 << n) - 1)
     shifts = np.arange(n, dtype=np.uint8)
-    own = (np.uint8(1) << shifts)[:, None]
-    for start in range(0, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        deg = np.stack([np.bitwise_count(masks & inc) for inc in incident])
-        keep = (deg[:-1] <= deg[1:]).all(axis=0)
-        masks, deg = masks[keep], deg[:, keep]
-        # one row per vertex, one column per graph: numpy's inner loops
-        # then run along the batch instead of along n
-        nb = np.zeros((n, len(masks)), dtype=np.uint8)
-        for i, (u, v) in enumerate(pairs):
-            bit = ((masks >> i) & 1).astype(np.uint8)
-            nb[u] |= bit << v
-            nb[v] |= bit << u
-        reach = np.repeat(own, len(masks), axis=1)
-        filled_before = np.zeros(len(masks), dtype=bool)
-        for t in range(1, d + 1):
-            if t == d:
-                filled_before = (reach == full).all(axis=0)
-            grown = reach.copy()
-            for u in range(n):
-                grown |= ((reach >> u) & 1) * nb[u]
-            reach = grown
-        idx = np.nonzero((reach == full).all(axis=0) & ~filled_before)[0]
-        if len(idx) == 0:
-            continue
-        # prod m_i! as the product, over the sorted degrees, of each one's
-        # place in its run of equal degrees
-        deg = deg[:, idx]
-        run = np.ones(len(idx), dtype=np.int64)
-        ties = np.ones(len(idx), dtype=np.int64)
-        for v in range(1, n):
-            run = np.where(deg[v] == deg[v - 1], run + 1, 1)
-            ties *= run
-        # adj[u, w] is 1 when w is a neighbour of u, one column per graph
-        adj = (nb[:, None, idx] >> shifts[:, None]) & 1
-        vec = np.ones((n, len(idx)), dtype=np.int64)
-        for _ in range(POWER_STEPS):
-            vec += np.einsum("uwk,wk->uk", adj, vec)
-        yield masks[idx], np.einsum("uwk,wk->uk", adj, vec), vec, math.factorial(n) // ties
+    # one row per vertex, one column per graph: numpy's inner loops then
+    # run along the batch instead of along n
+    nb = np.zeros((n, len(masks)), dtype=np.uint8)
+    for i, (u, v) in enumerate(pairs):
+        bit = ((masks >> i) & 1).astype(np.uint8)
+        nb[u] |= bit << v
+        nb[v] |= bit << u
+    reach = np.repeat((np.uint8(1) << shifts)[:, None], len(masks), axis=1)
+    filled_before = np.full(len(masks), d < 0)  # so a negative d matches nothing
+    for t in range(1, d + 1):
+        if t == d:
+            filled_before = (reach == full).all(axis=0)
+        grown = reach.copy()
+        for u in range(n):
+            grown |= ((reach >> u) & 1) * nb[u]
+        reach = grown
+    idx = np.nonzero((reach == full).all(axis=0) & ~filled_before)[0]
+    # prod m_i! as the product, over the sorted degrees, of each one's
+    # place in its run of equal degrees
+    deg = deg[:, idx]
+    run = np.ones(len(idx), dtype=np.int64)
+    ties = np.ones(len(idx), dtype=np.int64)
+    for v in range(1, n):
+        run = np.where(deg[v] == deg[v - 1], run + 1, 1)
+        ties *= run
+    # adj[u, w] is 1 when w is a neighbour of u, one column per graph
+    adj = (nb[:, None, idx] >> shifts[:, None]) & 1
+    vec = np.ones((n, len(idx)), dtype=np.int64)
+    for _ in range(POWER_STEPS):
+        vec += np.einsum("uwk,wk->uk", adj, vec)
+    return masks[idx], np.einsum("uwk,wk->uk", adj, vec), vec, math.factorial(n) // ties
 
 
 def brute_force_all_graphs(n: int, d: int) -> MinimizerReport:
-    """Exhaustive minimum over all connected graphs of order n and diameter d,
-    walking all 2^C(n,2) edge masks in vectorized batches. Only the
-    degree-sorted ones, at least one per class, get a diameter; those of
-    diameter d are screened exactly with the integer vectors
+    """Exhaustive minimum over all connected graphs of order n and diameter d.
+    Only the degree-sorted labellings of the 2^C(n,2) edge masks, at least
+    one per class, are generated and get a diameter; those of diameter d
+    are screened once, exactly, with the integer vectors
     (A + I)^POWER_STEPS 1, and the classes kept are offered in code order.
     `matched` counts the labelled graphs of diameter d, each degree-sorted
-    match standing for n!/prod m_i! of them (_matched_batches); `pool`
-    counts the classes offered."""
+    match standing for n!/prod m_i! of them (_matched); `pool` counts the
+    classes offered."""
     if not 1 <= n <= 7:
         raise BudgetError("brute_force_all_graphs supports 1 <= n <= 7")
     pairs = list(combinations(range(n), 2))
     m = len(pairs)
     total = 1 << m
-    pool_masks, matched = _screen_batches(_matched_batches(n, d, pairs))
+    masks, av, v, weights = _matched(n, d, pairs)
+    matched = int(weights.sum())
     if not matched:
         return MinimizerReport(n, d, None, [], "all-graphs", total,
                                stats={"matched": matched})
     seen: dict[bytes, Graph] = {}
-    for mk in pool_masks.tolist():
+    for mk in masks[certified_screen(av, v)[0]].tolist():
         g = build_graph(n, [pairs[i] for i in range(m) if mk >> i & 1])
         seen.setdefault(canonical_code(g), g)
     tournament = _Tournament()
@@ -360,23 +342,21 @@ def _forests(total: int, pool: list[_Rooted], bound: int):
             yield (pool[i], *rest)
 
 
-def _place(adj: list, rows: dict, t: _Rooted, parent: int) -> int:
+def _place(adj: list, t: _Rooted, parent: int) -> int:
     """Append t's vertices to adj depth-first below `parent` and return the
-    label of t's root. Rows are interned in `rows`, so graphs share them."""
+    label of t's root."""
     v = len(adj)
     adj.append(None)
-    row = (parent, *[_place(adj, rows, k, v) for k in t.kids])
-    adj[v] = rows.setdefault(row, row)
+    adj[v] = (parent, *[_place(adj, k, v) for k in t.kids])
     return v
 
 
-def _hang(rows: dict, heads: list[tuple[int, ...]], trees: list[_Rooted]) -> Graph:
+def _hang(heads: list[tuple[int, ...]], trees: list[_Rooted]) -> Graph:
     """The graph whose vertices 0..len(heads)-1 are adjacent to their heads
     and carry the given rooted trees, numbered in that order after them."""
     adj = list(heads)
     for v, (head, t) in enumerate(zip(heads, trees)):
-        row = head + tuple([_place(adj, rows, k, v) for k in t.kids])
-        adj[v] = rows.setdefault(row, row)
+        adj[v] = head + tuple([_place(adj, k, v) for k in t.kids])
     return Graph(len(adj), tuple(adj))
 
 
@@ -396,7 +376,9 @@ def _sparse_members(n: int) -> list[tuple[bytes, int, tuple]]:
     opposite) and h_i + h_j + cycle distance over trees of positive height:
     a pair with a height-0 end spans at most the other's height plus c//2.
     No graph is built; parts are _hang's (heads, trees), trees shared, and
-    _hang({}, *parts) numbers centres or cycle first, rows sorted as build_graph's."""
+    _hang(*parts) numbers centres or cycle first, rows sorted as build_graph's."""
+    if n > 14:
+        raise BudgetError("trees and unicyclic graphs are generated for n <= 14")
     pool = [_Rooted(b"()", 1, 0, 0, ())]
     for size in range(2, n - 1):
         pool += [_root(kids) for kids in _forests(size - 1, pool, len(pool))]
@@ -439,17 +421,16 @@ def _sparse_members(n: int) -> list[tuple[bytes, int, tuple]]:
 
 
 def free_trees(n: int) -> list[Graph]:
-    """All free trees of order n, one per isomorphism class, in code order."""
+    """All free trees of order n <= 14, one per isomorphism class, in code order."""
     if n < 1:
         raise ValueError("need n >= 1")
-    rows = {}
-    return [_hang(rows, *parts) for code, _, parts in _sparse_members(n) if code.startswith(b"T:")]
+    return [_hang(*parts) for code, _, parts in _sparse_members(n) if code.startswith(b"T:")]
 
 
 def unicyclic_graphs(n: int) -> list[Graph]:
-    """All connected unicyclic graphs of order n, one per isomorphism class, in code order."""
-    rows = {}
-    return [_hang(rows, *parts) for code, _, parts in _sparse_members(n) if code.startswith(b"U:")]
+    """All connected unicyclic graphs of order n <= 14, one per isomorphism class, in
+    code order."""
+    return [_hang(*parts) for code, _, parts in _sparse_members(n) if code.startswith(b"U:")]
 
 
 def _root_pivot(t: _Rooted, lam: tuple[int, int], memo: dict) -> tuple | None:
@@ -500,7 +481,7 @@ def brute_force_sparse(n: int, d: int) -> MinimizerReport:
     lam is dropped; `screened_out` counts these. Each other member is built
     as a graph and offered. The root pivots of the hung trees are memoised
     by code for each lam and forgotten when lam tightens."""
-    if not 1 <= n <= 14:
+    if n < 1:
         raise BudgetError("brute_force_sparse supports 1 <= n <= 14")
     cands = _sparse_members(n)
     matched = [parts for _, diam, parts in cands if diam == d]
@@ -514,7 +495,7 @@ def brute_force_sparse(n: int, d: int) -> MinimizerReport:
                 lam, memo = tournament.lam, {}
             if _parts_order(trees, (lam.numerator, lam.denominator), memo) is Ordering.GREATER:
                 continue
-        g = _hang({}, heads, trees)
+        g = _hang(heads, trees)
         tournament.offer(g, classify(g))
     min_rho, winners = tournament.result()
     return MinimizerReport(

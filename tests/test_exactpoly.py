@@ -28,7 +28,6 @@ from rhomin.exactpoly import (
     compare_rho,
     compare_rho_to,
     compare_roots,
-    count_roots_halfopen,
     cycle_after,
     cycle_close,
     cycle_pivot,
@@ -47,6 +46,17 @@ from rhomin.graphs import (build_graph, cycle_graph, graph6_decode, path_graph, 
                            star_graph)
 from rhomin.search import POWER_STEPS, _hang, _sparse_members, certified_screen
 from graph_helpers import adjacency, disjoint_union, lams_around, perron_vector, relabel
+
+
+def count_roots_halfopen(chain, a: Fraction, b: Fraction) -> int:
+    """Number of distinct real roots in (a, b] of the first entry of a
+    sturm_chain: its sign variations at a less those at b (Sturm)."""
+
+    def variations(x):
+        signs = [s for s in (q.sign_at(x) for q in chain) if s]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return variations(a) - variations(b)
 
 
 def test_poly_arithmetic():
@@ -604,7 +614,7 @@ def _assert_located(g):
 
 def _small_sparse_graphs():
     """Every tree and unicyclic graph with n <= 10, one per class, in code order by n."""
-    return [_hang({}, *parts) for n in range(1, 11) for _, _, parts in _sparse_members(n)]
+    return [_hang(*parts) for n in range(1, 11) for _, _, parts in _sparse_members(n)]
 
 
 def test_locator_agrees_with_sturm_on_every_small_tree_and_unicyclic_graph():

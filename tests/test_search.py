@@ -43,7 +43,7 @@ from rhomin.graphs import (
 from rhomin.search import (
     BudgetError,
     _hang,
-    _matched_batches,
+    _matched,
     _parts_order,
     _sparse_members,
     _Tournament,
@@ -102,7 +102,7 @@ def test_generated_graphs_are_in_normal_form():
             if n > 11 and m % 12 and cycle < n - 2 and (
                     cycle < 10 or sum(t.height > 0 for t in trees) < 2):
                 continue
-            g = _hang({}, heads, trees)
+            g = _hang(heads, trees)
             ref = build_graph(g.n, g.edges())
             assert g == ref and hash(g) == hash(ref)
             assert code == canonical_code(g) and diam == diameter(g)
@@ -117,7 +117,7 @@ def test_sparse_members_digest_is_pinned():
     digest = hashlib.sha256()
     for n in range(1, 14):
         for code, diam, parts in _sparse_members(n):
-            digest.update(code + b" %d " % diam + graph6_encode(_hang({}, *parts)).encode() + b"\n")
+            digest.update(code + b" %d " % diam + graph6_encode(_hang(*parts)).encode() + b"\n")
     assert digest.hexdigest() == (
         "e74d60140530a9cabdae2413951ddc36b38292413b442a4dab0c1d4829cda33f")
     members = _sparse_members(14)
@@ -153,6 +153,11 @@ def test_budget_guards():
         brute_force_sparse(15, 5)
     with pytest.raises(BudgetError):
         naive_free_tree_count(9)
+    cached = _sparse_members.cache_info().currsize
+    for generator in (free_trees, unicyclic_graphs):
+        with pytest.raises(BudgetError):
+            generator(15)
+    assert _sparse_members.cache_info().currsize == cached
 
 
 def test_brute_force_all_small_paths():
@@ -193,13 +198,38 @@ def test_degree_sorted_walk_reaches_every_class_with_its_labelled_count():
                 by_diameter.setdefault(dg, Counter())[canonical_code(g)] += 1
         for d in range(-1, n + 2):
             walked = Counter()
-            for masks, _, _, weights in _matched_batches(n, d, pairs):
-                for mask, weight in zip(masks.tolist(), weights.tolist()):
-                    g = build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
-                    degrees = [g.degree(v) for v in range(n)]
-                    assert degrees == sorted(degrees), (n, d, mask)
-                    walked[canonical_code(g)] += weight
+            masks, _, _, weights = _matched(n, d, pairs)
+            for mask, weight in zip(masks.tolist(), weights.tolist()):
+                g = build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+                degrees = [g.degree(v) for v in range(n)]
+                assert degrees == sorted(degrees), (n, d, mask)
+                walked[canonical_code(g)] += weight
             assert walked == by_diameter.get(d, Counter()), (n, d)
+
+
+def test_degree_sorted_generator_matches_the_popcount_filter():
+    # the masks over every d, each call's ascending, against a popcount of
+    # every vertex's degree over all 2^C(n,2) edge masks: exactly the
+    # degree-sorted masks of connected graphs
+    for n in range(1, 8):
+        pairs = list(combinations(range(n), 2))
+        every = np.arange(1 << len(pairs), dtype=np.int32)
+        deg = np.zeros((n, len(every)), dtype=np.uint8)
+        for i, (u, v) in enumerate(pairs):
+            bit = ((every >> i) & 1).astype(np.uint8)
+            deg[u] += bit
+            deg[v] += bit
+        degree_sorted = every[(deg[:-1] <= deg[1:]).all(axis=0)].tolist()
+        connected = [mask for mask in degree_sorted
+                     if diameter(build_graph(n, [p for i, p in enumerate(pairs)
+                                                 if mask >> i & 1])) is not None]
+        walked = []
+        for d in range(-1, n + 2):
+            masks = _matched(n, d, pairs)[0].tolist()
+            assert masks == sorted(set(masks)), (n, d)
+            walked += masks
+        assert sorted(walked) == connected, n
+    assert len(degree_sorted) == 16758  # n = 7
 
 
 def test_brute_force_all_order7_diameter4_stats():
@@ -213,6 +243,23 @@ def test_brute_force_all_complete_graph_at_the_largest_power_entries():
     rep = brute_force_all_graphs(7, 1)
     assert rep.stats == {"matched": 1, "pool": 1}
     assert rep.min_rho.exact and rep.min_rho.lo == 6
+
+
+def test_all_graphs_oracle_screens_once(monkeypatch):
+    import rhomin.search
+
+    calls = []
+    screen = rhomin.search.certified_screen
+
+    def counting(av, v):
+        calls.append(v)
+        return screen(av, v)
+
+    monkeypatch.setattr(rhomin.search, "certified_screen", counting)
+    for n, d, screens in ((1, 0, 1), (3, 9, 0), (6, 3, 1), (7, 4, 1)):
+        calls.clear()
+        rep = brute_force_all_graphs(n, d)
+        assert len(calls) == screens and bool(rep.winners) == bool(screens), (n, d)
 
 
 def test_wrong_vector_moves_loser_into_tournament(monkeypatch):
@@ -235,19 +282,19 @@ def test_wrong_vector_moves_loser_into_tournament(monkeypatch):
     pools.append(set())
     base = brute_force_all_graphs(n, d)
     # the first labelled graph whose class the screen keeps out of the pool
-    masks = [mk for batch, _, _, _ in _matched_batches(n, d, pairs) for mk in batch.tolist()]
+    masks = _matched(n, d, pairs)[0].tolist()
     loser = next(mk for mk in masks if canonical_code(labelled(mk)) not in pools[0])
     degrees = adjacency(labelled(loser)).sum(axis=1)
-    batches = rhomin.search._matched_batches
+    matched = rhomin.search._matched
 
     def patched(*args):
         # a flat vector widens the loser's bracket to [least, largest degree]
-        for batch, av, v, weights in batches(*args):
-            for j in np.flatnonzero(batch == loser):
-                av[:, j], v[:, j] = degrees, 1
-            yield batch, av, v, weights
+        masks, av, v, weights = matched(*args)
+        for j in np.flatnonzero(masks == loser):
+            av[:, j], v[:, j] = degrees, 1
+        return masks, av, v, weights
 
-    monkeypatch.setattr(rhomin.search, "_matched_batches", patched)
+    monkeypatch.setattr(rhomin.search, "_matched", patched)
     pools.append(set())
     rep = brute_force_all_graphs(n, d)
     assert pools[1] == pools[0] | {canonical_code(labelled(loser))}
@@ -452,7 +499,7 @@ def test_every_member_the_sparse_oracle_drops_is_above_the_minimum():
             for code, diam, parts in _sparse_members(n):
                 if diam == d and code not in winners:
                     # a coarse Sturm root of its own, refined by compare_roots as needed
-                    root = rho_certified(charpoly(_hang({}, *parts)), Fraction(1, 2**10))
+                    root = rho_certified(charpoly(_hang(*parts)), Fraction(1, 2**10))
                     assert compare_roots(root, rep.min_rho)[0] is Ordering.GREATER, (n, d, code)
                     drops += 1
     assert drops == 1197
@@ -470,7 +517,7 @@ def test_parts_fold_agrees_with_compare_rho_to():
 
     for n in range(1, 11):
         for _, _, parts in _sparse_members(n):
-            g = _hang({}, *parts)
+            g = _hang(*parts)
             # the member's own radius rounded up to the grid, as the tournament rounds it
             own = Fraction(math.ceil(rho_certified_graph(g).hi * 2**16), 2**16)
             for lam in fixed + [own]:
