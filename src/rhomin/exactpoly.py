@@ -6,9 +6,10 @@ polynomials: it multiplies over connected components and takes two routes.
 A tree or unicyclic component's is the elimination of x*I - A over Z[x]
 along its leaf peel, the same steps (pivot_after, cycle_after, cycle_close)
 that the inertia test below runs over Z at a rational: there they are
-Schwenk's bridge and cycle rules. Any other component goes through the
-Faddeev-LeVerrier recurrence of charpoly_dense, which sums neighbours' rows
-in place of a matrix product.
+Schwenk's bridge and cycle rules. Any other component goes through
+charpoly_dense, which counts its closed walks, tr(A^k), on rows of A^k
+packed into one int each, and turns them into coefficients by Newton's
+identities.
 
 The largest root of a polynomial, a graph's spectral radius among them, is
 delivered as an immutable isolating interval with exact sign evidence;
@@ -21,8 +22,8 @@ feed it, and each root names the polynomial whose sign refine() bisects on
 
 - rho_certified, for any polynomial (a dense graph, a forest, a composed
   polynomial, 2x^2 - 9): the Sturm count of its square-free part, whose
-  chain comes from one remainder sequence, of p and p'. The square-free
-  part is the bisection polynomial.
+  chain comes from one remainder sequence, of p and p', with a Newton hint
+  (_newton_hint). The square-free part is the bisection polynomial.
 - _locate, for a connected tree or unicyclic graph: the signs of the pivots
   of lam*I - A (_inertia, which compare_rho_to also runs), with a float
   hint. Cauchy interlacing makes p = charpoly(g) itself the bisection
@@ -33,11 +34,12 @@ Two radii are compared by their isolating sets, and a tie is decided by
 the sign of the gcd of the two bisection polynomials, never by floating
 point. The one cache is a bounded lru_cache holding the root of each graph
 at DEFAULT_TOL; the threshold 3/sqrt(2) is isolated once, at import. The
-module imports no numpy. Floats appear in two places: CertifiedRoot.as_float,
-for display, and the locator's hint (_float_hint), a safeguarded Newton
-iteration in floats that only chooses where two exact probes go. Every
-endpoint is set by an exact sign, so a wrong or non-finite hint costs
-halvings, never correctness.
+module imports no numpy. Floats appear in three places: CertifiedRoot.as_float,
+for display, the locator's hint (_float_hint), a safeguarded Newton
+iteration in floats, and rho_certified's (_newton_hint), Newton steps in
+floats on the square-free part closed by one exact Newton step. A hint only
+chooses where two exact probes go. Every endpoint is set by an exact sign,
+so a wrong or non-finite hint costs halvings, never correctness.
 """
 
 from __future__ import annotations
@@ -264,12 +266,14 @@ class Ordering(enum.Enum):
     GREATER = "Greater"
 
 
-# The locator's two exact probes lie on the grid of multiples of
+# _isolate's two exact probes lie on the grid of multiples of
 # 1/_PROBE_GRID = 2^-42, at least a quarter cell (2^-44) either side of the
-# float hint, so at most two cells (2^-41 < DEFAULT_TOL) apart. The hint's
-# Newton iteration stops at a step below 2^-48, a sixteenth of that margin.
+# float hint, so at most two cells (2^-41 < DEFAULT_TOL) apart. Either
+# hint's Newton iteration stops at a step below 2^-48, a sixteenth of that
+# margin; rho_certified's takes at most _NEWTON_STEPS float steps.
 _PROBE_GRID = 2**42
 _HINT_STEP = 2.0**-48
+_NEWTON_STEPS = 100
 
 
 def _isolate(side, isolated, hint=None) -> tuple[Rational, Rational, bool]:
@@ -278,15 +282,14 @@ def _isolate(side, isolated, hint=None) -> tuple[Rational, Rational, bool]:
 
     The least integer m >= rho comes first: from (0, 1], the bracket doubles
     away from 0 until it holds rho, then halves over the integers. side(m)
-    EQUAL makes rho = m exact; a rational root of a monic integer polynomial
-    is an integer, so for one no other root is. Otherwise rho lies in (m - 1,
-    m). When hint(m) gives a finite float, two exact probes on the 2^-42 grid,
-    a quarter cell either side of it, narrow that bracket: a probe below rho
+    EQUAL makes rho = m exact. Otherwise rho lies in (m - 1, m). When
+    hint(m) gives a finite float, two exact probes on the 2^-42 grid, a
+    quarter cell either side of it, narrow that bracket: a probe below rho
     raises lo to it, one above lowers hi, so a hint on the wrong side moves
-    the other end, as a halving would. No probe is rho: only _locate gives
-    a hint, and a graph's rho, when not an integer, is irrational. _halve
-    then runs until isolated(lo, hi). Every end is set by side, so the hint
-    decides nothing.
+    the other end, as a halving would. A probe that side finds EQUAL is rho,
+    exactly: a polynomial that is not monic (2x - 1, 2x^2 - 9) can have a
+    rational root that is not an integer. _halve then runs until
+    isolated(lo, hi). Every end is set by side, so the hint decides nothing.
     """
     below, m = 0, 1
     s = side(Fraction(m))
@@ -314,7 +317,10 @@ def _isolate(side, isolated, hint=None) -> tuple[Rational, Rational, bool]:
         for k in (math.ceil(u + quarter), math.floor(u - quarter)):
             probe = Fraction(k, _PROBE_GRID)
             if lo < probe < hi:
-                lo, hi = (probe, hi) if side(probe) is Ordering.GREATER else (lo, probe)
+                s = side(probe)
+                if s is Ordering.EQUAL:
+                    return probe, probe, True
+                lo, hi = (probe, hi) if s is Ordering.GREATER else (lo, probe)
     return _halve(side, lo, hi, isolated)
 
 
@@ -449,14 +455,16 @@ def _check_tol(tol: Rational) -> None:
 def rho_certified(p: IntPoly, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
     """Certified isolating interval for the largest real root of p.
 
-    _isolate with the Sturm chain of p's square-free part sf as its side:
-    rho > x exactly when V(x) > V(+inf), V the sign-variation count of the
-    chain, since V(x) - V(+inf) roots of sf lie in (x, +inf); at V(x) =
-    V(+inf), rho = x when sf(x) = 0. Each step evaluates the chain once, and
-    V is kept at every point, so the isolation test V(lo) - V(+inf) = 1,
-    with no root above hi, reads it. Then sf, the bisection polynomial, has
-    rho as its one root in (lo, hi], a simple one, and refine() takes the
-    interval down to tol by its sign alone.
+    _isolate with the Sturm chain of p's square-free part sf as its side and
+    _newton_hint as its hint: rho > x exactly when V(x) > V(+inf), V the
+    sign-variation count of the chain, since V(x) - V(+inf) roots of sf lie
+    in (x, +inf); at V(x) = V(+inf), rho = x when sf(x) = 0. Each step
+    evaluates the chain once, and V is kept at every point, so the isolation
+    test V(lo) - V(+inf) = 1, with no root above hi, reads it. Then sf, the
+    bisection polynomial, has rho as its one root in (lo, hi], a simple one,
+    and refine() takes the interval down to tol by its sign alone. A hint
+    within 2^-44 of rho leaves the probes at most 2^-41 < DEFAULT_TOL apart,
+    so refine() at DEFAULT_TOL halves nothing.
     """
     _check_tol(tol)
     if p.is_zero:
@@ -477,8 +485,58 @@ def rho_certified(p: IntPoly, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
             return Ordering.GREATER
         return Ordering.EQUAL if sf.sign_at(x) == 0 else Ordering.LESS
 
-    lo, hi, exact = _isolate(side, lambda lo, hi: var[lo] - vinf == 1)
+    lo, hi, exact = _isolate(side, lambda lo, hi: var[lo] - vinf == 1,
+                             lambda m: _newton_hint(sf, m))
     return CertifiedRoot(p, sf, lo, hi, exact).refine(tol)
+
+
+def _newton_hint(sf: IntPoly, m: int) -> float:
+    """A float near the largest root rho of sf in (m - 1, m], or NaN: Newton
+    steps in floats from x = m, then one exact Newton step. It only places
+    rho_certified's probes and decides nothing.
+
+    From above the largest root of a real-rooted polynomial, such as a
+    graph's, Newton steps descend to it, and the float iteration stops at
+    the first step that is not > _HINT_STEP. Float Horner cancels heavily
+    near rho at high degree, and leaves x more than the probes' 2^-44 margin
+    away for spiders from k = 9 and for most dense graphs at n = 60. So x
+    is rounded to the 2^-64 grid, X / 2^64, and one Newton step is taken
+    from there with sf and sf' evaluated exactly by integer Horner (scaled
+    by 2^(64 deg sf) and 2^(64 (deg sf - 1))); it squares the error, and its
+    one rounding is to the nearest float. A float that overflows, a step
+    that leaves (m - 1, m] or a zero derivative gives NaN.
+    """
+    try:
+        cs = [float(c) for c in reversed(sf.coeffs)]
+    except OverflowError:
+        return math.nan
+    x = float(m)
+    for _ in range(_NEWTON_STEPS):
+        p = dp = 0.0
+        for c in cs:
+            dp = dp * x + p
+            p = p * x + c
+        if not dp:
+            return math.nan
+        step = p / dp
+        x -= step
+        if not m - 1 < x <= m:
+            return math.nan
+        if not step > _HINT_STEP:
+            break
+    big_x = round(x * 2.0**64)
+    p = dp = shift = 0
+    for c in reversed(sf.coeffs):
+        dp = dp * big_x + p
+        p = p * big_x + (c << shift)
+        shift += 64
+    if not dp:
+        return math.nan
+    try:
+        x = (big_x * dp - p) / (dp << 64)
+    except OverflowError:
+        return math.nan
+    return x if m - 1 < x <= m else math.nan
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +547,7 @@ def charpoly(g: Graph) -> IntPoly:
     connected components. Each component takes one of two routes, chosen by
     its edge count. A tree or unicyclic component takes Schwenk's bridge
     rule in one pass of _bridge_phi over its leaf peel. A component with
-    two or more independent cycles takes charpoly_dense."""
+    two or more independent cycles takes charpoly_dense, by closed walks."""
     result = ONE
     for comp in connected_components(g):
         edges = sum(g.degree(v) for v in comp) // 2
@@ -527,21 +585,28 @@ def _bridge_phi(order: list[int], parent: list[int], core: list[int]) -> IntPoly
 
 
 def charpoly_dense(g: Graph) -> IntPoly:
-    """det(xI - A) of any graph by the exact integer Faddeev-LeVerrier
-    recurrence: M_0 = I, c_k = -tr(A M_{k-1}) / k, M_k = A M_{k-1} + c_k I.
-    Row i of A M is the sum of M's rows at the neighbours of i, so A is
-    never built. charpoly routes only components with two or more
+    """det(xI - A) of any graph from its closed walks: p_k = tr(A^k), the
+    number of closed walks of length k, gives the coefficients by Newton's
+    identities, k c_{n-k} = -sum_{j<=k} p_j c_{n-k+j} for k = 1..n
+    (Cvetkovic, Doob & Sachs, Spectra of Graphs, 1980). Row u of A^k is one
+    int of n fields of W = n bitlen(Delta) + 1 bits, field v the number of
+    walks of length k from u to v, at most Delta^k < 2^(W - 1): no field
+    carries into the next. Row u of A^(k+1) is the sum of the rows of A^k at
+    u's neighbours, so A is never built, and p_k is the sum of the rows'
+    diagonal fields. charpoly routes only components with two or more
     independent cycles here."""
     n = g.n
-    M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    width = n * max(map(len, g.adj), default=0).bit_length() + 1
+    mask = (1 << width) - 1
+    shifts = range(0, n * width, width)
+    rows = [1 << s for s in shifts]
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
+    sums = []
     for k in range(1, n + 1):
-        M = [[sum(col) for col in zip([0] * n, *(M[t] for t in nbrs))] for nbrs in g.adj]
-        ck = -sum(M[i][i] for i in range(n)) // k
-        coeffs[n - k] = ck
-        for i in range(n):
-            M[i][i] += ck
+        rows = [sum([rows[w] for w in nbrs]) for nbrs in g.adj]
+        sums.append(sum([(r >> s) & mask for r, s in zip(rows, shifts)]))
+        coeffs[n - k] = -sum([p * c for p, c in zip(sums, coeffs[n - k + 1:])]) // k
     return IntPoly(tuple(coeffs))
 
 

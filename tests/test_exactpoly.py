@@ -45,6 +45,7 @@ from rhomin.families import ClosedQuipu, OpenQuipu, parse_spec_literal, realize,
 from rhomin.graphs import (build_graph, cycle_graph, graph6_decode, path_graph, peel_leaves,
                            star_graph)
 from rhomin.search import POWER_STEPS, _hang, _sparse_members, certified_screen
+from rhomin.transfer import RootedGraph, compose_charpoly
 from graph_helpers import adjacency, disjoint_union, lams_around, perron_vector, relabel
 
 
@@ -57,6 +58,24 @@ def count_roots_halfopen(chain, a: Fraction, b: Fraction) -> int:
         return sum(s != t for s, t in zip(signs, signs[1:]))
 
     return variations(a) - variations(b)
+
+
+def faddeev_leverrier(g) -> IntPoly:
+    """det(xI - A) by the exact integer Faddeev-LeVerrier recurrence, the
+    reference charpoly_dense is checked against: M_0 = I, c_k = -tr(A
+    M_{k-1}) / k, M_k = A M_{k-1} + c_k I, with row i of A M the sum of M's
+    rows at the neighbours of i."""
+    n = g.n
+    M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    for k in range(1, n + 1):
+        M = [[sum(col) for col in zip([0] * n, *(M[t] for t in nbrs))] for nbrs in g.adj]
+        ck = -sum(M[i][i] for i in range(n)) // k
+        coeffs[n - k] = ck
+        for i in range(n):
+            M[i][i] += ck
+    return IntPoly(tuple(coeffs))
 
 
 def test_poly_arithmetic():
@@ -215,9 +234,127 @@ def test_isolation_evaluates_the_sturm_chain_once_per_halving(monkeypatch):
 
 def test_isolation_starts_from_the_least_integer_above_rho(monkeypatch):
     # rho ~ 2.1211 and lambda_2 ~ 1.9190: doubling reads V at 1, 2 and 4,
-    # one halving over the integers at 3, and (2, 3] already isolates rho,
-    # so no halving below an integer reads V at all
-    assert _sturm_evaluations(monkeypatch, realize(spider(10))) == [1, 2, 4, 3]
+    # one halving over the integers at 3, then the hint's two probes on the
+    # 2^-42 grid, which straddle rho at most 2^-41 apart; (lo, hi] isolates
+    # rho there, so no halving below an integer reads V at all
+    g = realize(spider(10))
+    calls = _sturm_evaluations(monkeypatch, g)
+    above, below = Fraction(9328518719553, 2**42), Fraction(9328518719551, 2**42)
+    assert calls == [1, 2, 4, 3, above, below]
+    assert above - below <= Fraction(1, 2**41)
+    root = rho_certified(charpoly(g))
+    assert (root.lo, root.hi, root.exact) == (below, above, False)
+
+
+# ---------------------------------------------------------------------------
+# rho_certified's Newton hint: two probes in place of the halvings
+
+def _random_dense(rng, n):
+    """A connected graph on n vertices: a random tree plus 2 to 6 further
+    edges, the shape of the benchmark's dense queries."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    target = n - 1 + rng.randint(2, 6)
+    while len(edges) < target:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return build_graph(n, edges)
+
+
+def _composed(rng, count):
+    """compose_charpoly of `count` triples of random rooted trees of 1..6
+    vertices."""
+    polys = []
+    for _ in range(count):
+        parts = []
+        for _ in range(3):
+            n = rng.randint(1, 6)
+            tree = build_graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+            parts.append(RootedGraph(tree, rng.randrange(n)))
+        polys.append(compose_charpoly(*parts))
+    return polys
+
+
+def _sturm_route_sample():
+    """Polynomials of each kind the Sturm route takes: spiders' charpolys,
+    dense graphs', a forest's, composed polynomials and 2x^2 - 9."""
+    rng = random.Random(30)
+    graphs = [realize(spider(k)) for k in (3, 10, 15)]
+    graphs += [_random_dense(rng, n) for n in (12, 20, 30, 40)]
+    graphs.append(disjoint_union(path_graph(7), star_graph(5)))
+    return [charpoly(g) for g in graphs] + _composed(rng, 4) + [IntPoly((-9, 0, 2))]
+
+
+def test_a_probe_at_rho_is_an_exact_root(monkeypatch):
+    import rhomin.exactpoly as ep
+
+    # 2x - 1 is not monic: its root 1/2 lies on the probes' 2^-42 grid, and
+    # a hint 2^-43 below it puts the upper probe on it, where side is EQUAL
+    monkeypatch.setattr(ep, "_newton_hint", lambda sf, m: (2**41 - 0.5) / 2**42)
+    root = rho_certified(IntPoly((-1, 2)))
+    assert root.exact and root.lo == root.hi == Fraction(1, 2)
+
+
+@pytest.mark.parametrize("hint", ["m-1", "m", "above", "below", "nan"])
+def test_newton_hint_decides_nothing(monkeypatch, hint):
+    import rhomin.exactpoly as ep
+
+    # a hint at either end of the bracket, 0.3 off rho, or not a number:
+    # the exact probes then land on the wrong side or are skipped, and the
+    # halving that follows them still certifies the root found with no hint
+    polys = _sturm_route_sample()
+    real = ep._newton_hint
+    monkeypatch.setattr(ep, "_newton_hint", lambda sf, m: math.nan)
+    unhinted = [rho_certified(p) for p in polys]
+    wrong = {
+        "m-1": lambda sf, m: m - 1.0,
+        "m": lambda sf, m: float(m),
+        "above": lambda sf, m: real(sf, m) + 0.3,
+        "below": lambda sf, m: real(sf, m) - 0.3,
+        "nan": lambda sf, m: math.nan,
+    }[hint]
+    monkeypatch.setattr(ep, "_newton_hint", wrong)
+    for p, expected in zip(polys, unhinted):
+        root = rho_certified(p)
+        assert compare_roots(root, expected)[0] is Ordering.EQUAL
+        assert root.exact == expected.exact
+        if not root.exact:
+            # rho is sf's one root in (lo, hi], and none lies above hi, below
+            # the Cauchy bound 1 + max |c_i| of a polynomial with lead >= 1
+            chain = sturm_chain(p)
+            assert root.width <= DEFAULT_TOL
+            assert count_roots_halfopen(chain, root.lo, root.hi) == 1
+            bound = Fraction(1 + max(abs(c) for c in p.coeffs))
+            assert count_roots_halfopen(chain, root.hi, bound) == 0
+
+
+def test_newton_hint_leaves_no_halving(monkeypatch):
+    import rhomin.exactpoly as ep
+
+    # the chain is read at the integer bracket and the two probes, and
+    # nothing is halved, in isolation or in refine(): the probes straddle
+    # rho at most 2^-41 apart. Newton in floats alone stalls more than the
+    # probes' 2^-44 margin from rho on spiders from k = 9 and on most dense
+    # graphs at n = 60; the exact step from the 2^-64 grid mends that
+    rng = random.Random(31)
+    polys = [charpoly(realize(spider(k))) for k in range(3, 16)]
+    polys += [charpoly(_random_dense(rng, n)) for n in (20, 40, 60) for _ in range(20)]
+    polys += _composed(rng, 10)
+    points = _counting(monkeypatch, "_var_at")
+    halvings = []
+    halve = ep._halve
+
+    def counting(side, lo, hi, done):
+        def counted(x):
+            halvings.append(x)
+            return side(x)
+
+        return halve(counted, lo, hi, done)
+
+    monkeypatch.setattr(ep, "_halve", counting)
+    for p in polys:
+        points.clear()
+        rho_certified(p)
+        assert sum(x.denominator > 1 for _, x in points) <= 2
+        assert not halvings
 
 
 def test_charpoly_known_values():
@@ -274,6 +411,41 @@ def test_charpoly_routes_agree_on_mixed_components(data):
     g = relabel(g, data.draw(st.permutations(range(g.n))))
     expected = tuple(int(c) for c in np.rint(np.poly(adjacency(g)))[::-1])
     assert charpoly(g).coeffs == charpoly_dense(g).coeffs == expected
+
+
+def test_charpoly_dense_matches_faddeev_leverrier_at_every_density():
+    rng = random.Random(28)
+    graphs = [build_graph(0, []), build_graph(1, []), build_graph(5, []),
+              disjoint_union(cycle_graph(5), build_graph(4, list(combinations(range(4), 2))))]
+    for n in range(2, 31):
+        for density in (0.1, 0.3, 0.6, 0.9):
+            graphs.append(build_graph(n, [e for e in combinations(range(n), 2)
+                                          if rng.random() < density]))
+    for g in graphs:
+        assert charpoly_dense(g) == faddeev_leverrier(g)
+
+
+def _complete(n):
+    return build_graph(n, list(combinations(range(n), 2)))
+
+
+def test_charpoly_dense_keeps_the_widest_fields_apart():
+    # a field holds Delta^k < 2^(n bitlen(Delta)) walks: K_n fits closest at
+    # n = 2^b (Delta = 2^b - 1), its field widens at n = 2^b + 1, and K_62
+    # has the widest field at the largest order graph6 writes
+    for n in (1, 2, 3, 4, 5, 8, 9, 16, 17, 32, 33, 62):
+        phi = IntPoly((1 - n, 1))  # (x - n + 1)(x + 1)^(n - 1)
+        for _ in range(n - 1):
+            phi = phi * IntPoly((1, 1))
+        assert charpoly_dense(_complete(n)) == faddeev_leverrier(_complete(n)) == phi
+
+
+@pytest.mark.parametrize("g", [
+    build_graph(62, [(u, v) for u in range(31) for v in range(31, 62)]),
+    build_graph(62, [(0, v) for v in range(1, 62)] + [(v, v % 61 + 1) for v in range(1, 62)]),
+], ids=["K31,31", "W62"])
+def test_charpoly_dense_matches_faddeev_leverrier_at_the_largest_order(g):
+    assert charpoly_dense(g) == faddeev_leverrier(g)
 
 
 def test_charpoly_of_a_long_path_needs_no_deep_recursion():
