@@ -1,15 +1,16 @@
 """Exact characteristic polynomials and certified spectral radii.
 
 All arithmetic is exact: integer polynomials, rational evaluation points,
-Sturm-chain root counting. charpoly is the one dispatcher for characteristic
-polynomials: it multiplies over connected components and takes two routes.
-A tree or unicyclic component's is the elimination of x*I - A over Z[x]
-along its leaf peel, the same steps (pivot_after, cycle_after, cycle_close)
-that the inertia test below runs over Z at a rational: there they are
-Schwenk's bridge and cycle rules. Any other component goes through
-charpoly_dense, which counts its closed walks, tr(A^k), on rows of A^k
-packed into one int each, and turns them into coefficients by Newton's
-identities.
+Sturm-chain root counting. One test picks the route for a graph, for its
+characteristic polynomial and its radius alike: whether its leaf peel
+(graphs.peel_leaves) leaves one vertex or one cycle, as it does exactly for
+a connected tree or unicyclic graph. Such a graph's polynomial is the
+elimination of x*I - A over Z[x] along its peel, the same steps
+(pivot_after, cycle_after, cycle_close) that the inertia test below runs
+over Z at a rational: there they are Schwenk's bridge and cycle rules. Any
+other graph, disconnected ones among them, goes through charpoly_dense,
+which counts its closed walks, tr(A^k), on rows of A^k packed into one int
+each, and turns them into coefficients by Newton's identities.
 
 The largest root of a polynomial, a graph's spectral radius among them, is
 delivered as an immutable isolating interval with exact sign evidence;
@@ -22,24 +23,26 @@ feed it, and each root names the polynomial whose sign refine() bisects on
 
 - rho_certified, for any polynomial (a dense graph, a forest, a composed
   polynomial, 2x^2 - 9): the Sturm count of its square-free part, whose
-  chain comes from one remainder sequence, of p and p', with a Newton hint
+  chain comes from one remainder sequence, of p and p', with a float hint
   (_newton_hint). The square-free part is the bisection polynomial.
 - _locate, for a connected tree or unicyclic graph: the signs of the pivots
   of lam*I - A (_inertia, which compare_rho_to also runs), with a float
-  hint. Cauchy interlacing makes p = charpoly(g) itself the bisection
-  polynomial: no Sturm chain is built, and p only when something reads it.
+  hint (_float_hint). Cauchy interlacing makes p = charpoly(g) itself the
+  bisection polynomial: no Sturm chain is built, and p only when something
+  reads it.
 - CertifiedRoot.refine: the sign of the bisection polynomial.
 
 Two radii are compared by their isolating sets, and a tie is decided by
 the sign of the gcd of the two bisection polynomials, never by floating
 point. The one cache is a bounded lru_cache holding the root of each graph
 at DEFAULT_TOL; the threshold 3/sqrt(2) is isolated once, at import. The
-module imports no numpy. Floats appear in three places: CertifiedRoot.as_float,
-for display, the locator's hint (_float_hint), a safeguarded Newton
-iteration in floats, and rho_certified's (_newton_hint), Newton steps in
-floats on the square-free part closed by one exact Newton step. A hint only
-chooses where two exact probes go. Every endpoint is set by an exact sign,
-so a wrong or non-finite hint costs halvings, never correctness.
+module imports no numpy. Floats appear in two places: CertifiedRoot.as_float,
+for display, and the two hints. Both run one safeguarded Newton loop in
+floats (_newton) with an evaluator of their own: the locator's on the last
+pivot of x*I - A (_float_pivot), rho_certified's on the square-free part by
+float Horner, closed by one exact Newton step. A hint only chooses where
+two exact probes go. Every endpoint is set by an exact sign, so a wrong or
+non-finite hint costs halvings, never correctness.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, connected_components, delete_vertices, peel_leaves
+from .graphs import Graph, peel_leaves
 
 Rational = Fraction
 
@@ -268,17 +271,16 @@ class Ordering(enum.Enum):
 
 # _isolate's two exact probes lie on the grid of multiples of
 # 1/_PROBE_GRID = 2^-42, at least a quarter cell (2^-44) either side of the
-# float hint, so at most two cells (2^-41 < DEFAULT_TOL) apart. Either
-# hint's Newton iteration stops at a step below 2^-48, a sixteenth of that
-# margin; rho_certified's takes at most _NEWTON_STEPS float steps.
+# float hint, so at most two cells (2^-41 < DEFAULT_TOL) apart. The hints'
+# one Newton loop (_newton) stops at a step below 2^-48, a sixteenth of that
+# margin.
 _PROBE_GRID = 2**42
 _HINT_STEP = 2.0**-48
-_NEWTON_STEPS = 100
 
 
-def _isolate(side, isolated, hint=None) -> tuple[Rational, Rational, bool]:
-    """(lo, hi, exact): an interval (lo, hi] around rho, or the point {rho}
-    when exact, with side(x) the exact ordering of rho against a rational x.
+def _isolate(side, isolated, hint=None) -> tuple[Rational, Rational]:
+    """(lo, hi): an interval (lo, hi] around rho, or the point {rho} when
+    lo == hi, with side(x) the exact ordering of rho against a rational x.
 
     The least integer m >= rho comes first: from (0, 1], the bracket doubles
     away from 0 until it holds rho, then halves over the integers. side(m)
@@ -308,7 +310,7 @@ def _isolate(side, isolated, hint=None) -> tuple[Rational, Rational, bool]:
         else:
             m, s = mid, t
     if s is Ordering.EQUAL:
-        return Fraction(m), Fraction(m), True
+        return Fraction(m), Fraction(m)
     lo, hi = Fraction(m - 1), Fraction(m)
     x = hint(m) if hint else math.nan
     if math.isfinite(x):
@@ -319,24 +321,25 @@ def _isolate(side, isolated, hint=None) -> tuple[Rational, Rational, bool]:
             if lo < probe < hi:
                 s = side(probe)
                 if s is Ordering.EQUAL:
-                    return probe, probe, True
+                    return probe, probe
                 lo, hi = (probe, hi) if s is Ordering.GREATER else (lo, probe)
     return _halve(side, lo, hi, isolated)
 
 
-def _halve(side, lo: Rational, hi: Rational, done) -> tuple[Rational, Rational, bool]:
-    """(lo, hi, exact): halve (lo, hi] until done(lo, hi), keeping the half
-    side puts rho in; a midpoint that side finds EQUAL is rho, exactly."""
+def _halve(side, lo: Rational, hi: Rational, done) -> tuple[Rational, Rational]:
+    """(lo, hi): halve (lo, hi] until done(lo, hi), keeping the half side
+    puts rho in; a midpoint that side finds EQUAL is rho, returned as
+    (mid, mid)."""
     while not done(lo, hi):
         mid = (lo + hi) / 2
         s = side(mid)
         if s is Ordering.EQUAL:
-            return mid, mid, True
+            return mid, mid
         if s is Ordering.GREATER:
             lo = mid
         else:
             hi = mid
-    return lo, hi, False
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +378,7 @@ class CertifiedRoot:
     (compare_roots' gcd, refine() below DEFAULT_TOL, to_json), once for the
     root and every refined copy of it; the constructor takes either
     polynomial as an IntPoly or as an _OnDemand.
-    `exact` marks a degenerate point interval.
+    `exact`, lo == hi, marks a degenerate point interval.
     A root is an immutable value: refine() returns a narrower copy, so no
     caller can narrow the interval another caller holds.
     """
@@ -384,7 +387,10 @@ class CertifiedRoot:
     _bisection: IntPoly | _OnDemand
     lo: Rational
     hi: Rational
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        return self.lo == self.hi
 
     @property
     def poly(self) -> IntPoly:
@@ -435,8 +441,8 @@ class CertifiedRoot:
                 return Ordering.EQUAL
             return Ordering.LESS if s == s_hi else Ordering.GREATER
 
-        lo, hi, exact = _halve(side, self.lo, self.hi, lambda lo, hi: hi - lo <= tol)
-        return CertifiedRoot(self._poly, self._bisection, lo, hi, exact)
+        lo, hi = _halve(side, self.lo, self.hi, lambda lo, hi: hi - lo <= tol)
+        return CertifiedRoot(self._poly, self._bisection, lo, hi)
 
     def to_json(self) -> dict:
         return {
@@ -485,46 +491,40 @@ def rho_certified(p: IntPoly, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
             return Ordering.GREATER
         return Ordering.EQUAL if sf.sign_at(x) == 0 else Ordering.LESS
 
-    lo, hi, exact = _isolate(side, lambda lo, hi: var[lo] - vinf == 1,
-                             lambda m: _newton_hint(sf, m))
-    return CertifiedRoot(p, sf, lo, hi, exact).refine(tol)
+    lo, hi = _isolate(side, lambda lo, hi: var[lo] - vinf == 1,
+                      lambda m: _newton_hint(sf, m))
+    return CertifiedRoot(p, sf, lo, hi).refine(tol)
 
 
 def _newton_hint(sf: IntPoly, m: int) -> float:
-    """A float near the largest root rho of sf in (m - 1, m], or NaN: Newton
-    steps in floats from x = m, then one exact Newton step. It only places
-    rho_certified's probes and decides nothing.
+    """A float near the largest root rho of sf in (m - 1, m], or NaN:
+    _newton on sf and sf' by float Horner, then one exact Newton step. It
+    only places rho_certified's probes and decides nothing.
 
-    From above the largest root of a real-rooted polynomial, such as a
-    graph's, Newton steps descend to it, and the float iteration stops at
-    the first step that is not > _HINT_STEP. Float Horner cancels heavily
-    near rho at high degree, and leaves x more than the probes' 2^-44 margin
-    away for spiders from k = 9 and for most dense graphs at n = 60. So x
-    is rounded to the 2^-64 grid, X / 2^64, and one Newton step is taken
-    from there with sf and sf' evaluated exactly by integer Horner (scaled
-    by 2^(64 deg sf) and 2^(64 (deg sf - 1))); it squares the error, and its
-    one rounding is to the nearest float. A float that overflows, a step
-    that leaves (m - 1, m] or a zero derivative gives NaN.
+    sf, of positive lead, is > 0 above rho and < 0 just below it, and from
+    above the largest root of a real-rooted sf, such as a graph's, Newton
+    steps descend to it. Float Horner cancels heavily near rho at high
+    degree, and leaves x more than the probes' 2^-44 margin away for spiders
+    from k = 9 and for most dense graphs at n = 60. So x is rounded to the
+    2^-64 grid, X / 2^64, and one Newton step is taken from there with sf
+    and sf' evaluated exactly by integer Horner (scaled by 2^(64 deg sf) and
+    2^(64 (deg sf - 1))); it squares the error, and its one rounding is to
+    the nearest float. A coefficient that overflows a float, a zero exact
+    derivative or an exact step that leaves (m - 1, m] gives NaN.
     """
     try:
         cs = [float(c) for c in reversed(sf.coeffs)]
     except OverflowError:
         return math.nan
-    x = float(m)
-    for _ in range(_NEWTON_STEPS):
+
+    def horner(x):
         p = dp = 0.0
         for c in cs:
             dp = dp * x + p
             p = p * x + c
-        if not dp:
-            return math.nan
-        step = p / dp
-        x -= step
-        if not m - 1 < x <= m:
-            return math.nan
-        if not step > _HINT_STEP:
-            break
-    big_x = round(x * 2.0**64)
+        return p, dp
+
+    big_x = round(_newton(horner, m) * 2.0**64)
     p = dp = shift = 0
     for c in reversed(sf.coeffs):
         dp = dp * big_x + p
@@ -543,26 +543,18 @@ def _newton_hint(sf: IntPoly, m: int) -> float:
 # characteristic polynomials
 
 def charpoly(g: Graph) -> IntPoly:
-    """Exact characteristic polynomial det(xI - A), the product over the
-    connected components. Each component takes one of two routes, chosen by
-    its edge count. A tree or unicyclic component takes Schwenk's bridge
-    rule in one pass of _bridge_phi over its leaf peel. A component with
-    two or more independent cycles takes charpoly_dense, by closed walks."""
-    result = ONE
-    for comp in connected_components(g):
-        edges = sum(g.degree(v) for v in comp) // 2
-        if edges <= len(comp):
-            phi = _bridge_phi(*peel_leaves(g, comp))
-        else:
-            sub = g if len(comp) == g.n else delete_vertices(g, set(range(g.n)).difference(comp))
-            phi = charpoly_dense(sub)
-        result = result * phi
-    return result
+    """Exact characteristic polynomial det(xI - A), by one of two routes,
+    chosen by g's leaf peel as the root's route is. A connected tree or
+    unicyclic graph takes Schwenk's bridge rule in one pass of _bridge_phi
+    over its peel. Any other graph, a forest or one with mixed components
+    among them, takes charpoly_dense, by closed walks."""
+    peel = peel_leaves(g)
+    return charpoly_dense(g) if peel[2] is None else _bridge_phi(*peel)
 
 
 def _bridge_phi(order: list[int], parent: list[int], core: list[int]) -> IntPoly:
-    """Characteristic polynomial of a tree or unicyclic component from its
-    leaf peel (graphs.peel_leaves): the peeled vertices in order, their
+    """Characteristic polynomial of a connected tree or unicyclic graph from
+    its leaf peel (graphs.peel_leaves): the peeled vertices in order, their
     parents, and the tree's last vertex or the cycle in cyclic order.
 
     _inertia's elimination of x*I - A over Z[x], from (x, 1) at every
@@ -593,8 +585,8 @@ def charpoly_dense(g: Graph) -> IntPoly:
     walks of length k from u to v, at most Delta^k < 2^(W - 1): no field
     carries into the next. Row u of A^(k+1) is the sum of the rows of A^k at
     u's neighbours, so A is never built, and p_k is the sum of the rows'
-    diagonal fields. charpoly routes only components with two or more
-    independent cycles here."""
+    diagonal fields. charpoly routes every graph here but a connected tree
+    or unicyclic graph."""
     n = g.n
     width = n * max(map(len, g.adj), default=0).bit_length() + 1
     mask = (1 << width) - 1
@@ -625,10 +617,10 @@ class EqualityWitness:
 @functools.lru_cache(maxsize=20000)
 def _graph_root(g: Graph) -> CertifiedRoot:
     """rho(g) at DEFAULT_TOL: by the inertia locator for a connected tree
-    or unicyclic graph, by rho_certified of its charpoly for any other."""
-    peel = peel_leaves(g, range(g.n))
+    or unicyclic graph, by rho_certified of charpoly_dense(g) for any other."""
+    peel = peel_leaves(g)
     if peel[2] is None:
-        return rho_certified(charpoly(g))
+        return rho_certified(charpoly_dense(g))
     return _locate(peel)
 
 
@@ -868,7 +860,7 @@ def compare_rho_to(g: Graph, lam: Rational) -> Ordering:
     or unicyclic graph; any other graph raises ValueError. One pass of
     _inertia over g's leaf peel: O(n) integer steps, no float and no
     polynomial."""
-    peel = peel_leaves(g, range(g.n))
+    peel = peel_leaves(g)
     if peel[2] is None:
         raise ValueError("compare_rho_to needs a connected tree or unicyclic graph")
     return _inertia(peel, Fraction(lam))
@@ -883,28 +875,23 @@ def _float_pivot(peel, x: float):
     """The elimination of _inertia at x in Python floats, each pivot d_v
     carried with its derivative in x, d'_v = 1 + sum d'_c / d_c^2 over the
     children c, and the cycle's 2x2 product with its own (product rule).
-    Returns (d, d', s): the last pivot, its derivative and the sum of
-    d'_v / d_v over the other pivots, so that p'/p = s + d'/d for p =
-    det(x*I - A). None when one of the other pivots is not > 0: then x <
-    rho(G - v) for the last vertex v, or a float went astray. For _float_hint
-    only; nothing here is exact.
+    Returns (d, d'): the last pivot and its derivative. None when one of the
+    other pivots is not > 0: then x < rho(G - v) for the last vertex v, or
+    a float went astray. For _float_hint only; nothing here is exact.
     """
     order, parent, core = peel
     piv = [x] * len(parent)
     dpiv = [1.0] * len(parent)
-    s = 0.0
     for v in order:
         p = piv[v]
         if not p > 0:
             return None
         w = parent[v]
-        t = dpiv[v] / p
-        s += t
         piv[w] -= 1 / p
-        dpiv[w] += t / p
+        dpiv[w] += dpiv[v] / p / p
     if len(core) == 1:
         v = core[0]
-        return piv[v], dpiv[v], s
+        return piv[v], dpiv[v]
     # CYCLE_START's product with each K_v = [[d_v, -1], [1, 0]], and its
     # derivative, rescaled together (so their ratios hold) before they
     # overflow on a long cycle
@@ -927,45 +914,50 @@ def _float_pivot(peel, x: float):
     det = r00 * p + r01 - r10 - 2 * scale
     ddet = e00 * p + r00 * dp + e01 - e10
     d = det / r00
-    return d, (ddet - d * e00) / r00, s + e00 / r00
+    return d, (ddet - d * e00) / r00
 
 
 def _float_hint(peel, m: int) -> float:
-    """A float near rho in (m - 1, m]: a safeguarded Newton iteration on
-    the last pivot d of x*I - A (_float_pivot), from x = m. It only places
-    _locate's probes and decides nothing.
+    """A float near rho in (m - 1, m]: _newton on the last pivot d of
+    x*I - A (_float_pivot). It only places _locate's probes and decides
+    nothing. Above the pole rho(G - v), d is increasing and concave (v the
+    last vertex), so Newton steps from below rho climb to it, and one from
+    above lands below it."""
+    return _newton(functools.partial(_float_pivot, peel), m)
 
-    Each evaluation's sign keeps a float bracket (lo, hi] of rho: a pivot
-    before the last that is not > 0, or a last one < 0, puts x below rho.
-    Above rho, x - p/p' >= rho for p = det(x*I - A), a real-rooted
-    polynomial, lowers hi further. Above the pole rho(G - v), d is
-    increasing and concave (v the last vertex), so Newton steps from below
-    rho climb to it, and one from above lands below it. A step that leaves
-    the bracket, or none (an earlier pivot not > 0, or d' not > 0), gives
-    way to bisection. The iteration ends at a step below _HINT_STEP or a
-    bracket with no float inside.
+
+def _newton(f, m: int) -> float:
+    """A float near rho in (m - 1, m], the one Newton loop of both hints: a
+    safeguarded Newton iteration from x = m (after rtsafe, Press et al.,
+    Numerical Recipes, section 9.4). f(x) is (d, d') for a function d whose
+    sign above rho and just below it is that of x - rho, or None at a point
+    known to lie below rho.
+
+    Each evaluation's sign keeps a float bracket (lo, hi] of rho: None or a
+    d <= 0 puts x below rho, a d > 0 above it. A step that leaves the
+    bracket, or none (d' not > 0 and finite), gives way to bisection. The
+    iteration ends at a step below _HINT_STEP, clamped into the bracket, or
+    at a bracket with no float inside. Nothing here is exact: a bracket
+    that misses rho only makes a worse hint.
     """
     lo, hi = float(m - 1), float(m)
     x = hi
     while True:
-        got = _float_pivot(peel, x)
+        got = f(x)
         nxt = None
         if got is None:
             lo = x
         else:
-            d, dd, s = got
+            d, dd = got
             if d > 0:
                 hi = x
-                q = s + dd / d
-                if q > 0 and lo < x - 1 / q < hi:
-                    hi = x - 1 / q
             else:  # d <= 0, or not a number
                 lo = x
             if 0 < dd < math.inf:
                 step = d / dd
                 nxt = x - step
                 if abs(step) < _HINT_STEP:
-                    return nxt
+                    return min(max(nxt, lo), hi)
         if nxt is None or not lo < nxt < hi:
             nxt = (lo + hi) / 2
             if not lo < nxt < hi:  # lo and hi are adjacent floats
@@ -991,11 +983,11 @@ def _locate(peel, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
     p = _OnDemand(peel)
     order, parent, core = peel
     minor = (order[1:], parent, core)
-    lo, hi, exact = _isolate(
+    lo, hi = _isolate(
         lambda x: _inertia(peel, x),
         lambda lo, hi: hi - lo <= tol and _inertia(minor, lo) is not Ordering.GREATER,
         lambda m: _float_hint(peel, m))
-    return CertifiedRoot(p, p, lo, hi, exact)
+    return CertifiedRoot(p, p, lo, hi)
 
 
 # 3/sqrt(2), the largest root of 2x^2 - 9

@@ -4,9 +4,10 @@ Vertices are labelled 0..n-1 with no gaps. Graph values are immutable and
 hashable; every operation returns a new value. Besides construction and BFS
 metrics the module provides canonical codes (isomorphism keys for trees,
 unicyclic graphs and small graphs) and the graph6 interchange format. One
-leaf peel, peel_leaves, serves every job on a tree or unicyclic graph:
-canonical codes and a tree's centres, and the elimination order and cycle
-that exactpoly folds into characteristic polynomials and inertia signs.
+leaf peel of the whole graph, peel_leaves, tells a connected tree or
+unicyclic graph from any other graph and serves every job on one: canonical
+codes and a tree's centres, and the elimination order and cycle that
+exactpoly folds into characteristic polynomials and inertia signs.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def distances(g: Graph, v: int):
         nxt = []
         for u in frontier:
             for w in g.adj[u]:
-                if dist[w] is INF or dist[w] > d:
+                if dist[w] is INF:
                     dist[w] = d
                     nxt.append(w)
         frontier = nxt
@@ -223,26 +224,25 @@ def _cycle(g: Graph, core: list[int]) -> list[int] | None:
     return order if len(order) == len(core) else None
 
 
-def peel_leaves(g: Graph, vertices) -> tuple[list[int], list[int], list[int] | None]:
-    """Strip the leaves of the subgraph on `vertices`, a union of connected
-    components of g listed in increasing order, one at a time until none is
-    left, first in first out from the leaves in decreasing order.
+def peel_leaves(g: Graph) -> tuple[list[int], list[int], list[int] | None]:
+    """Strip the leaves of g one at a time until none is left, first in
+    first out from the leaves in decreasing order.
 
     Returns the peeled vertices in the order they went; a list whose entry
     at each peeled vertex is its parent, its last neighbour when it went;
-    and what is left: a tree's last vertex as a one-element list, a
-    unicyclic graph's cycle in cyclic order, from the first of its vertices
-    in `vertices` toward the lesser of that vertex's cycle neighbours; or
-    None for anything else. Every vertex comes after all of its children,
-    so one pass over the order can fold each subtree into its parent. The
-    queue takes the leaves layer by layer, so a tree's last vertex is a
-    centre.
+    and what is left: a connected tree's last vertex as a one-element list,
+    a connected unicyclic graph's cycle in cyclic order, from its least
+    vertex toward the lesser of that vertex's cycle neighbours; or None for
+    anything else, a forest or any graph with more than one component
+    among them. Every vertex comes after all of its children, so one pass
+    over the order can fold each subtree into its parent. The queue takes
+    the leaves layer by layer, so a tree's last vertex is a centre.
     """
     deg = [len(a) for a in g.adj]
     # the sum of each vertex's neighbours not yet peeled: a leaf's parent
     link = [sum(a) for a in g.adj]
     order = []
-    queue = [v for v in reversed(vertices) if deg[v] == 1]
+    queue = [v for v in reversed(range(g.n)) if deg[v] == 1]
     for v in queue:
         if deg[v] != 1:  # a tree's last vertex, its neighbour peeled first
             continue
@@ -253,7 +253,7 @@ def peel_leaves(g: Graph, vertices) -> tuple[list[int], list[int], list[int] | N
         deg[w] -= 1
         if deg[w] == 1:
             queue.append(w)
-    left = [v for v in vertices if deg[v] >= 0]
+    left = [v for v in range(g.n) if deg[v] >= 0]
     return order, link, left if len(left) == 1 else _cycle(g, left)
 
 
@@ -324,7 +324,7 @@ def canonical_code(g: Graph) -> bytes:
     """
     m = g.edge_count
     if m == g.n - 1 or m == g.n:
-        order, parent, core = peel_leaves(g, range(g.n))
+        order, parent, core = peel_leaves(g)
         if core is None:
             raise UnsupportedFamily("canonical_code requires a connected graph")
         kids: list[list[bytes]] = [[] for _ in range(g.n)]

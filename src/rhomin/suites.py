@@ -14,7 +14,6 @@ from .exactpoly import (
     below_3_over_sqrt2,
     charpoly,
     compare_rho,
-    compare_rho_to,
     compare_roots,
     equal_rho_certificate,
     rho_certified_graph,
@@ -66,10 +65,7 @@ class SuiteResult:
 
 
 def _random_tree(rng: random.Random, n: int) -> Graph:
-    g = build_graph(1, [])
-    for v in range(1, n):
-        g = add_edge(build_graph(v + 1, list(g.edges())), rng.randrange(v), v)
-    return g
+    return build_graph(n, [(rng.randrange(v), v) for v in range(1, n)])
 
 
 def _random_connected(rng: random.Random, n: int, extra: int) -> Graph:
@@ -174,21 +170,9 @@ def suite_edge_transfer(seed: int = DEFAULT_SEED, trials: int = 200) -> SuiteRes
     return SuiteResult("edge-transfer", not failures and checks >= trials, checks, failures)
 
 
-# lo < 3/sqrt(2) < hi with hi - lo = 2^-40: 2^80 * 9/2 = 9 * 2^79 is no
-# square, so lo^2 < 9/2 < hi^2
-_THRESHOLD_LO = Fraction(math.isqrt(9 << 79), 1 << 40)
-_THRESHOLD_HI = _THRESHOLD_LO + Fraction(1, 1 << 40)
-
-
-def _below_threshold(spec) -> bool:
-    """rho(realize(spec)) < 3/sqrt(2), decided by compare_rho_to at hi, then
-    at lo. Only a radius between them takes a certified root."""
-    g = realize(spec)
-    if compare_rho_to(g, _THRESHOLD_HI) is not Ordering.LESS:
-        return False
-    if compare_rho_to(g, _THRESHOLD_LO) is not Ordering.GREATER:
-        return True
-    return below_3_over_sqrt2(rho_certified_graph(g, Fraction(1, 10**4)))
+# the walks' incumbent, less than 2^-40 above 3/sqrt(2): isqrt(9 * 2^79) /
+# 2^40 is below it, since 9 * 2^79 = 2^80 * 9/2 is no square
+_THRESHOLD_HI = Fraction(math.isqrt(9 << 79) + 1, 1 << 40)
 
 
 def suite_diameter_bounds(n: int = 16) -> SuiteResult:
@@ -201,14 +185,14 @@ def suite_diameter_bounds(n: int = 16) -> SuiteResult:
     # the walk drops only members with rho > _THRESHOLD_HI > 3/sqrt(2)
     for d in range(1, n):
         for s in enumerate_quipus(n, d, kinds={"open"}, incumbent=lambda: _THRESHOLD_HI):
-            if not _below_threshold(s):
+            if not below_3_over_sqrt2(rho_certified_graph(realize(s))):
                 continue
             checks += 1
             if 3 * d < 2 * n - 4:
                 failures.append(f"{spec_literal(s)} below threshold at d={d}")
     for d in range(1, n):
         for s in enumerate_quipus(n, d, kinds={"closed"}, incumbent=lambda: _THRESHOLD_HI):
-            if not _below_threshold(s):
+            if not below_3_over_sqrt2(rho_certified_graph(realize(s))):
                 continue
             checks += 1
             if not (n < 3 * d and 3 * d <= 2 * (n - 1)):

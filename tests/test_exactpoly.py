@@ -192,7 +192,7 @@ def test_isolation_of_products_of_known_factors(linear, quadratics, tol):
 
 def test_refine_converges_to_the_root_above_a_root_at_lo():
     p = IntPoly((3, -4, 1))  # (x - 1)(x - 3); lo = 1 is the smaller root
-    root = CertifiedRoot(p, p, Fraction(1), Fraction(4), False)
+    root = CertifiedRoot(p, p, Fraction(1), Fraction(4))
     fine = root.refine(Fraction(1, 10**9))
     assert fine.contains(Fraction(3))
     assert fine.width <= Fraction(1, 10**9)
@@ -401,9 +401,9 @@ def _connected(data, n, least_extra, most_extra):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_charpoly_routes_agree_on_mixed_components(data):
-    # one component per route of charpoly (tree, unicyclic with trees
-    # hanging off its cycle, two or more cycles), interleaved by a random
-    # relabelling
+    # a tree, a unicyclic graph with trees hanging off its cycle and a
+    # graph of two or more cycles, interleaved by a random relabelling:
+    # charpoly takes them all by charpoly_dense, whose value numpy checks
     t, u = data.draw(st.integers(1, 2)), data.draw(st.integers(3, 12))
     m = data.draw(st.integers(4, max(4, 10 - t - u)))
     g = disjoint_union(disjoint_union(_connected(data, t, 0, 0), _connected(data, u, 1, 1)),
@@ -591,12 +591,12 @@ def test_compare_roots_leaves_its_arguments_unchanged():
 
 
 def _around(p: IntPoly, lo: Fraction, hi: Fraction) -> CertifiedRoot:
-    return CertifiedRoot(p, sturm_chain(p)[0], lo, hi, False)
+    return CertifiedRoot(p, sturm_chain(p)[0], lo, hi)
 
 
 def test_compare_roots_reads_the_isolating_sets():
     x_minus_2 = IntPoly((-2, 1))
-    two = CertifiedRoot(x_minus_2, x_minus_2, Fraction(2), Fraction(2), True)
+    two = CertifiedRoot(x_minus_2, x_minus_2, Fraction(2), Fraction(2))
     shared = _around(x_minus_2 * IntPoly((-1, 1)), Fraction(3, 2), Fraction(5, 2))
     order, witness = compare_roots(two, shared)
     assert order is Ordering.EQUAL
@@ -823,7 +823,7 @@ def test_locator_bisects_until_interlacing_isolates_rho(monkeypatch):
     chain = sturm_chain(p)
     assert count_roots_halfopen(chain, Fraction(9, 4), Fraction(19, 8)) == 2
     tol = Fraction(1, 8)
-    root = ep._locate(peel_leaves(g, range(g.n)), tol)
+    root = ep._locate(peel_leaves(g), tol)
     assert root.width < tol
     assert count_roots_halfopen(chain, root.lo, root.hi) == 1
     assert compare_roots(root, rho_certified(p))[0] is Ordering.EQUAL
@@ -899,24 +899,81 @@ def test_locator_takes_few_exact_passes(monkeypatch):
     passes = _counting(monkeypatch, "_inertia")
     graphs = _small_sparse_graphs()
     for g in graphs:
-        ep._locate(peel_leaves(g, range(g.n)))
+        ep._locate(peel_leaves(g))
     # the integer bracket, two probes and one interlacing test; bisection
     # from the integer bracket down to 1e-12 alone would take about 45
     assert len(passes) / len(graphs) <= 12
 
 
+def _newton_passes(monkeypatch) -> list:
+    """For each call of _newton from now on, the number of times it
+    evaluates its f."""
+    import rhomin.exactpoly as ep
+
+    passes = []
+    real = ep._newton
+
+    def counting(f, m):
+        passes.append(0)
+
+        def counted(x):
+            passes[-1] += 1
+            return f(x)
+
+        return real(counted, m)
+
+    monkeypatch.setattr(ep, "_newton", counting)
+    return passes
+
+
+def test_both_hints_take_the_one_newton_loop(monkeypatch):
+    import rhomin.exactpoly as ep
+
+    # each route's isolation asks _newton for one hint: the locator with
+    # the last pivot of x*I - A, the Sturm route with sf and sf' by float
+    # Horner
+    calls = _counting(monkeypatch, "_newton")
+    tree = realize(spider(10))
+    ep._locate(peel_leaves(tree))
+    assert len(calls) == 1
+    f, m = calls[0]
+    assert m == 3 and f(2.5) == ep._float_pivot(peel_leaves(tree), 2.5)
+    calls.clear()
+    p = charpoly(_random_dense(random.Random(32), 20))
+    rho_certified(p)
+    assert len(calls) == 1
+    f, m = calls[0]
+    sf = sturm_chain(p)[0]
+    x = Fraction(m) - Fraction(1, 3)
+    assert f(float(x)) == pytest.approx(
+        (float(sf.eval_at(x)), float(sf.derivative().eval_at(x))), rel=1e-9)
+
+
+# 10^300 x^20 - (2^20 10^300 + 1), its root just above 2: float Horner
+# passes the float range at 3, and a step from there needs bisection first
+_HORNER_OVERFLOWS = IntPoly((-(2**20 * 10**300 + 1),) + (0,) * 19 + (10**300,))
+
+
 def test_float_hint_takes_few_float_eliminations(monkeypatch):
     import rhomin.exactpoly as ep
 
-    # each Newton step or bisection step is one _float_pivot pass;
-    # bisection alone, from width 1 down to 2^-46, would take 46
+    # each Newton step or bisection step is one evaluation, a _float_pivot
+    # pass for the locator and a float Horner pass for the Sturm route;
+    # bisection alone, from width 1 down to 2^-46, would take 46. Float
+    # Horner at high degree is noisy near rho, where steps of either sign
+    # go on until the bracket closes: the Sturm route's sample takes about
+    # 21 passes a hint, spider(15) 46 of them
     graphs = _small_sparse_graphs() + _hint_quipus()
     passes = _counting(monkeypatch, "_float_pivot")
     hints = _counting(monkeypatch, "_float_hint")
     for g in graphs:
-        ep._locate(peel_leaves(g, range(g.n)))
+        ep._locate(peel_leaves(g))
     assert len(hints) > 1200 and len(passes) >= len(hints)
     assert len(passes) / len(hints) <= 16
+    newton = _newton_passes(monkeypatch)
+    for p in _sturm_route_sample() + [_HORNER_OVERFLOWS]:
+        rho_certified(p)
+    assert len(newton) >= 12 and sum(newton) / len(newton) <= 24
 
 
 def test_float_hint_never_raises():
@@ -930,12 +987,23 @@ def test_float_hint_never_raises():
     graphs = (_small_sparse_graphs() + _hint_quipus()
               + [star_graph(k + 1) for k in (50, 300, 1000)])
     for g in graphs:
-        peel = peel_leaves(g, range(g.n))
+        peel = peel_leaves(g)
         m = math.ceil(ep._locate(peel).hi)  # the least integer >= rho
         for bracket in {max(1, m - 1), m, m + 1}:
             x = ep._float_hint(peel, bracket)
             assert isinstance(x, float)
             assert math.isnan(x) or bracket - 1 <= x <= bracket
+    # the Sturm route's hint on its polynomials, one whose float Horner
+    # overflows, and one whose coefficients do not fit a float at all
+    too_wide = IntPoly((-(10**400 + 1), 10**400))
+    for p in _sturm_route_sample() + [_HORNER_OVERFLOWS, too_wide]:
+        sf = sturm_chain(p)[0]
+        m = math.ceil(rho_certified(p).hi)
+        for bracket in {m - 1, m, m + 1}:
+            x = ep._newton_hint(sf, bracket)
+            assert isinstance(x, float)
+            assert math.isnan(x) or bracket - 1 < x <= bracket
+    assert math.isnan(ep._newton_hint(sturm_chain(too_wide)[0], 2))
 
 
 @pytest.mark.parametrize("g", [
@@ -948,7 +1016,7 @@ def test_float_hint_lands_within_the_probe_margin_where_products_would_overflow(
     # the centre of K_{1,300} sums 300 reciprocals, whose pairs' product
     # would pass the float range; around a cycle of 1,500 vertices the 2x2
     # product passes it too unless it is rescaled
-    peel = peel_leaves(g, range(g.n))
+    peel = peel_leaves(g)
     root = ep._locate(peel)
     x = Fraction(ep._float_hint(peel, math.ceil(root.hi)))
     margin = Fraction(1, 2**44)
@@ -964,7 +1032,7 @@ def test_locator_takes_few_exact_passes_at_high_degree(monkeypatch):
     passes = _counting(monkeypatch, "_inertia")
     for k, most in ((50, 12), (300, 16)):
         passes.clear()
-        root = ep._locate(peel_leaves(star_graph(k + 1), range(k + 1)))
+        root = ep._locate(peel_leaves(star_graph(k + 1)))
         assert root.lo**2 < k < root.hi**2
         assert len(passes) <= most, (k, len(passes))
 
@@ -984,7 +1052,7 @@ def test_locator_keeps_an_integer_radius_exact(g, rho):
 
     # an integer reached by doubling (1, 2, 4) or by halving after it (0,
     # 3, 5, 6) is EQUAL and ends the search as an exact root
-    root = ep._locate(peel_leaves(g, range(g.n)))
+    root = ep._locate(peel_leaves(g))
     assert root.exact and root.lo == root.hi == rho
 
 
@@ -997,7 +1065,7 @@ def test_locator_keeps_an_integer_radius_exact(g, rho):
 def test_sturm_route_keeps_an_integer_radius_exact(g, rho):
     # graphs the locator does not take: the Sturm route's integer bracket
     # finds rho EQUAL, also where it is a double root of the charpoly (2 C_5)
-    assert peel_leaves(g, range(g.n))[2] is None
+    assert peel_leaves(g)[2] is None
     root = rho_certified_graph(g)
     assert root.exact and root.lo == root.hi == rho
 

@@ -52,7 +52,7 @@ def test_basic_metrics():
     c6 = cycle_graph(6)
     assert diameter(c6) == 3
     assert is_unicyclic(c6)
-    assert peel_leaves(c6, range(6))[2] == [0, 1, 2, 3, 4, 5]
+    assert peel_leaves(c6)[2] == [0, 1, 2, 3, 4, 5]
     k13 = star_graph(4)
     assert diameter(k13) == 2
     assert [k13.degree(v) for v in range(4)] == [3, 1, 1, 1]
@@ -159,7 +159,7 @@ def test_peel_leaves_refuses_a_figure_eight_promptly():
     script = (
         "from rhomin.graphs import build_graph, peel_leaves\n"
         f"g = build_graph(6, {FIGURE_EIGHT})\n"
-        "raise SystemExit(peel_leaves(g, range(g.n))[2] is not None)\n"
+        "raise SystemExit(peel_leaves(g)[2] is not None)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], timeout=10, env=env)
     assert proc.returncode == 0
@@ -170,7 +170,7 @@ def test_peel_leaves_refuses_a_figure_eight_promptly():
     disjoint_union(cycle_graph(3), cycle_graph(3)),
 ], ids=["K4", "two-triangles"])
 def test_peel_leaves_refuses_more_than_one_cycle(g):
-    assert peel_leaves(g, range(g.n))[2] is None
+    assert peel_leaves(g)[2] is None
 
 
 @st.composite
@@ -214,7 +214,7 @@ def test_graph6_round_trip_random(data):
 @given(sparse_graphs())
 @example(path_graph(5))
 def test_peel_leaves_orders_children_before_parents(g):
-    order, parent, core = peel_leaves(g, range(g.n))
+    order, parent, core = peel_leaves(g)
     assert core is not None and sorted(order + core) == list(range(g.n))
     if is_tree(g):
         # a tree's last vertex is a centre: its eccentricity is the radius
@@ -234,12 +234,12 @@ def test_peel_leaves_orders_children_before_parents(g):
         assert all(rank[w] < rank[v] or w == parent[v] for w in g.adj[v])
 
 
-def test_peel_leaves_per_component_and_refusals():
-    g = disjoint_union(cycle_graph(4), path_graph(3))
-    order, _, core = peel_leaves(g, [0, 1, 2, 3])
-    assert order == [] and core == [0, 1, 2, 3]
-    order, parent, core = peel_leaves(g, [4, 5, 6])
-    assert sorted(order + core) == [4, 5, 6] and len(core) == 1
-    assert all(g.has_edge(v, parent[v]) for v in order)
-    assert peel_leaves(g, range(g.n))[2] is None
-    assert peel_leaves(build_graph(4, list(combinations(range(4), 2))), range(4))[2] is None
+def test_peel_leaves_refuses_forests_and_mixed_components():
+    # a cycle beside a path, two paths, a path beside K1, 2K1, K0 and K4:
+    # what is left is not one vertex or one cycle
+    for g in (disjoint_union(cycle_graph(4), path_graph(3)),
+              disjoint_union(path_graph(2), path_graph(3)),
+              disjoint_union(path_graph(3), build_graph(1, [])),
+              build_graph(2, []), build_graph(0, []),
+              build_graph(4, list(combinations(range(4), 2)))):
+        assert peel_leaves(g)[2] is None
