@@ -1,6 +1,6 @@
 """Exact minimization of graph spectral radii at fixed order and diameter.
 
-Integer characteristic polynomials, Sturm-certified root intervals,
+Integer characteristic polynomials, exactly certified root intervals,
 parametric quipu/dagger families, a rooted transfer calculus over quadratic
 fields, and exhaustive minimizer searches with independent oracles.
 """

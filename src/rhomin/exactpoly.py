@@ -1,35 +1,45 @@
 """Exact characteristic polynomials and certified spectral radii.
 
 All arithmetic is exact: integer polynomials, rational evaluation points,
-Sturm-chain root counting. One test picks the route for a graph, for its
-characteristic polynomial and its radius alike: whether its leaf peel
-(graphs.peel_leaves) leaves one vertex or one cycle, as it does exactly for
-a connected tree or unicyclic graph. Such a graph's polynomial is the
-elimination of x*I - A over Z[x] along its peel, the same steps
+sign counts by Descartes' rule or by Sturm chains. One test picks the route
+for a graph, for its characteristic polynomial and its radius alike:
+whether its leaf peel (graphs.peel_leaves) leaves one vertex or one cycle,
+as it does exactly for a connected tree or unicyclic graph. Such a graph's
+polynomial is the elimination of x*I - A along its peel, the same steps
 (pivot_after, cycle_after, cycle_close) that the inertia test below runs
-over Z at a rational: there they are Schwenk's bridge and cycle rules. Any
-other graph, disconnected ones among them, goes through charpoly_dense,
-which counts its closed walks, tr(A^k), on rows of A^k packed into one int
-each, and turns them into coefficients by Newton's identities.
+over Z at a rational: there they are Schwenk's bridge and cycle rules. It
+runs on Python ints at x = 2^W, one int per polynomial, and the last int is
+decoded into coefficients (Kronecker substitution). Any other connected
+graph goes through charpoly_dense, which counts its closed walks, tr(A^k),
+on rows of A^k packed into one int each, and turns them into coefficients
+by Newton's identities. A disconnected graph's polynomial is the product of
+its components', each by its own route, multiplied as packed ints.
 
 The largest root of a polynomial, a graph's spectral radius among them, is
 delivered as an immutable isolating interval with exact sign evidence;
 refining it yields a narrower copy. Every such interval comes out of one
 routine, _isolate(side, isolated, hint), with side(x) an exact ordering of
 rho against a rational x: one integer bracket, two probes around a float
-hint when there is one, and one halving loop (_halve). Three side oracles
+hint when there is one, and one halving loop (_halve). Four side oracles
 feed it, and each root names the polynomial whose sign refine() bisects on
 (CertifiedRoot.bisection):
 
-- rho_certified, for any polynomial (a dense graph, a forest, a composed
-  polynomial, 2x^2 - 9): the Sturm count of its square-free part, whose
-  chain comes from one remainder sequence, of p and p', with a float hint
-  (_newton_hint). The square-free part is the bisection polynomial.
 - _locate, for a connected tree or unicyclic graph: the signs of the pivots
   of lam*I - A (_inertia, which compare_rho_to also runs), with a float
   hint (_float_hint). Cauchy interlacing makes p = charpoly(g) itself the
   bisection polynomial: no Sturm chain is built, and p only when something
   reads it.
+- _descartes_root, for any other connected graph (charpoly_dense) and for
+  a composition of connected branches (transfer.t_compose_rho): the sign
+  variations of p's Taylor shift to x (_descartes), with a float hint on p
+  (_newton_hint). Such a p is real-rooted with a simple rho
+  (Perron-Frobenius), and V(lo) = 1 with V(hi) = 0 certifies rho for any
+  real p, so p itself is the bisection polynomial and no Sturm chain is
+  built.
+- rho_certified, for any polynomial (a disconnected graph, 2x^2 - 9, or a
+  caller's own): the Sturm count of its square-free part, whose chain comes
+  from one remainder sequence, of p and p', with a float hint on the
+  square-free part, which is the bisection polynomial.
 - CertifiedRoot.refine: the sign of the bisection polynomial.
 
 Two radii are compared by their isolating sets, and a tie is decided by
@@ -39,10 +49,10 @@ at DEFAULT_TOL; the threshold 3/sqrt(2) is isolated once, at import. The
 module imports no numpy. Floats appear in two places: CertifiedRoot.as_float,
 for display, and the two hints. Both run one safeguarded Newton loop in
 floats (_newton) with an evaluator of their own: the locator's on the last
-pivot of x*I - A (_float_pivot), rho_certified's on the square-free part by
-float Horner, closed by one exact Newton step. A hint only chooses where
-two exact probes go. Every endpoint is set by an exact sign, so a wrong or
-non-finite hint costs halvings, never correctness.
+pivot of x*I - A (_float_pivot), the polynomial routes' by float Horner,
+closed by one exact Newton step. A hint only chooses where two exact probes
+go. Every endpoint is set by an exact sign, so a wrong or non-finite hint
+costs halvings, never correctness.
 """
 
 from __future__ import annotations
@@ -53,7 +63,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, peel_leaves
+from .graphs import Graph, connected_components, delete_vertices, is_connected, peel_leaves
 
 Rational = Fraction
 
@@ -157,8 +167,6 @@ class IntPoly:
 
 
 ZERO = IntPoly(())
-ONE = IntPoly((1,))
-X = IntPoly((0, 1))
 
 
 def poly_to_json(p: IntPoly) -> list[str]:
@@ -372,9 +380,11 @@ class CertifiedRoot:
     hi], at the root: refine() reads only that sign, and compare_roots reads
     a tie off the gcd of two bisection polynomials. rho_certified stores the
     square-free part of `poly`, the first entry of its Sturm chain. The
-    inertia locator of a tree or unicyclic graph stores `poly` itself: it
-    stops only once every other root is <= lo, and a connected graph's
-    radius is a simple root. There `poly` is built on first read
+    other two routes store `poly` itself. _descartes_root stops only at V(lo)
+    = 1 and V(hi) = 0, which leave `poly` one root above lo, a simple one.
+    The inertia locator of a tree or unicyclic graph stops only once every
+    other root is <= lo, and a connected graph's radius is a simple root.
+    There `poly` is built on first read
     (compare_roots' gcd, refine() below DEFAULT_TOL, to_json), once for the
     root and every refined copy of it; the constructor takes either
     polynomial as an IntPoly or as an _OnDemand.
@@ -496,24 +506,103 @@ def rho_certified(p: IntPoly, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
     return CertifiedRoot(p, sf, lo, hi).refine(tol)
 
 
-def _newton_hint(sf: IntPoly, m: int) -> float:
-    """A float near the largest root rho of sf in (m - 1, m], or NaN:
-    _newton on sf and sf' by float Horner, then one exact Newton step. It
-    only places rho_certified's probes and decides nothing.
+def _descartes_root(p: IntPoly, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
+    """Certified isolating interval for the largest root of p, for a p that
+    is real-rooted with a simple largest root: a connected graph's
+    characteristic polynomial (Perron-Frobenius), such as compose_charpoly's.
 
-    sf, of positive lead, is > 0 above rho and < 0 just below it, and from
-    above the largest root of a real-rooted sf, such as a graph's, Newton
-    steps descend to it. Float Horner cancels heavily near rho at high
-    degree, and leaves x more than the probes' 2^-44 margin away for spiders
-    from k = 9 and for most dense graphs at n = 60. So x is rounded to the
-    2^-64 grid, X / 2^64, and one Newton step is taken from there with sf
-    and sf' evaluated exactly by integer Horner (scaled by 2^(64 deg sf) and
-    2^(64 (deg sf - 1))); it squares the error, and its one rounding is to
-    the nearest float. A coefficient that overflows a float, a zero exact
-    derivative or an exact step that leaves (m - 1, m] gives NaN.
+    _isolate with _descartes as its side and _newton_hint on p as its hint:
+    V(x) > 0 puts rho above x, and V(x) = 0 puts it at or below x, at x
+    exactly when p(x) = 0. Those readings need p real-rooted, but the result
+    does not: the isolation test is V(lo) = 1 with V(hi) = 0, which by
+    Descartes' rule leaves p exactly one root above lo, a simple one, and
+    none above hi, for any real p. So p itself is the bisection polynomial,
+    and no Sturm chain is built. For a real-rooted p with a simple rho, the
+    test holds once hi - lo is below the distance from rho to the next
+    root. Mahler's bound for the square-free part, whose degree is at most
+    d = deg p and whose Mahler measure is at most M(p) <= ||p||_2, puts that
+    distance above 2^-s, s = ((d + 2) bitlen(d) + (d - 1) bitlen(||p||_2^2))
+    / 2 + 1: past that width the halving raises ValueError.
+    """
+    _check_tol(tol)
+    if p.degree < 1:
+        raise ValueError("constant polynomial has no roots")
+    d = p.degree
+    sep = Fraction(1, 2 ** (((d + 2) * d.bit_length()
+                             + (d - 1) * sum(c * c for c in p.coeffs).bit_length()) // 2 + 1))
+    var = {}
+
+    def side(x):
+        v, at_root = var[x] = _descartes(p, x)
+        if v:
+            return Ordering.GREATER
+        return Ordering.EQUAL if at_root else Ordering.LESS
+
+    def isolated(lo, hi):
+        if var[lo][0] == 1:
+            return True
+        if hi - lo < sep:
+            raise ValueError("largest root not isolated: p is not real-rooted "
+                             "or its largest root is not simple")
+        return False
+
+    lo, hi = _isolate(side, isolated, lambda m: _newton_hint(p, m))
+    return CertifiedRoot(p, p, lo, hi).refine(tol)
+
+
+def _descartes(p: IntPoly, x: Rational) -> tuple[int, bool]:
+    """(V, p(x) == 0): V the sign variations of the Taylor shift Q(Y) =
+    P(Y + a) of P(Y) = b^d p(Y / b), for x = a / b and d = deg p (Collins &
+    Akritas, SYMSAC 1976). Q's positive roots are b (r - x) for the roots r
+    > x of p, so by Descartes' rule V counts those with multiplicity, less
+    an even number, and counts them exactly when p is real-rooted; Q(0) = 0
+    exactly when p(x) = 0.
+
+    Q is evaluated at Y = 2^W by Horner in ints, Q(2^W) = sum c_i b^(d-i)
+    (2^W + a)^i, and its coefficients are read off as the balanced base-2^W
+    digits of that value (Kronecker substitution). The absolute values of
+    the coefficients of (Y + a)^i sum to (1 + |a|)^i, so Q's sum to at most
+    ||p||_1 max(b, 1 + |a|)^d < 2^(W - 1): no digit carries. W is a whole
+    number of bytes, and each digit's sign is a comparison of its bytes, once
+    2^(W - 1) is added to every digit, against those of 2^(W - 1).
+    """
+    a, b = x.numerator, x.denominator
+    cs = p.coeffs
+    d = len(cs) - 1
+    bits = sum(map(abs, cs)).bit_length() + d * max(b, 1 + abs(a)).bit_length() + 1
+    size = -(-bits // 8)
+    width = 8 * size
+    acc, pw = cs[-1], 1
+    for c in reversed(cs[:-1]):
+        pw *= b
+        acc = (acc << width) + acc * a + c * pw
+    half = b"\x80" + bytes(size - 1)
+    data = (acc + int.from_bytes(half * (d + 1), "big")).to_bytes(size * (d + 1), "big")
+    signs = [digit > half for digit in (data[i:i + size] for i in range(0, len(data), size))
+             if digit != half]
+    return sum(s != t for s, t in zip(signs, signs[1:])), data[-size:] == half
+
+
+def _newton_hint(p: IntPoly, m: int) -> float:
+    """A float near the largest root rho of p in (m - 1, m], or NaN:
+    _newton on p and p' by float Horner, then one exact Newton step. It
+    only places the probes of rho_certified (p its square-free part) and
+    _descartes_root, and decides nothing.
+
+    p, of positive lead and with a simple rho, is > 0 above rho and < 0 just
+    below it, and from above the largest root of a real-rooted p, such as a
+    graph's, Newton steps descend to it. Float Horner cancels heavily near
+    rho at high degree, and leaves x more than the probes' 2^-44 margin
+    away for spiders from k = 9 and for most dense graphs at n = 60. So x
+    is rounded to the 2^-64 grid, X / 2^64, and one Newton step is taken
+    from there with p and p' evaluated exactly by integer Horner (scaled by
+    2^(64 deg p) and 2^(64 (deg p - 1))); it squares the error, and its one
+    rounding is to the nearest float. A coefficient that overflows a float,
+    a zero exact derivative or an exact step that leaves (m - 1, m] gives
+    NaN.
     """
     try:
-        cs = [float(c) for c in reversed(sf.coeffs)]
+        cs = [float(c) for c in reversed(p.coeffs)]
     except OverflowError:
         return math.nan
 
@@ -525,15 +614,15 @@ def _newton_hint(sf: IntPoly, m: int) -> float:
         return p, dp
 
     big_x = round(_newton(horner, m) * 2.0**64)
-    p = dp = shift = 0
-    for c in reversed(sf.coeffs):
-        dp = dp * big_x + p
-        p = p * big_x + (c << shift)
+    v = dv = shift = 0
+    for c in reversed(p.coeffs):
+        dv = dv * big_x + v
+        v = v * big_x + (c << shift)
         shift += 64
-    if not dp:
+    if not dv:
         return math.nan
     try:
-        x = (big_x * dp - p) / (dp << 64)
+        x = (big_x * dv - v) / (dv << 64)
     except OverflowError:
         return math.nan
     return x if m - 1 < x <= m else math.nan
@@ -546,10 +635,27 @@ def charpoly(g: Graph) -> IntPoly:
     """Exact characteristic polynomial det(xI - A), by one of two routes,
     chosen by g's leaf peel as the root's route is. A connected tree or
     unicyclic graph takes Schwenk's bridge rule in one pass of _bridge_phi
-    over its peel. Any other graph, a forest or one with mixed components
-    among them, takes charpoly_dense, by closed walks."""
+    over its peel; any other connected graph takes charpoly_dense, by closed
+    walks. A disconnected graph's is the product of its components', each
+    by its own route, multiplied as values at x = 2^W and decoded once
+    (_unpack). Expanding the determinant, its coefficients' absolute values
+    sum to at most per(I + A) <= prod_v (1 + deg v) < 2^(W - 1)."""
     peel = peel_leaves(g)
-    return charpoly_dense(g) if peel[2] is None else _bridge_phi(*peel)
+    if peel[2] is not None:
+        return _bridge_phi(*peel)
+    comps = connected_components(g)
+    if len(comps) == 1:
+        return charpoly_dense(g)
+    width = math.prod(len(a) + 1 for a in g.adj).bit_length() + 1
+    value = 1
+    for comp in comps:
+        sub = delete_vertices(g, set(range(g.n)).difference(comp))
+        peel = peel_leaves(sub)
+        if peel[2] is not None:
+            value *= _packed_phi(peel, width)
+        else:
+            value *= sum(c << (i * width) for i, c in enumerate(charpoly_dense(sub).coeffs))
+    return _unpack(value, width)
 
 
 def _bridge_phi(order: list[int], parent: list[int], core: list[int]) -> IntPoly:
@@ -563,17 +669,51 @@ def _bridge_phi(order: list[int], parent: list[int], core: list[int]) -> IntPoly
     its parent's, which is Schwenk's bridge rule phi(G) = phi(G - uv) -
     phi(G - u - v). A tree's polynomial is its last vertex's a; a cycle's
     is cycle_close's value, which is Schwenk's cycle rule.
+
+    The fold runs on Python ints at x = 2^W, W = n + 3 (_packed_phi), and
+    the one int it ends with is decoded into phi's coefficients (_unpack).
+    Every step is a ring operation, so each value is the exact image in Z of
+    the polynomial the fold would hold, and only the last one needs a bound.
+    By Sachs' coefficient theorem, |c_k| is at most a signed count of the
+    elementary subgraphs on k vertices, each weighted 2 per cycle: for a
+    tree its k/2-matchings, at most 2^(n - 1) subsets of its n - 1 edges,
+    and for a unicyclic graph also the cycle with a matching of the rest,
+    so at most 2^n + 2 * 2^n = 3 * 2^n in all. That is below 2^(W - 1), so
+    phi(2^W) has phi's coefficients as its balanced base-2^W digits.
     """
-    piv = [(X, ONE)] * len(parent)
+    width = len(parent) + 3
+    return _unpack(_packed_phi((order, parent, core), width), width)
+
+
+def _packed_phi(peel, width: int) -> int:
+    """phi(2^width) of the connected tree or unicyclic graph whose leaf peel
+    is `peel`: _bridge_phi's fold in ints."""
+    order, parent, core = peel
+    piv = [(1 << width, 1)] * len(parent)
     for v in order:
         w = parent[v]
         piv[w] = pivot_after(piv[w], piv[v])
     if len(core) == 1:
         return piv[core[0]][0]
-    state = (ONE, ZERO, ZERO, ONE, ONE)
+    state = CYCLE_START
     for v in core[:-1]:
         state = cycle_after(state, piv[v])
     return cycle_close(state, piv[core[-1]])
+
+
+def _unpack(value: int, width: int) -> IntPoly:
+    """The integer polynomial f with f(2^width) = value whose coefficients
+    are all less than 2^(width - 1) in absolute value: the balanced
+    base-2^width digits of value, lowest first."""
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    coeffs = []
+    while value:
+        c = value & mask
+        if c >= half:
+            c -= mask + 1
+        coeffs.append(c)
+        value = (value - c) >> width
+    return IntPoly(tuple(coeffs))
 
 
 def charpoly_dense(g: Graph) -> IntPoly:
@@ -585,8 +725,8 @@ def charpoly_dense(g: Graph) -> IntPoly:
     walks of length k from u to v, at most Delta^k < 2^(W - 1): no field
     carries into the next. Row u of A^(k+1) is the sum of the rows of A^k at
     u's neighbours, so A is never built, and p_k is the sum of the rows'
-    diagonal fields. charpoly routes every graph here but a connected tree
-    or unicyclic graph."""
+    diagonal fields. charpoly routes here every connected graph, or
+    component, that is not a tree or unicyclic graph."""
     n = g.n
     width = n * max(map(len, g.adj), default=0).bit_length() + 1
     mask = (1 << width) - 1
@@ -617,11 +757,15 @@ class EqualityWitness:
 @functools.lru_cache(maxsize=20000)
 def _graph_root(g: Graph) -> CertifiedRoot:
     """rho(g) at DEFAULT_TOL: by the inertia locator for a connected tree
-    or unicyclic graph, by rho_certified of charpoly_dense(g) for any other."""
+    or unicyclic graph, by _descartes_root of charpoly_dense(g) for any
+    other connected graph, and by rho_certified of charpoly(g), whose rho
+    may be a multiple root, for a disconnected one."""
     peel = peel_leaves(g)
-    if peel[2] is None:
-        return rho_certified(charpoly_dense(g))
-    return _locate(peel)
+    if peel[2] is not None:
+        return _locate(peel)
+    if is_connected(g):
+        return _descartes_root(charpoly_dense(g))
+    return rho_certified(charpoly(g))
 
 
 def rho_certified_graph(g: Graph, tol: Rational = DEFAULT_TOL) -> CertifiedRoot:
@@ -936,12 +1080,17 @@ def _newton(f, m: int) -> float:
     Each evaluation's sign keeps a float bracket (lo, hi] of rho: None or a
     d <= 0 puts x below rho, a d > 0 above it. A step that leaves the
     bracket, or none (d' not > 0 and finite), gives way to bisection. The
-    iteration ends at a step below _HINT_STEP, clamped into the bracket, or
-    at a bracket with no float inside. Nothing here is exact: a bracket
-    that misses rho only makes a worse hint.
+    iteration ends at a step below _HINT_STEP, clamped into the bracket, at
+    a bracket with no float inside, or at the first x whose |d| is not less
+    than that of the d evaluated before it: near rho that is rounding noise
+    (float Horner at high degree), where steps of either sign would go on
+    until the bracket closed. A step from above rho to below it is exempt,
+    as Newton from above overshoots rho on a concave d (the locator's).
+    Nothing here is exact: a bracket that misses rho only makes a worse
+    hint.
     """
     lo, hi = float(m - 1), float(m)
-    x = hi
+    x, last = hi, None
     while True:
         got = f(x)
         nxt = None
@@ -953,6 +1102,9 @@ def _newton(f, m: int) -> float:
                 hi = x
             else:  # d <= 0, or not a number
                 lo = x
+            if last is not None and not abs(d) < abs(last) and (d > 0 or not last > 0):
+                return x
+            last = d
             if 0 < dd < math.inf:
                 step = d / dd
                 nxt = x - step

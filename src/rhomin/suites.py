@@ -47,6 +47,7 @@ from .transfer import (
     pq_decompose,
     alpha,
     extended_phi,
+    compose_charpoly,
     t_compose,
     t_compose_rho,
     t_value,
@@ -274,8 +275,9 @@ def suite_equal_radius_family(kmax: int = 6) -> SuiteResult:
 
 
 def suite_composition(seed: int = DEFAULT_SEED, trials: int = 50) -> SuiteResult:
-    """The certified root of the composition equation always intersects the
-    certified radius of the realized composition graph."""
+    """The composition equation's polynomial is the characteristic
+    polynomial of the realized composition graph, and its certified root
+    intersects the certified radius of that graph."""
     rng = random.Random(seed)
     failures = []
     checks = 0
@@ -285,8 +287,11 @@ def suite_composition(seed: int = DEFAULT_SEED, trials: int = 50) -> SuiteResult
             for t in (_random_tree(rng, rng.randint(1, 5)) for _ in range(3))
         ]
         checks += 1
+        graph = t_compose(*parts)
+        if compose_charpoly(*parts) != charpoly(graph):
+            failures.append("equation polynomial is not the realized charpoly")
         root = t_compose_rho(*parts)
-        ref = rho_certified_graph(t_compose(*parts))
+        ref = rho_certified_graph(graph)
         if root.hi < ref.lo or ref.hi < root.lo:
             failures.append("equation and realized intervals disjoint")
     return SuiteResult("composition", not failures, checks, failures)

@@ -6,8 +6,8 @@ and appending a pendant path of length i at the root multiplies them by
 x1^i and x2^i, the roots of x^2 - lambda*x + 1. This module implements that
 arithmetic exactly; the three-branch composition graph, whose spectral radius
 is the largest root of the alpha-equation cleared of its denominators and is
-certified by one rho_certified call; and the pendant-path edge-transfer
-comparator.
+certified by one exact isolation of that root; and the pendant-path
+edge-transfer comparator.
 """
 
 from __future__ import annotations
@@ -23,11 +23,13 @@ from .exactpoly import (
     Ordering,
     Rational,
     DEFAULT_TOL,
+    _descartes_root,
     charpoly,
     compare_rho,
     rho_certified,
 )
-from .graphs import Graph, add_pendant_path, build_graph, delete_vertex, distances
+from .graphs import (Graph, add_pendant_path, build_graph, delete_vertex, distances,
+                     is_connected)
 
 
 class PoleError(ZeroDivisionError):
@@ -316,9 +318,15 @@ def t_compose_rho(
 ) -> CertifiedRoot:
     """Certified spectral radius of t_compose(g1, g2, g3), isolated to width
     at most tol as the largest root of compose_charpoly: the alpha-equation
-    B1/B = A0/A + C0/C multiplied through by A*B*C. Raises ValueError
-    unless tol > 0."""
-    return rho_certified(compose_charpoly(g1, g2, g3), tol)
+    B1/B = A0/A + C0/C multiplied through by A*B*C. It is the
+    characteristic polynomial of the composition graph, connected when the
+    three branches are: then its largest root is simple and it is
+    real-rooted, and _descartes_root isolates it with no Sturm chain. Any
+    other takes rho_certified. Raises ValueError unless tol > 0."""
+    p = compose_charpoly(g1, g2, g3)
+    if all(is_connected(rg.graph) for rg in (g1, g2, g3)):
+        return _descartes_root(p, tol)
+    return rho_certified(p, tol)
 
 
 # ---------------------------------------------------------------------------

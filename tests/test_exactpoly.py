@@ -403,7 +403,8 @@ def _connected(data, n, least_extra, most_extra):
 def test_charpoly_routes_agree_on_mixed_components(data):
     # a tree, a unicyclic graph with trees hanging off its cycle and a
     # graph of two or more cycles, interleaved by a random relabelling:
-    # charpoly takes them all by charpoly_dense, whose value numpy checks
+    # charpoly multiplies their polynomials, each by its own route, and
+    # charpoly_dense takes the whole graph; numpy checks both
     t, u = data.draw(st.integers(1, 2)), data.draw(st.integers(3, 12))
     m = data.draw(st.integers(4, max(4, 10 - t - u)))
     g = disjoint_union(disjoint_union(_connected(data, t, 0, 0), _connected(data, u, 1, 1)),
@@ -960,9 +961,9 @@ def test_float_hint_takes_few_float_eliminations(monkeypatch):
     # each Newton step or bisection step is one evaluation, a _float_pivot
     # pass for the locator and a float Horner pass for the Sturm route;
     # bisection alone, from width 1 down to 2^-46, would take 46. Float
-    # Horner at high degree is noisy near rho, where steps of either sign
-    # go on until the bracket closes: the Sturm route's sample takes about
-    # 21 passes a hint, spider(15) 46 of them
+    # Horner at high degree is noisy near rho, and the loop stops at the
+    # first pass that does not shrink |d|: the Sturm route's sample takes
+    # about 15 passes a hint
     graphs = _small_sparse_graphs() + _hint_quipus()
     passes = _counting(monkeypatch, "_float_pivot")
     hints = _counting(monkeypatch, "_float_hint")
@@ -1063,8 +1064,9 @@ def test_locator_keeps_an_integer_radius_exact(g, rho):
     (disjoint_union(cycle_graph(5), cycle_graph(5)), 2),
 ], ids=["Petersen", "K3,3", "K5", "2C5"])
 def test_sturm_route_keeps_an_integer_radius_exact(g, rho):
-    # graphs the locator does not take: the Sturm route's integer bracket
-    # finds rho EQUAL, also where it is a double root of the charpoly (2 C_5)
+    # graphs the locator does not take: the integer bracket of the Descartes
+    # route (connected graphs) or of the Sturm route (2 C_5) finds rho EQUAL,
+    # also where it is a double root of the charpoly (2 C_5)
     assert peel_leaves(g)[2] is None
     root = rho_certified_graph(g)
     assert root.exact and root.lo == root.hi == rho
@@ -1138,9 +1140,9 @@ def test_locator_builds_no_sturm_chain(monkeypatch):
                  (realize(parse_spec_literal("closed:ks=4,4;ms=0,1")),
                   realize(parse_spec_literal("open:ks=3,3;ms=3")))):
         assert equal_rho_certificate(*pair)[0]
-    # a bicyclic graph still takes the Sturm route
+    # a disconnected graph still takes the Sturm route
     with pytest.raises(AssertionError, match="sturm_chain"):
-        rho_certified_graph(build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
+        rho_certified_graph(disjoint_union(cycle_graph(3), cycle_graph(3)))
 
 
 def test_cut_rule_decides_the_subgraph_it_stands_for():
@@ -1173,3 +1175,163 @@ def test_cut_rule_decides_the_subgraph_it_stands_for():
             assert cut is fires, (m, j, t, lam)
             checks += 1
     assert checks == 2 * 4**4 + 2 * 4 * 15
+
+
+# ---------------------------------------------------------------------------
+# packed polynomials and the Descartes route of connected graphs
+
+def _random_unicyclic(rng, n):
+    """A random unicyclic graph on n >= 3 vertices: a random tree plus one
+    edge between two vertices it does not join."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return build_graph(n, edges)
+
+
+def test_packed_bridge_phi_matches_faddeev_leverrier_at_the_sachs_bound():
+    import rhomin.exactpoly as ep
+
+    # the star has the largest coefficient a tree's can have for its order
+    # (c_{n-2} = -(n - 1)), the path the most matchings, and the cycle,
+    # whose cycle term adds 2 to a matching count, the largest unicyclic
+    # ones: the packed fold at 2^(n + 3) decodes each of them exactly
+    rng = random.Random(31)
+    graphs = [star_graph(62), path_graph(62), cycle_graph(62), realize(spider(20))]
+    graphs += [_random_unicyclic(rng, rng.randint(3, 62)) for _ in range(8)]
+    for g in graphs:
+        peel = peel_leaves(g)
+        assert peel[2] is not None
+        assert ep._bridge_phi(*peel) == faddeev_leverrier(g)
+
+
+def _forests_and_mixed_graphs():
+    rng = random.Random(33)
+    tree = build_graph(62, [(rng.randrange(v), v) for v in range(1, 62)])
+    k4 = _complete(4)
+    return [
+        build_graph(0, []), build_graph(1, []), build_graph(7, []),
+        build_graph(62, [(i, i + 1) for i in range(61) if i not in (30, 31)]),  # P62 less a vertex's edges
+        build_graph(61, [(u - 1, v - 1) for u, v in tree.edges() if u]),  # a tree less its root
+        disjoint_union(path_graph(2), path_graph(3)),
+        disjoint_union(disjoint_union(star_graph(5), cycle_graph(6)), k4),
+        disjoint_union(k4, _random_unicyclic(rng, 20)),
+        disjoint_union(graph6_decode("IheA@GUAo"), disjoint_union(k4, build_graph(3, []))),
+    ]
+
+
+def test_charpoly_of_a_disconnected_graph_multiplies_its_components_routes(monkeypatch):
+    graphs = _forests_and_mixed_graphs()
+    expected = [charpoly_dense(g) for g in graphs]
+    dense = _counting(monkeypatch, "charpoly_dense")
+    for g, phi in zip(graphs, expected):
+        assert charpoly(g) == phi == faddeev_leverrier(g)
+    # a forest's trees and a unicyclic component take _bridge_phi's fold;
+    # only K4 and the Petersen graph take the closed walks
+    assert sorted(args[0].n for args in dense) == [4, 4, 4, 10]
+
+
+_GRAPH_KINDS = st.sampled_from(["connected", "forest", "complete", "bipartite"])
+
+
+@settings(max_examples=120, deadline=None)
+@given(_GRAPH_KINDS, st.data())
+def test_descartes_count_of_the_square_free_part_is_the_sturm_count(kind, data):
+    import rhomin.exactpoly as ep
+
+    # a graph's charpoly is real-rooted, so Descartes' rule counts its roots
+    # above x exactly: for the square-free part, the distinct roots, which
+    # is the Sturm count. A forest's has repeated roots, and K_n and K_{a,a}
+    # have integer roots, which the integer draws hit
+    if kind == "connected":
+        g = _connected(data, data.draw(st.integers(1, 30)), 0, 12)
+    elif kind == "forest":
+        g = disjoint_union(_connected(data, data.draw(st.integers(1, 15)), 0, 0),
+                           _connected(data, data.draw(st.integers(1, 15)), 0, 0))
+    elif kind == "complete":
+        g = _complete(data.draw(st.integers(1, 12)))
+    else:
+        a = data.draw(st.integers(1, 8))
+        g = build_graph(2 * a, [(u, v) for u in range(a) for v in range(a, 2 * a)])
+    p = charpoly_dense(g)
+    chain = sturm_chain(p)
+    sf = chain[0]
+    bound = Fraction(1 + max(abs(c) for c in sf.coeffs))
+    den = data.draw(st.sampled_from([1, 1, 2, 3, 2**42, 10**9 + 7]))
+    x = Fraction(data.draw(st.integers(-(g.n + 1) * den, (g.n + 1) * den)), den)
+    v, at_root = ep._descartes(sf, x)
+    assert v == count_roots_halfopen(chain, x, bound)
+    assert at_root is (sf.sign_at(x) == 0)
+    # on p itself the count is with multiplicity, so positive just as often
+    vp, at_root_p = ep._descartes(p, x)
+    assert vp >= v and (vp > 0) is (v > 0) and at_root_p is at_root
+
+
+def test_no_connected_radius_builds_a_sturm_chain(monkeypatch):
+    import rhomin.exactpoly as ep
+    from rhomin.transfer import t_compose, t_compose_rho
+
+    def refuse(p):
+        raise AssertionError("sturm_chain was called")
+
+    monkeypatch.setattr(ep, "sturm_chain", refuse)
+    ep._graph_root.cache_clear()
+    rng = random.Random(34)
+    graphs = [_complete(4), _complete(9), graph6_decode("IheA@GUAo"),
+              build_graph(6, [(u, v) for u in range(3) for v in range(3, 6)])]
+    graphs += [_random_dense(rng, n) for n in (12, 20, 40, 60)]
+    try:
+        for g in graphs:
+            root = rho_certified_graph(g)
+            assert root.exact or root.width <= DEFAULT_TOL
+            assert root.bisection == root.poly == charpoly(g)
+        for _ in range(10):
+            parts = []
+            for _ in range(3):
+                n = rng.randint(1, 6)
+                parts.append(RootedGraph(build_graph(n, [(rng.randrange(v), v) for v in range(1, n)]),
+                                         rng.randrange(n)))
+            root = t_compose_rho(*parts)
+            assert compare_roots(root, rho_certified_graph(t_compose(*parts)))[0] is Ordering.EQUAL
+        # a disconnected graph, whose radius may be a multiple root, does
+        with pytest.raises(AssertionError, match="sturm_chain"):
+            rho_certified_graph(disjoint_union(cycle_graph(3), cycle_graph(3)))
+    finally:
+        ep._graph_root.cache_clear()
+
+
+def test_descartes_route_raises_where_it_cannot_isolate():
+    import rhomin.exactpoly as ep
+
+    # (x - 1)(x^2 - 4x + 5): its complex roots 2 +- i keep two sign
+    # variations at every x < 2, so V(lo) = 1 never holds; the halving
+    # stops at the separation bound instead of looping. The Sturm route
+    # finds the largest real root, 1, exactly
+    p = IntPoly((-5, 9, -5, 1))
+    with pytest.raises(ValueError):
+        ep._descartes_root(p)
+    root = rho_certified(p)
+    assert root.exact and root.lo == 1
+    for q in (IntPoly(()), IntPoly((5,)), IntPoly((1, 0, 1))):
+        with pytest.raises(ValueError):
+            ep._descartes_root(q)
+
+
+def test_newton_stops_at_rounding_noise(monkeypatch):
+    # near rho float Horner is noise at high degree; the loop stops at the
+    # first pass that does not shrink |d|, where it took 46 passes for
+    # spider(15)'s square-free part and 18 for the Sturm sample's dense
+    # n = 40 graph, which the Descartes route now takes on p itself
+    import rhomin.exactpoly as ep
+
+    rng = random.Random(30)
+    dense = [_random_dense(rng, n) for n in (12, 20, 30, 40)][-1]
+    passes = _newton_passes(monkeypatch)
+    rho_certified(charpoly(realize(spider(15))))
+    ep._graph_root.cache_clear()
+    try:
+        rho_certified_graph(dense)
+    finally:
+        ep._graph_root.cache_clear()
+    assert len(passes) == 2
+    assert passes[0] <= 27 and passes[1] <= 7, passes

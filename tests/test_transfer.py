@@ -11,6 +11,7 @@ from rhomin.exactpoly import (
     charpoly,
     charpoly_dense,
     compare_rho,
+    compare_roots,
     equal_rho_certificate,
     rho_certified_graph,
 )
@@ -250,6 +251,25 @@ def test_t_compose_rho_singletons():
     k1 = RootedGraph(path_graph(1), 0)
     root = t_compose_rho(k1, k1, k1)
     assert abs(root.as_float() - 1.9318516525781366) < 1e-9
+
+
+def test_t_compose_rho_with_a_disconnected_branch_keeps_a_double_radius():
+    from graph_helpers import disjoint_union
+
+    import rhomin.exactpoly as ep
+
+    # g1 carries, off its root, a copy of the composition of three single
+    # vertices, so the composed graph is that tree twice and its radius a
+    # double root of compose_charpoly: the Descartes count cannot isolate
+    # it, and the Sturm route of the square-free part does
+    k1 = RootedGraph(path_graph(1), 0)
+    tree = t_compose(k1, k1, k1)
+    g1 = RootedGraph(disjoint_union(path_graph(1), tree), 0)
+    p = compose_charpoly(g1, k1, k1)
+    with pytest.raises(ValueError):
+        ep._descartes_root(p)
+    root = t_compose_rho(g1, k1, k1)
+    assert compare_roots(root, rho_certified_graph(tree))[0] is Ordering.EQUAL
 
 
 def test_composition_swap_equality():
